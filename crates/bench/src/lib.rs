@@ -212,59 +212,6 @@ pub fn replay_settings() -> &'static ReplaySettings {
     REPLAY.get_or_init(ReplaySettings::from_env)
 }
 
-/// Domain-parallel simulation settings shared by every experiment binary,
-/// resolved once from the process arguments and environment:
-///
-/// * `--parallel-domains <n>` (or `NOCSTAR_DOMAINS=<n>`) — run every
-///   simulation with `n` domains: `n` event-queue shards plus `n` trace
-///   feed workers precomputing ahead of the commit loop (see
-///   `DESIGN.md §12`). `1` is the sequential default; any value produces
-///   byte-identical reports, so this is purely a wall-clock knob.
-///
-/// A malformed or zero value terminates the process with exit code 2.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelSettings {
-    /// Simulation domains per run (1 = sequential).
-    pub domains: usize,
-}
-
-impl Default for ParallelSettings {
-    fn default() -> Self {
-        Self { domains: 1 }
-    }
-}
-
-impl ParallelSettings {
-    fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let raw = args
-            .iter()
-            .position(|a| a == "--parallel-domains")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| std::env::var("NOCSTAR_DOMAINS").ok());
-        let domains = match raw.as_deref().map(str::parse::<usize>) {
-            None => 1,
-            Some(Ok(0)) => {
-                eprintln!("error: --parallel-domains must be at least 1");
-                std::process::exit(2);
-            }
-            Some(Ok(n)) => n,
-            Some(Err(e)) => {
-                eprintln!("error: bad --parallel-domains value: {e}");
-                std::process::exit(2);
-            }
-        };
-        Self { domains }
-    }
-}
-
-/// The process-wide domain-parallel settings (first use resolves them).
-pub fn parallel_settings() -> &'static ParallelSettings {
-    static PARALLEL: OnceLock<ParallelSettings> = OnceLock::new();
-    PARALLEL.get_or_init(ParallelSettings::from_env)
-}
-
 /// Sampled-replay settings shared by every experiment binary, resolved
 /// once from the process arguments and environment:
 ///
@@ -383,7 +330,6 @@ impl Effort {
         if let Some(budget) = faults.max_cycles {
             config.max_cycles = Some(budget);
         }
-        config.parallel_domains = parallel_settings().domains;
         let workload = match &replay_settings().trace_file {
             Some(path) => match WorkloadAssignment::from_trace_file(&config, path) {
                 Ok(workload) => workload,

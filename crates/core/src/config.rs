@@ -232,13 +232,6 @@ pub struct SystemConfig {
     /// default (2 million cycles) is orders of magnitude above any legal
     /// inter-completion gap.
     pub livelock_window: u64,
-    /// Simulation domains for epoch-parallel execution (`DESIGN.md §12`):
-    /// the chip's tiles are split into this many contiguous domains, each
-    /// with its own event-queue shard and trace-feed worker thread. `1`
-    /// (the default) is the plain sequential path. Any value produces a
-    /// byte-identical `SimReport`; it only changes how the work is
-    /// scheduled on the host. Clamped to the hardware thread count.
-    pub parallel_domains: usize,
 }
 
 impl SystemConfig {
@@ -261,7 +254,6 @@ impl SystemConfig {
             trace_capacity: 0,
             max_cycles: None,
             livelock_window: 2_000_000,
-            parallel_domains: 1,
         }
     }
 
@@ -312,7 +304,6 @@ impl SystemConfig {
             "bad L1 scale"
         );
         assert!(self.livelock_window > 0, "livelock window must be nonzero");
-        assert!(self.parallel_domains >= 1, "need at least one domain");
         match self.org {
             TlbOrg::Private { entries, .. } => {
                 assert!(

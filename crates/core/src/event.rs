@@ -1,13 +1,10 @@
-//! The simulation event queue: per-domain calendar-queue shards.
+//! The simulation event queue: a calendar queue.
 //!
-//! The queue is sharded by simulation domain (see `Simulation` and
-//! `DESIGN.md §12`): each shard owns the events of the tiles it covers and
-//! stores near-future events in a calendar ring of per-cycle buckets
-//! (O(1) push/pop) with a binary-heap overflow for events beyond the ring
-//! window. Popping merges the shards by `(time, global sequence)`, so the
-//! pop order is *exactly* the order the old single binary heap produced:
-//! earliest time first, FIFO among same-cycle events chip-wide. A
-//! one-shard queue is the sequential configuration and the default.
+//! Near-future events live in a calendar ring of per-cycle buckets (O(1)
+//! push/pop); events beyond the ring window go to a binary-heap overflow.
+//! The pop order is earliest time first, FIFO among same-cycle events —
+//! exactly the order a single binary heap keyed by `(time, push order)`
+//! produces. `DESIGN.md §12` records why the ring stays over a plain heap.
 
 use nocstar_types::time::Cycle;
 use std::collections::BinaryHeap;
@@ -45,13 +42,12 @@ impl PartialOrd for Entry {
     }
 }
 
-/// Cycles covered by a shard's calendar ring. Events scheduled further
-/// than this past the shard's cursor go to the overflow heap (rare:
-/// context-switch traps and long trace gaps).
+/// Cycles covered by the calendar ring. Events scheduled further than
+/// this past the cursor go to the overflow heap (rare: context-switch
+/// traps and long trace gaps).
 const WINDOW: usize = 512;
 
-/// One cycle's events within the calendar window, appended in push order
-/// (= global sequence order, since pushes carry increasing sequences).
+/// One cycle's events within the calendar window, appended in push order.
 #[derive(Debug, Default)]
 struct Bucket {
     cycle: u64,
@@ -65,9 +61,10 @@ impl Bucket {
     }
 }
 
-/// One domain's events: a calendar ring plus an overflow heap.
+/// A deterministic min-queue of timed events (FIFO among same-cycle
+/// events).
 #[derive(Debug)]
-struct Shard {
+pub struct EventQueue {
     buckets: Vec<Bucket>,
     overflow: BinaryHeap<Entry>,
     /// Lower bound on every un-popped bucket cycle; advanced on pop.
@@ -76,23 +73,42 @@ struct Shard {
     hint: u64,
     /// Items currently in buckets (the rest are in `overflow`).
     in_window: usize,
+    /// Exact earliest `(time, sequence)` key, maintained on every push and
+    /// pop so peeking never walks the ring.
+    min: Option<(u64, u64)>,
+    seq: u64,
     len: usize,
 }
 
-impl Shard {
-    fn new() -> Self {
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl EventQueue {
+    /// An empty queue.
+    pub fn new() -> Self {
         Self {
             buckets: (0..WINDOW).map(|_| Bucket::default()).collect(),
             overflow: BinaryHeap::new(),
             cursor: 0,
             hint: 0,
             in_window: 0,
+            min: None,
+            seq: 0,
             len: 0,
         }
     }
 
-    fn push(&mut self, at: u64, seq: u64, event: Event) {
+    /// Schedules `event` to fire at `at`.
+    pub fn push(&mut self, at: Cycle, event: Event) {
+        self.seq += 1;
         self.len += 1;
+        let (at, seq) = (at.value(), self.seq);
+        if self.min.is_none_or(|m| (at, seq) < m) {
+            self.min = Some((at, seq));
+        }
         if at >= self.cursor && at - self.cursor < WINDOW as u64 {
             let b = &mut self.buckets[(at % WINDOW as u64) as usize];
             if b.is_drained() {
@@ -111,6 +127,36 @@ impl Shard {
             // — the past): the heap handles it exactly, just slower.
             self.overflow.push(Entry { at, seq, event });
         }
+    }
+
+    /// The time of the earliest pending event.
+    pub fn next_time(&self) -> Option<Cycle> {
+        self.min.map(|(at, _)| Cycle::new(at))
+    }
+
+    /// Pops the earliest event if it fires at or before `now`; among
+    /// same-cycle events the push order wins.
+    pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, Event)> {
+        let key = self.min.filter(|&(at, _)| at <= now.value())?;
+        self.len -= 1;
+        self.cursor = self.cursor.max(key.0);
+        self.hint = self.hint.max(self.cursor);
+        let event = if self.overflow.peek().is_some_and(|e| (e.at, e.seq) == key) {
+            match self.overflow.pop() {
+                Some(e) => e.event,
+                None => unreachable!("peeked entry vanished"),
+            }
+        } else {
+            let b = &mut self.buckets[(key.0 % WINDOW as u64) as usize];
+            debug_assert!(!b.is_drained() && b.cycle == key.0, "pop of a stale key");
+            let (seq, event) = b.items[b.head];
+            debug_assert_eq!(seq, key.1, "bucket items out of sequence order");
+            b.head += 1;
+            self.in_window -= 1;
+            event
+        };
+        self.min = self.peek_key();
+        Some((Cycle::new(key.0), event))
     }
 
     /// The earliest pending `(time, sequence)` key, scanning the ring from
@@ -140,118 +186,9 @@ impl Shard {
         }
     }
 
-    /// Pops the event with the given key (which `peek_key` just returned).
-    fn pop(&mut self, key: (u64, u64)) -> (Cycle, Event) {
-        self.len -= 1;
-        self.cursor = self.cursor.max(key.0);
-        self.hint = self.hint.max(self.cursor);
-        if self.overflow.peek().is_some_and(|e| (e.at, e.seq) == key) {
-            let e = match self.overflow.pop() {
-                Some(e) => e,
-                None => unreachable!("peeked entry vanished"),
-            };
-            return (Cycle::new(e.at), e.event);
-        }
-        let b = &mut self.buckets[(key.0 % WINDOW as u64) as usize];
-        debug_assert!(!b.is_drained() && b.cycle == key.0, "pop of a stale key");
-        let (seq, event) = b.items[b.head];
-        debug_assert_eq!(seq, key.1, "bucket items out of sequence order");
-        b.head += 1;
-        self.in_window -= 1;
-        (Cycle::new(key.0), event)
-    }
-}
-
-/// A deterministic min-queue of timed events (FIFO among same-cycle
-/// events chip-wide), sharded by simulation domain.
-#[derive(Debug)]
-pub struct EventQueue {
-    shards: Vec<Shard>,
-    /// Exact earliest `(time, sequence)` per shard, maintained on every
-    /// push and pop so the cross-shard merge is a flat scan of this array
-    /// rather than a ring walk per shard.
-    mins: Vec<Option<(u64, u64)>>,
-    seq: u64,
-    len: usize,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::sharded(1)
-    }
-}
-
-impl EventQueue {
-    /// An empty queue with one shard per simulation domain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `domains` is zero.
-    pub fn sharded(domains: usize) -> Self {
-        assert!(domains > 0, "need at least one domain");
-        Self {
-            shards: (0..domains).map(|_| Shard::new()).collect(),
-            mins: vec![None; domains],
-            seq: 0,
-            len: 0,
-        }
-    }
-
-    /// Schedules `event` to fire at `at`, in `domain`'s shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `domain` is out of range.
-    pub fn push_in(&mut self, domain: usize, at: Cycle, event: Event) {
-        self.seq += 1;
-        self.len += 1;
-        let key = (at.value(), self.seq);
-        self.shards[domain].push(at.value(), self.seq, event);
-        if self.mins[domain].is_none_or(|m| key < m) {
-            self.mins[domain] = Some(key);
-        }
-    }
-
-    /// The time of the earliest pending event.
-    pub fn next_time(&mut self) -> Option<Cycle> {
-        self.mins
-            .iter()
-            .flatten()
-            .min()
-            .map(|&(at, _)| Cycle::new(at))
-    }
-
-    /// Pops the earliest event if it fires at or before `now`. Among
-    /// same-cycle events the chip-wide push order wins, whatever shard
-    /// each event lives in.
-    pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, Event)> {
-        let mut best: Option<((u64, u64), usize)> = None;
-        for (i, &key) in self.mins.iter().enumerate() {
-            if let Some(key) = key {
-                if best.is_none_or(|(bk, _)| key < bk) {
-                    best = Some((key, i));
-                }
-            }
-        }
-        let (key, i) = best?;
-        if key.0 > now.value() {
-            return None;
-        }
-        self.len -= 1;
-        let popped = self.shards[i].pop(key);
-        self.mins[i] = self.shards[i].peek_key();
-        Some(popped)
-    }
-
-    /// Number of queued events across all shards (diagnostic snapshots).
+    /// Number of queued events (diagnostic snapshots).
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// Number of queued events in the deepest shard (diagnostic
-    /// snapshots; equals [`len`](Self::len) for a single-shard queue).
-    pub fn max_domain_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.len).max().unwrap_or(0)
     }
 
     /// True when no events are queued.
@@ -266,10 +203,10 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::sharded(1);
-        q.push_in(0, Cycle::new(5), Event::ThreadNext(1));
-        q.push_in(0, Cycle::new(3), Event::ThreadNext(2));
-        q.push_in(0, Cycle::new(4), Event::ThreadNext(3));
+        let mut q = EventQueue::new();
+        q.push(Cycle::new(5), Event::ThreadNext(1));
+        q.push(Cycle::new(3), Event::ThreadNext(2));
+        q.push(Cycle::new(4), Event::ThreadNext(3));
         assert_eq!(q.next_time(), Some(Cycle::new(3)));
         let order: Vec<Event> = std::iter::from_fn(|| q.pop_due(Cycle::new(10)))
             .map(|(_, e)| e)
@@ -286,9 +223,9 @@ mod tests {
 
     #[test]
     fn same_cycle_events_are_fifo() {
-        let mut q = EventQueue::sharded(1);
+        let mut q = EventQueue::new();
         for i in 0..5 {
-            q.push_in(0, Cycle::new(7), Event::Issue(i));
+            q.push(Cycle::new(7), Event::Issue(i));
         }
         let order: Vec<Event> = std::iter::from_fn(|| q.pop_due(Cycle::new(7)))
             .map(|(_, e)| e)
@@ -298,57 +235,26 @@ mod tests {
 
     #[test]
     fn pop_due_respects_now() {
-        let mut q = EventQueue::sharded(1);
-        q.push_in(0, Cycle::new(9), Event::WalkDone(1));
+        let mut q = EventQueue::new();
+        q.push(Cycle::new(9), Event::WalkDone(1));
         assert!(q.pop_due(Cycle::new(8)).is_none());
         assert!(q.pop_due(Cycle::new(9)).is_some());
         assert!(q.next_time().is_none());
     }
 
     #[test]
-    fn same_cycle_fifo_holds_across_shards() {
-        let mut q = EventQueue::sharded(4);
-        for i in 0..12 {
-            q.push_in(i % 4, Cycle::new(7), Event::Issue(i));
-        }
-        let order: Vec<Event> = std::iter::from_fn(|| q.pop_due(Cycle::new(7)))
-            .map(|(_, e)| e)
-            .collect();
-        assert_eq!(order, (0..12).map(Event::Issue).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sharded_pop_merges_by_time_then_order() {
-        let mut q = EventQueue::sharded(2);
-        q.push_in(1, Cycle::new(4), Event::Issue(0));
-        q.push_in(0, Cycle::new(2), Event::Issue(1));
-        q.push_in(1, Cycle::new(2), Event::Issue(2));
-        let order: Vec<(u64, Event)> = std::iter::from_fn(|| q.pop_due(Cycle::new(9)))
-            .map(|(at, e)| (at.value(), e))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                (2, Event::Issue(1)),
-                (2, Event::Issue(2)),
-                (4, Event::Issue(0)),
-            ]
-        );
-    }
-
-    #[test]
     fn far_future_events_overflow_and_return() {
-        let mut q = EventQueue::sharded(1);
+        let mut q = EventQueue::new();
         // Far beyond the calendar window, plus one nearby event.
-        q.push_in(0, Cycle::new(100_000), Event::WalkDone(1));
-        q.push_in(0, Cycle::new(3), Event::Issue(0));
+        q.push(Cycle::new(100_000), Event::WalkDone(1));
+        q.push(Cycle::new(3), Event::Issue(0));
         assert_eq!(q.len(), 2);
         assert_eq!(q.next_time(), Some(Cycle::new(3)));
         assert!(q.pop_due(Cycle::new(3)).is_some());
         assert_eq!(q.next_time(), Some(Cycle::new(100_000)));
         // After time advances, pushes near the new cursor still order
         // correctly against the overflowed event.
-        q.push_in(0, Cycle::new(99_999), Event::Issue(7));
+        q.push(Cycle::new(99_999), Event::Issue(7));
         let order: Vec<Event> = std::iter::from_fn(|| q.pop_due(Cycle::new(200_000)))
             .map(|(_, e)| e)
             .collect();
@@ -358,13 +264,13 @@ mod tests {
 
     #[test]
     fn window_buckets_are_reused_across_laps() {
-        let mut q = EventQueue::sharded(1);
+        let mut q = EventQueue::new();
         let mut popped = Vec::new();
         // Walk time forward several full calendar windows.
         for lap in 0u64..5 {
             for i in 0u64..100 {
                 let at = lap * 700 + i * 7;
-                q.push_in(0, Cycle::new(at), Event::Issue((lap * 100 + i) as usize));
+                q.push(Cycle::new(at), Event::Issue((lap * 100 + i) as usize));
             }
             while let Some((at, e)) = q.pop_due(Cycle::new(lap * 700 + 700)) {
                 popped.push((at.value(), e));
@@ -375,37 +281,21 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    #[test]
-    fn depth_accounting_tracks_shards() {
-        let mut q = EventQueue::sharded(3);
-        q.push_in(0, Cycle::new(1), Event::Issue(0));
-        q.push_in(2, Cycle::new(1), Event::Issue(1));
-        q.push_in(2, Cycle::new(2), Event::Issue(2));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.max_domain_depth(), 2);
-        q.pop_due(Cycle::new(2));
-        q.pop_due(Cycle::new(2));
-        q.pop_due(Cycle::new(2));
-        assert_eq!(q.max_domain_depth(), 0);
-        assert!(q.is_empty());
-    }
-
-    /// The sharded queue must reproduce the reference order (a plain
+    /// The queue must reproduce the reference order (a plain
     /// sorted-by-(time, push-order) list) for an arbitrary interleaving.
     #[test]
     fn matches_reference_semantics_under_mixed_load() {
-        let mut q = EventQueue::sharded(3);
+        let mut q = EventQueue::new();
         let mut reference: Vec<(u64, u64, usize)> = Vec::new();
         // A deterministic pseudo-random schedule: times jump around,
-        // some beyond the window, across all shards.
+        // some beyond the window.
         let mut x: u64 = 0x9e3779b97f4a7c15;
         for i in 0..1000usize {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let at = x % 2048;
-            let dom = (x >> 32) as usize % 3;
-            q.push_in(dom, Cycle::new(at), Event::Issue(i));
+            q.push(Cycle::new(at), Event::Issue(i));
             reference.push((at, i as u64, i));
         }
         reference.sort_by_key(|&(at, seq, _)| (at, seq));

@@ -16,7 +16,7 @@ use crate::sampling::{self, SamplingReport, WindowSample};
 use nocstar_energy::account::EnergyAccount;
 use nocstar_energy::model::{self, NocDesign};
 use nocstar_faults::{DiagSnapshot, FaultPlan, RecoveryPolicy, SimError};
-use nocstar_mem::hierarchy::{MemoryConfig, MemorySystem, ServicedBy, SharedTables};
+use nocstar_mem::hierarchy::{MemoryConfig, MemorySystem, ServicedBy};
 use nocstar_mem::walker::WalkLatency;
 use nocstar_noc::hier::HierNoc;
 use nocstar_noc::mesh::MeshNoc;
@@ -36,8 +36,6 @@ use nocstar_types::{Asid, CoreId, MeshShape, PageSize, VirtAddr, VirtPageNum};
 use nocstar_workloads::sample::SampleSpec;
 use nocstar_workloads::trace::{MemAccess, TraceEvent, TraceSource};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 
 /// Cycles a thread loses to a context-switch trap.
 const CTX_SWITCH_COST: Cycles = Cycles::new(200);
@@ -90,166 +88,6 @@ pub const SLICE_COMPONENT_BASE: u32 = 1 << 16;
 /// one network advance) is bounded by the transaction population, which is
 /// itself bounded by the thread count — far below this.
 const SAME_CYCLE_SPIN_LIMIT: u64 = 100_000;
-
-/// Trace events per batch on a domain feed channel. Batching amortizes the
-/// channel transfer: one send/recv pair moves `PRE_BATCH` precomputed
-/// events.
-const PRE_BATCH: usize = 512;
-
-/// Batches a domain feed channel buffers before the worker backs off. With
-/// [`PRE_BATCH`] this bounds each thread's run-ahead to a couple of
-/// thousand trace events (tens of kilobytes per thread) — deep enough that
-/// a worker granted the CPU fills every pipe in one burst and the commit
-/// loop then runs unpreempted for a long stretch, which is what makes the
-/// scheme cheap even on hosts with few cores.
-const PIPE_BATCHES: usize = 2;
-
-/// One trace event with everything the commit loop would otherwise have to
-/// compute on its own critical path: the source's address space, the
-/// workload's backing page size, and whether the page was already mapped.
-///
-/// All three are pure functions of the source and the (monotone) page
-/// tables, so a feed worker can compute them ahead of commit time without
-/// changing what the sequential loop would have observed — see
-/// [`Simulation::run_domains_parallel`] for the argument.
-#[derive(Debug, Clone, Copy)]
-struct PreEvent {
-    ev: TraceEvent,
-    asid: Asid,
-    /// The backing page size for an access (`None` on the live path, where
-    /// it is computed lazily only when the issue path needs it).
-    backing: Option<PageSize>,
-    /// `Some(true)` when the page was observed mapped at precompute time.
-    /// Mapped-ness is monotone ([`SharedTables`]), so `Some(true)` is
-    /// trusted at commit; anything else is re-checked live.
-    mapped: Option<bool>,
-}
-
-/// Where a hardware thread's trace events come from: the source itself
-/// (sequential runs), or a channel fed by the domain's worker thread.
-enum Feed {
-    Live(Box<dyn TraceSource>),
-    Piped {
-        rx: Receiver<Vec<PreEvent>>,
-        /// The batch currently being drained, consumed from `pos` (the
-        /// batch is taken over wholesale rather than copied event-by-event
-        /// into a deque).
-        buf: Vec<PreEvent>,
-        pos: usize,
-        /// The domain worker filling `rx`, unparked before any blocking
-        /// receive. Workers park indefinitely once every pipe is full, so
-        /// this unpark is what wakes them back up on demand.
-        worker: Option<std::thread::Thread>,
-    },
-}
-
-/// One hardware thread's feed state on a domain worker: its trace source
-/// plus the batch that could not be sent yet (its channel was full).
-struct FeedThread {
-    src: Box<dyn TraceSource>,
-    tx: SyncSender<Vec<PreEvent>>,
-    ready: Option<Vec<PreEvent>>,
-}
-
-/// Raises a stop flag and unparks every feed worker when dropped —
-/// including during unwinding, so workers (which park indefinitely when
-/// their pipes are full) are told to exit before the enclosing thread
-/// scope joins them.
-struct StopOnDrop<'a> {
-    stop: &'a AtomicBool,
-    workers: &'a [std::thread::Thread],
-}
-
-impl Drop for StopOnDrop<'_> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        for w in self.workers {
-            w.unpark();
-        }
-    }
-}
-
-/// Precomputes one trace event from `src`. For accesses, probes the shared
-/// page tables for mapped-ness — memoized in `seen_mapped`, which is sound
-/// because mappings are monotone: once a page is observed mapped it stays
-/// mapped for the rest of the run.
-fn pre_event(
-    src: &mut dyn TraceSource,
-    tables: &SharedTables,
-    seen_mapped: &mut BTreeSet<(u16, u64)>,
-) -> PreEvent {
-    let ev = src.next_event();
-    let asid = src.asid();
-    match ev {
-        TraceEvent::Access(a) => {
-            let key = (asid.value(), a.va.value() >> 12);
-            let mapped = seen_mapped.contains(&key) || {
-                let probed = tables.is_mapped(asid, a.va);
-                if probed {
-                    seen_mapped.insert(key);
-                }
-                probed
-            };
-            PreEvent {
-                ev,
-                asid,
-                backing: Some(src.backing(a.va)),
-                mapped: Some(mapped),
-            }
-        }
-        _ => PreEvent {
-            ev,
-            asid,
-            backing: None,
-            mapped: None,
-        },
-    }
-}
-
-/// The body of one domain's feed worker: round-robins over the domain's
-/// hardware threads, precomputing batches of trace events and pushing them
-/// down each thread's channel. Never blocks on a full channel (a finished
-/// thread stops consuming, so a blocking send could wedge the worker);
-/// instead the unsent batch is parked in [`FeedThread::ready`] and retried.
-/// Exits when every channel has disconnected or `stop` is raised.
-fn feed_domain(mut threads: Vec<FeedThread>, tables: SharedTables, stop: &AtomicBool) {
-    let mut seen_mapped: BTreeSet<(u16, u64)> = BTreeSet::new();
-    while !threads.is_empty() && !stop.load(Ordering::Acquire) {
-        let mut progressed = false;
-        threads.retain_mut(|th| {
-            let batch = match th.ready.take() {
-                Some(batch) => batch,
-                None => {
-                    let mut batch = Vec::with_capacity(PRE_BATCH);
-                    for _ in 0..PRE_BATCH {
-                        batch.push(pre_event(th.src.as_mut(), &tables, &mut seen_mapped));
-                    }
-                    progressed = true;
-                    batch
-                }
-            };
-            match th.tx.try_send(batch) {
-                Ok(()) => {
-                    progressed = true;
-                    true
-                }
-                Err(TrySendError::Full(batch)) => {
-                    th.ready = Some(batch);
-                    true
-                }
-                // Receiver gone: the run is over (or unwinding) and this
-                // thread needs no more events.
-                Err(TrySendError::Disconnected(_)) => false,
-            }
-        });
-        if !progressed {
-            // Every pipe is full and every batch is stashed: park until
-            // the commit loop drains something and unparks us (or the run
-            // ends — `StopOnDrop` unparks on the way out).
-            std::thread::park();
-        }
-    }
-}
 
 /// A structured simulation failure: the typed error plus the partial
 /// report harvested from whatever the run completed before aborting.
@@ -360,14 +198,12 @@ enum TxState {
     },
 }
 
-/// An access waiting for its issue event, with the trace-source facts
-/// captured when it was pulled from the feed.
+/// An access waiting for its issue event, with the address space its
+/// thread ran in when the access was pulled from the trace.
 #[derive(Debug, Clone, Copy)]
 struct PendingAccess {
     access: MemAccess,
     asid: Asid,
-    backing: Option<PageSize>,
-    mapped: Option<bool>,
 }
 
 /// Per-hardware-thread progress.
@@ -378,14 +214,6 @@ struct ThreadState {
     accesses_done: u64,
     finish_time: Cycle,
     finished: bool,
-}
-
-/// Whether the driver replays every access cycle-accurately or alternates
-/// functional fast-forward with measurement windows (`SAMPLING.md §1`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunMode {
-    Exact,
-    Sampled,
 }
 
 /// Live state of a sampled run: the placement spec, the replayed span, and
@@ -409,11 +237,8 @@ pub struct Simulation {
     l1s: Vec<L1Tlb>,
     org: OrgState,
     net: NetworkModel,
-    feeds: Vec<Feed>,
+    traces: Vec<Box<dyn TraceSource>>,
     threads: Vec<ThreadState>,
-    /// Event-queue shards / feed workers (1 = sequential run). Clamped to
-    /// the core count so every domain owns at least one tile.
-    domains: usize,
     walker_free: Vec<Cycle>,
     events: EventQueue,
     txs: BTreeMap<u64, TxState>,
@@ -539,14 +364,13 @@ impl Simulation {
         } else {
             TraceSink::disabled()
         };
-        let domains = config.parallel_domains.min(config.cores);
         Self {
             mesh,
             mem: MemorySystem::new(MemoryConfig::haswell(config.cores)),
             l1s: (0..config.cores).map(|_| L1Tlb::new(l1_config)).collect(),
             org,
             net,
-            feeds: workload.into_traces().into_iter().map(Feed::Live).collect(),
+            traces: workload.into_traces(),
             threads: vec![
                 ThreadState {
                     core: CoreId::new(0),
@@ -557,9 +381,8 @@ impl Simulation {
                 };
                 config.threads()
             ],
-            domains,
             walker_free: vec![Cycle::ZERO; config.cores],
-            events: EventQueue::sharded(domains),
+            events: EventQueue::new(),
             txs: BTreeMap::new(),
             next_tx: 0,
             now: Cycle::ZERO,
@@ -602,17 +425,6 @@ impl Simulation {
 
     fn core_of(&self, thread: usize) -> CoreId {
         CoreId::new(thread / self.config.smt)
-    }
-
-    /// The domain owning a tile: cores are split into `domains` contiguous
-    /// ranges, so domain boundaries follow the physical layout and the
-    /// partition is independent of how many domains actually run.
-    fn domain_of_core(&self, core: CoreId) -> usize {
-        core.index() * self.domains / self.config.cores
-    }
-
-    fn domain_of_thread(&self, thread: usize) -> usize {
-        self.domain_of_core(self.core_of(thread))
     }
 
     /// Installs a deterministic fault plan: link outages/degradations and
@@ -700,12 +512,7 @@ impl Simulation {
         self.warm_target = warmup;
         self.warm_crossed = if warmup == 0 { self.threads.len() } else { 0 };
         self.target = accesses_per_thread;
-        let result = if self.domains > 1 {
-            self.run_domains_parallel(RunMode::Exact)
-        } else {
-            self.start_threads_and_event_loop()
-        };
-        if let Err(error) = result {
+        if let Err(error) = self.start_threads_and_event_loop() {
             let partial = self.finish();
             return Err(Box::new(SimAbort {
                 error: *error,
@@ -769,12 +576,7 @@ impl Simulation {
             thread_measured: vec![0; self.threads.len()],
             windows: Vec::new(),
         });
-        let result = if self.domains > 1 {
-            self.run_domains_parallel(RunMode::Sampled)
-        } else {
-            self.sampled_loop()
-        };
-        if let Err(error) = result {
+        if let Err(error) = self.sampled_loop() {
             let partial = self.finish();
             return Err(Box::new(SimAbort {
                 error: *error,
@@ -791,86 +593,6 @@ impl Simulation {
             self.thread_next(t);
         }
         self.event_loop()
-    }
-
-    /// The epoch-parallel driver: *parallel lookahead, sequential commit*.
-    ///
-    /// Each domain's trace sources move onto a worker thread that runs
-    /// ahead of simulated time, precomputing [`PreEvent`]s (next trace
-    /// event, address space, backing page size, mapped-ness probe) and
-    /// streaming them to the commit loop through a bounded channel. The
-    /// commit loop — this thread — replays the exact sequential event
-    /// schedule and performs *all* order-sensitive mutation, so the report
-    /// is byte-identical to a sequential run by construction:
-    ///
-    /// * `next_event`/`asid`/`backing` calls hit each source in the same
-    ///   order and positions as sequentially — only earlier in host time.
-    /// * The mapped-ness probe is trusted only when positive, and mappings
-    ///   are monotone ([`SharedTables`]): a page observed mapped stays
-    ///   mapped, so skipping the commit-time `translate` cannot diverge.
-    ///   Negative/unknown probes are re-checked live.
-    ///
-    /// The cross-domain safety horizon is bounded by the fabric's
-    /// [`lookahead`](nocstar_noc::Interconnect::lookahead); workers only
-    /// ever run ahead on *pure* per-thread state, so no horizon violation
-    /// is possible regardless of how far they lead.
-    fn run_domains_parallel(&mut self, mode: RunMode) -> Result<(), Box<SimError>> {
-        let mut per_domain: Vec<Vec<FeedThread>> = (0..self.domains).map(|_| Vec::new()).collect();
-        for t in 0..self.threads.len() {
-            let domain = self.domain_of_thread(t);
-            let (tx, rx) = sync_channel(PIPE_BATCHES);
-            let feed = std::mem::replace(
-                &mut self.feeds[t],
-                Feed::Piped {
-                    rx,
-                    buf: Vec::new(),
-                    pos: 0,
-                    worker: None,
-                },
-            );
-            let Feed::Live(src) = feed else {
-                return Err(self.protocol_error(format!("thread {t} feed was already piped")));
-            };
-            per_domain[domain].push(FeedThread {
-                src,
-                tx,
-                ready: None,
-            });
-        }
-        let tables = self.mem.shared_tables();
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let handles: Vec<std::thread::Thread> = per_domain
-                .into_iter()
-                .map(|threads| {
-                    let tables = tables.clone();
-                    let stop = &stop;
-                    scope
-                        .spawn(move || feed_domain(threads, tables, stop))
-                        .thread()
-                        .clone()
-                })
-                .collect();
-            for t in 0..self.threads.len() {
-                let domain = self.domain_of_thread(t);
-                if let Feed::Piped { worker, .. } = &mut self.feeds[t] {
-                    *worker = Some(handles[domain].clone());
-                }
-            }
-            // Raised when the commit loop exits *or unwinds*, so workers
-            // never outlive the scope's implicit join.
-            let _stop_on_exit = StopOnDrop {
-                stop: &stop,
-                workers: &handles,
-            };
-            // Fast-forward consumes the piped feeds in the same per-thread
-            // order as the event loop, so the worker precompute argument
-            // above holds unchanged in sampled mode.
-            match mode {
-                RunMode::Exact => self.start_threads_and_event_loop(),
-                RunMode::Sampled => self.sampled_loop(),
-            }
-        })
     }
 
     // ----- sampled fast-forward replay (SAMPLING.md) ------------------------
@@ -905,16 +627,16 @@ impl Simulation {
     /// replica contents, ASID state) evolves exactly as the trace
     /// dictates, but nothing is timed, counted, or sent over the network.
     /// Threads are drained round-robin, one access each, in thread-index
-    /// order, so shared-state mutation order is deterministic and
-    /// independent of the domain count (`SAMPLING.md §6`).
+    /// order, so shared-state mutation order is deterministic
+    /// (`SAMPLING.md §6`).
     fn fast_forward(&mut self, quota: u64) {
         for _ in 0..quota {
             for t in 0..self.threads.len() {
                 loop {
-                    let pe = self.next_pre_event(t);
-                    match pe.ev {
+                    let (event, asid) = self.next_event(t);
+                    match event {
                         TraceEvent::Access(a) => {
-                            self.functional_access(t, pe.asid, a, pe.backing);
+                            self.functional_access(t, asid, a);
                             self.threads[t].accesses_done += 1;
                             break;
                         }
@@ -929,26 +651,26 @@ impl Simulation {
                             }
                         }
                         TraceEvent::Remap(vpn) => {
-                            if self.mem.remap(pe.asid, vpn).is_some() {
-                                self.functional_shootdown(pe.asid, vpn);
+                            if self.mem.remap(asid, vpn).is_some() {
+                                self.functional_shootdown(asid, vpn);
                             }
                         }
                         TraceEvent::Promote(v2m) => {
                             for i in 0..v2m.page_size().base_pages() {
                                 let va = VirtAddr::new(v2m.base().value() + i * 4096);
-                                if self.mem.translate(pe.asid, va).is_none() {
-                                    self.mem.ensure_mapped(pe.asid, va, PageSize::Size4K);
+                                if self.mem.translate(asid, va).is_none() {
+                                    self.mem.ensure_mapped(asid, va, PageSize::Size4K);
                                 }
                             }
-                            if let Some(stale) = self.mem.promote(pe.asid, v2m) {
+                            if let Some(stale) = self.mem.promote(asid, v2m) {
                                 for vpn in stale {
-                                    self.functional_shootdown(pe.asid, vpn);
+                                    self.functional_shootdown(asid, vpn);
                                 }
                             }
                         }
                         TraceEvent::Demote(v2m) => {
-                            if let Some(stale) = self.mem.demote(pe.asid, v2m) {
-                                self.functional_shootdown(pe.asid, stale);
+                            if let Some(stale) = self.mem.demote(asid, v2m) {
+                                self.functional_shootdown(asid, stale);
                             }
                         }
                     }
@@ -973,13 +695,7 @@ impl Simulation {
     /// would-be walk touches the PWC and PTE cache lines — otherwise each
     /// measurement window would start from stale-warm caches and charge
     /// inflated miss latencies the exact replay never sees.
-    fn functional_access(
-        &mut self,
-        t: usize,
-        asid: Asid,
-        access: MemAccess,
-        backing: Option<PageSize>,
-    ) {
+    fn functional_access(&mut self, t: usize, asid: Asid, access: MemAccess) {
         let va = access.va;
         let core = self.threads[t].core;
         if let Some(entry) = self.l1s[core.index()].touch(asid, va) {
@@ -989,10 +705,7 @@ impl Simulation {
                 .warm_access(core, entry.translate(va), access.is_write);
             return;
         }
-        let size = match backing {
-            Some(size) => size,
-            None => self.live_backing(t, va),
-        };
+        let size = self.traces[t].backing(va);
         // The home is keyed by the workload's backing page size, exactly
         // as the issue path keys its lookup transaction.
         let home_vpn = va.page_number(size);
@@ -1070,8 +783,7 @@ impl Simulation {
             .fold(self.now, Cycle::max);
         for t in 0..self.threads.len() {
             self.threads[t].finished = false;
-            self.events
-                .push_in(self.domain_of_thread(t), resume, Event::ThreadNext(t));
+            self.events.push(resume, Event::ThreadNext(t));
         }
         self.event_loop()
     }
@@ -1185,7 +897,6 @@ impl Simulation {
     fn snapshot(&self) -> DiagSnapshot {
         let mut s = self.net.diagnostics(self.now);
         s.event_queue_depth = self.events.len();
-        s.event_queue_domain_max = self.events.max_domain_depth();
         s.inflight_transactions = self.txs.len();
         s.unfinished_threads = self.threads.len() - self.completed_threads;
         s
@@ -1201,52 +912,11 @@ impl Simulation {
 
     // ----- thread lifecycle ------------------------------------------------
 
-    /// Pulls thread `t`'s next precomputed trace event: directly from the
-    /// source on the live (sequential) path, from the domain worker's
-    /// channel on the piped path. The channel `recv` blocks only when the
-    /// commit loop has outrun the worker.
-    fn next_pre_event(&mut self, t: usize) -> PreEvent {
-        match &mut self.feeds[t] {
-            Feed::Live(src) => {
-                let ev = src.next_event();
-                PreEvent {
-                    ev,
-                    asid: src.asid(),
-                    backing: None,
-                    mapped: None,
-                }
-            }
-            Feed::Piped {
-                rx,
-                buf,
-                pos,
-                worker,
-            } => loop {
-                if let Some(pe) = buf.get(*pos) {
-                    *pos += 1;
-                    break *pe;
-                }
-                if let Some(worker) = worker {
-                    worker.unpark();
-                }
-                match rx.recv() {
-                    Ok(batch) => {
-                        *buf = batch;
-                        *pos = 0;
-                    }
-                    Err(_) => panic!("feed worker for thread {t} exited mid-run"),
-                }
-            },
-        }
-    }
-
-    /// The backing page size for thread `t`'s access of `va`, on the live
-    /// path (piped feeds precompute it).
-    fn live_backing(&self, t: usize, va: VirtAddr) -> PageSize {
-        match &self.feeds[t] {
-            Feed::Live(src) => src.backing(va),
-            Feed::Piped { .. } => unreachable!("piped feeds carry the backing size"),
-        }
+    /// Pulls thread `t`'s next trace event and the address space the
+    /// thread runs in.
+    fn next_event(&mut self, t: usize) -> (TraceEvent, Asid) {
+        let src = &mut self.traces[t];
+        (src.next_event(), src.asid())
     }
 
     fn thread_next(&mut self, t: usize) {
@@ -1254,17 +924,11 @@ impl Simulation {
             return;
         }
         let now = self.now;
-        let domain = self.domain_of_thread(t);
-        let pe = self.next_pre_event(t);
-        match pe.ev {
+        let (event, asid) = self.next_event(t);
+        match event {
             TraceEvent::Access(a) => {
-                self.threads[t].pending = Some(PendingAccess {
-                    access: a,
-                    asid: pe.asid,
-                    backing: pe.backing,
-                    mapped: pe.mapped,
-                });
-                self.events.push_in(domain, now + a.gap, Event::Issue(t));
+                self.threads[t].pending = Some(PendingAccess { access: a, asid });
+                self.events.push(now + a.gap, Event::Issue(t));
             }
             TraceEvent::ContextSwitch => {
                 self.flushes.incr();
@@ -1279,20 +943,17 @@ impl Simulation {
                     self.org.flush_core_non_global(core);
                 }
                 self.events
-                    .push_in(domain, now + CTX_SWITCH_COST, Event::ThreadNext(t));
+                    .push(now + CTX_SWITCH_COST, Event::ThreadNext(t));
             }
             TraceEvent::Remap(vpn) => {
-                let asid = pe.asid;
                 if self.mem.remap(asid, vpn).is_some() {
                     // A page remap raises IPIs on every core: each handler
                     // relays an invalidation per the leader policy.
                     self.shootdown(asid, vpn, self.threads[t].core, true);
                 }
-                self.events
-                    .push_in(domain, now + SHOOTDOWN_COST, Event::ThreadNext(t));
+                self.events.push(now + SHOOTDOWN_COST, Event::ThreadNext(t));
             }
             TraceEvent::Promote(v2m) => {
-                let asid = pe.asid;
                 // The microbenchmark allocated these pages before promoting.
                 for i in 0..v2m.page_size().base_pages() {
                     let va = VirtAddr::new(v2m.base().value() + i * 4096);
@@ -1310,17 +971,14 @@ impl Simulation {
                         self.shootdown(asid, vpn, core, false);
                     }
                 }
-                self.events
-                    .push_in(domain, now + SHOOTDOWN_COST, Event::ThreadNext(t));
+                self.events.push(now + SHOOTDOWN_COST, Event::ThreadNext(t));
             }
             TraceEvent::Demote(v2m) => {
-                let asid = pe.asid;
                 if let Some(stale) = self.mem.demote(asid, v2m) {
                     let core = self.threads[t].core;
                     self.shootdown(asid, stale, core, false);
                 }
-                self.events
-                    .push_in(domain, now + SHOOTDOWN_COST, Event::ThreadNext(t));
+                self.events.push(now + SHOOTDOWN_COST, Event::ThreadNext(t));
             }
         }
     }
@@ -1346,8 +1004,7 @@ impl Simulation {
     /// home is observed healthy again.
     ///
     /// The result is a pure function of (plan, policy, organization,
-    /// cycle, vpn), so identical runs — sequential or domain-parallel —
-    /// resolve identically.
+    /// cycle, vpn), so identical runs resolve identically.
     fn resolve_home(&mut self, vpn: VirtPageNum, core: CoreId) -> ResolvedHome {
         let (home_idx, home_tile) = self.org.home_of(vpn, core);
         let static_home = ResolvedHome {
@@ -1487,23 +1144,9 @@ impl Simulation {
         let asid = pending.asid;
         let access = pending.access;
         let va = access.va;
-        // Demand-map on first touch at the workload's chosen page size. A
-        // positive precomputed probe is trusted (mappings are monotone);
-        // anything else checks the live tables.
-        let mapped = match pending.mapped {
-            Some(true) => true,
-            _ => self.mem.translate(asid, va).is_some(),
-        };
-        let mut backing = pending.backing;
-        if !mapped {
-            let size = match backing {
-                Some(size) => size,
-                None => {
-                    let size = self.live_backing(t, va);
-                    backing = Some(size);
-                    size
-                }
-            };
+        // Demand-map on first touch at the workload's chosen page size.
+        if self.mem.translate(asid, va).is_none() {
+            let size = self.traces[t].backing(va);
             self.mem.ensure_mapped(asid, va, size);
         }
         self.energy.add_l1_lookup();
@@ -1517,10 +1160,7 @@ impl Simulation {
         // L1 miss: go to the L2 organization. Miss detection costs the
         // one-cycle L1 lookup.
         let t_req = self.now + Cycles::ONE;
-        let size = match backing {
-            Some(size) => size,
-            None => self.live_backing(t, va),
-        };
+        let size = self.traces[t].backing(va);
         let vpn = va.page_number(size);
         let home = self.resolve_home(vpn, core);
         let (home_idx, home_tile) = (home.idx, home.tile);
@@ -1594,9 +1234,8 @@ impl Simulation {
         let slice = self.org.structure_mut(lookup.home_idx);
         let done = slice.schedule_read(at);
         lookup.entry = slice.lookup(lookup.asid, lookup.vpn);
-        let domain = self.domain_of_core(lookup.home_tile);
         self.txs.insert(id, TxState::Lookup(lookup));
-        self.events.push_in(domain, done, Event::SliceDone(id));
+        self.events.push(done, Event::SliceDone(id));
         Ok(())
     }
 
@@ -1733,9 +1372,8 @@ impl Simulation {
         lookup.entry = Some(TlbEntry::new(lookup.asid, result.vpn, result.ppn));
         lookup.walked = true;
         lookup.walk_cycles += (done - self.now).value();
-        let domain = self.domain_of_core(walk_core);
         self.txs.insert(id, TxState::Lookup(lookup));
-        self.events.push_in(domain, done, Event::WalkDone(id));
+        self.events.push(done, Event::WalkDone(id));
         Ok(())
     }
 
@@ -1876,8 +1514,7 @@ impl Simulation {
             state.finished = true;
             self.completed_threads += 1;
         } else {
-            self.events
-                .push_in(self.domain_of_thread(t), done, Event::ThreadNext(t));
+            self.events.push(done, Event::ThreadNext(t));
         }
     }
 
@@ -2445,9 +2082,8 @@ mod tests {
         Simulation::new(config, workload).run(accesses)
     }
 
-    fn run_sampled(cores: usize, org: TlbOrg, spec: &str, total: u64, domains: usize) -> SimReport {
-        let mut config = SystemConfig::new(cores, org);
-        config.parallel_domains = domains;
+    fn run_sampled(cores: usize, org: TlbOrg, spec: &str, total: u64) -> SimReport {
+        let config = SystemConfig::new(cores, org);
         let workload = WorkloadAssignment::preset(&config, Preset::Redis);
         let spec: SampleSpec = spec.parse().expect("valid sample spec");
         Simulation::new(config, workload).run_sampled(spec, total)
@@ -2456,7 +2092,7 @@ mod tests {
     #[test]
     fn sampled_run_reports_windows_and_estimates() {
         let spec: SampleSpec = "500:40:20@7".parse().expect("valid spec");
-        let report = run_sampled(4, TlbOrg::paper_nocstar(), "500:40:20@7", 2_000, 1);
+        let report = run_sampled(4, TlbOrg::paper_nocstar(), "500:40:20@7", 2_000);
         let s = report.sampling.as_ref().expect("sampling section");
         assert_eq!(s.windows, spec.windows(2_000));
         assert!(s.windows >= 2);
@@ -2478,16 +2114,13 @@ mod tests {
     }
 
     #[test]
-    fn sampled_runs_are_deterministic_across_domain_counts() {
-        let baseline = run_sampled(8, TlbOrg::paper_nocstar(), "400:30:15@3", 1_700, 1)
-            .to_json()
-            .to_string();
-        for domains in [2, 4, 8] {
-            let got = run_sampled(8, TlbOrg::paper_nocstar(), "400:30:15@3", 1_700, domains)
+    fn sampled_runs_are_deterministic_across_repeats() {
+        let run = || {
+            run_sampled(8, TlbOrg::paper_nocstar(), "400:30:15@3", 1_700)
                 .to_json()
-                .to_string();
-            assert_eq!(got, baseline, "{domains} domains diverged");
-        }
+                .to_string()
+        };
+        assert_eq!(run(), run(), "a repeated sampled run diverged");
     }
 
     #[test]
@@ -2500,7 +2133,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no measurement window")]
     fn sampled_run_rejects_a_span_without_a_window() {
-        run_sampled(4, TlbOrg::paper_nocstar(), "1000:60:30@0", 80, 1);
+        run_sampled(4, TlbOrg::paper_nocstar(), "1000:60:30@0", 80);
     }
 
     #[test]

@@ -554,13 +554,8 @@ pub struct LinkState {
 pub struct DiagSnapshot {
     /// Simulated cycle at the failure.
     pub cycle: u64,
-    /// Events still queued across all event-queue shards (the chip-wide
-    /// total, whatever the domain count).
+    /// Events still queued in the simulation's event queue.
     pub event_queue_depth: usize,
-    /// Deepest single event-queue shard. Equals `event_queue_depth` on a
-    /// sequential (one-domain) run; under `--parallel-domains` a large gap
-    /// between the two flags a lopsided domain partition.
-    pub event_queue_domain_max: usize,
     /// Transactions (lookups, inserts, invalidations) still in flight.
     pub inflight_transactions: usize,
     /// Hardware threads that had not finished their access quota.
@@ -585,13 +580,6 @@ impl fmt::Display for DiagSnapshot {
             self.unfinished_threads,
             self.pending_messages.len()
         )?;
-        if self.event_queue_domain_max < self.event_queue_depth {
-            write!(
-                f,
-                " (deepest domain shard: {})",
-                self.event_queue_domain_max
-            )?;
-        }
         if !self.active_faults.is_empty() {
             write!(f, "; active faults: {}", self.active_faults.join(", "))?;
         }

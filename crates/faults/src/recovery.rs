@@ -12,8 +12,8 @@
 //! `(plan, policy, cycle, message/slice id)` — the same inputs that drive
 //! the faults themselves. No recovery action consults wall-clock time,
 //! entropy, or iteration order over unordered containers, so a
-//! recovery-enabled run is byte-identical across repeats and across
-//! `--parallel-domains` just like a plain faulted run.
+//! recovery-enabled run is byte-identical across repeats just like a
+//! plain faulted run.
 //!
 //! [`FaultPlan`]: crate::FaultPlan
 

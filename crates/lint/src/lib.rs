@@ -25,15 +25,14 @@
 //! `// nocstar-lint: allow(<rule>): <justification>` — the justification
 //! is mandatory, its absence is itself a build-failing finding, and a
 //! suppression whose rules ran but matched nothing is *stale* and fails
-//! the build too. Workspace runs are incremental via [`cache`].
+//! the build too.
 //!
 //! Run it as `cargo run -p nocstar-lint`; see `--help` for output
-//! formats (human, JSON, SARIF), cache control, and CI wiring.
+//! formats (human, JSON, SARIF) and CI wiring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod lexer;
 pub mod output;
 pub mod parser;
@@ -43,7 +42,6 @@ pub mod scope;
 pub mod source;
 pub mod taint;
 
-use cache::Cache;
 use policy::{Policy, Severity};
 use rules::INVALID_SUPPRESSION;
 use source::SourceFile;
@@ -76,10 +74,6 @@ pub struct Report {
     pub suppressed: Vec<Finding>,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Number of files actually analyzed this run (the rest were served
-    /// from the incremental cache). Equals `files_scanned` on uncached
-    /// runs.
-    pub files_reanalyzed: usize,
 }
 
 impl Report {
@@ -96,7 +90,6 @@ impl Report {
         self.findings.extend(other.findings);
         self.suppressed.extend(other.suppressed);
         self.files_scanned += other.files_scanned;
-        self.files_reanalyzed += other.files_reanalyzed;
     }
 
     /// Canonical ordering for deterministic output.
@@ -113,7 +106,6 @@ pub fn lint_source(rel_path: &Path, class: &str, text: &str, policy: &Policy) ->
     let file = SourceFile::analyze(rel_path.to_path_buf(), class, text);
     let mut report = Report {
         files_scanned: 1,
-        files_reanalyzed: 1,
         ..Report::default()
     };
     let rel = rel_path.to_string_lossy();
@@ -215,30 +207,12 @@ fn invalid_suppression(rel_path: &Path, line: u32, message: String) -> Finding {
     }
 }
 
-/// Lints every `src/` tree the policy classifies, rooted at `root`,
-/// without a cache (every file is analyzed).
+/// Lints every `src/` tree the policy classifies, rooted at `root`.
 ///
 /// # Errors
 ///
 /// An error string naming the first unreadable directory or file.
 pub fn lint_workspace(root: &Path, policy: &Policy) -> Result<Report, String> {
-    lint_workspace_cached(root, policy, None)
-}
-
-/// Lints every `src/` tree the policy classifies, rooted at `root`,
-/// serving unchanged files from `cache` when one is supplied. Fresh
-/// results are inserted into the cache; the caller persists it (see
-/// [`Cache::save`]). Files whose content hash hits the cache count
-/// toward `files_scanned` but not `files_reanalyzed`.
-///
-/// # Errors
-///
-/// An error string naming the first unreadable directory or file.
-pub fn lint_workspace_cached(
-    root: &Path,
-    policy: &Policy,
-    mut cache: Option<&mut Cache>,
-) -> Result<Report, String> {
     let mut report = Report::default();
     for (dir, class) in &policy.crates {
         let src = root.join(dir).join("src");
@@ -254,28 +228,8 @@ pub fn lint_workspace_cached(
         for path in files {
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-            let rel_str = rel.to_string_lossy().to_string();
-            let hash = cache::fnv1a(text.as_bytes());
-            if let Some(entry) = cache.as_deref().and_then(|c| c.lookup(&rel_str, hash)) {
-                report.merge(Report {
-                    findings: entry.findings.clone(),
-                    suppressed: entry.suppressed.clone(),
-                    files_scanned: 1,
-                    files_reanalyzed: 0,
-                });
-                continue;
-            }
-            let file_report = lint_source(&rel, class, &text, policy);
-            if let Some(c) = cache.as_deref_mut() {
-                c.insert(
-                    &rel_str,
-                    hash,
-                    file_report.findings.clone(),
-                    file_report.suppressed.clone(),
-                );
-            }
-            report.merge(file_report);
+            let rel = path.strip_prefix(root).unwrap_or(&path);
+            report.merge(lint_source(rel, class, &text, policy));
         }
     }
     report.sort();

@@ -1,8 +1,7 @@
 //! The `nocstar-lint` command-line driver.
 
-use nocstar_lint::cache::Cache;
 use nocstar_lint::policy::Policy;
-use nocstar_lint::{lint_source, lint_workspace_cached, output, rules, Report};
+use nocstar_lint::{lint_source, lint_workspace, output, rules, Report};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -21,8 +20,6 @@ OPTIONS:
     --class <name>     lint class for explicitly listed FILES (default: sim)
     --json-out <path>  also write a JSON report
     --sarif-out <path> also write a SARIF 2.1.0 report
-    --no-cache         ignore and do not update the incremental cache
-                       (<root>/target/lint/cache.json; workspace mode only)
     --quiet            suppress per-finding human output (summary only)
     --list-rules       print the rule table and exit
     --help             this text
@@ -39,7 +36,6 @@ struct Opts {
     class: String,
     json_out: Option<PathBuf>,
     sarif_out: Option<PathBuf>,
-    no_cache: bool,
     quiet: bool,
     files: Vec<PathBuf>,
 }
@@ -52,7 +48,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
         class: "sim".to_string(),
         json_out: None,
         sarif_out: None,
-        no_cache: false,
         quiet: false,
         files: Vec::new(),
     };
@@ -83,7 +78,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
             "--class" => opts.class = value("--class")?,
             "--json-out" => opts.json_out = Some(PathBuf::from(value("--json-out")?)),
             "--sarif-out" => opts.sarif_out = Some(PathBuf::from(value("--sarif-out")?)),
-            "--no-cache" => opts.no_cache = true,
             "--quiet" | "-q" => opts.quiet = true,
             f if !f.starts_with('-') => opts.files.push(PathBuf::from(f)),
             other => return Err(format!("unknown option `{other}` (see --help)")),
@@ -99,17 +93,7 @@ fn run(opts: &Opts) -> Result<Report, String> {
         .unwrap_or_else(|| opts.root.join("nocstar-lint.toml"));
     let policy = Policy::load(&policy_path).map_err(|e| e.to_string())?;
     if opts.files.is_empty() {
-        if opts.no_cache {
-            return lint_workspace_cached(&opts.root, &policy, None);
-        }
-        let cache_path = opts.root.join("target/lint/cache.json");
-        let mut cache = Cache::load(&cache_path, policy.source_hash);
-        let report = lint_workspace_cached(&opts.root, &policy, Some(&mut cache))?;
-        // A best-effort persist: a read-only checkout still lints fine.
-        if let Err(e) = cache.save(&cache_path) {
-            eprintln!("nocstar-lint: warning: {e}");
-        }
-        return Ok(report);
+        return lint_workspace(&opts.root, &policy);
     }
     let mut report = Report::default();
     for path in &opts.files {

@@ -26,13 +26,11 @@ pub fn human(report: &Report) -> String {
     }
     let errors = report.error_count();
     let warns = report.findings.len() - errors;
-    let cached = report.files_scanned - report.files_reanalyzed.min(report.files_scanned);
     let _ = writeln!(
         out,
-        "nocstar-lint: {} file(s) scanned ({} re-analyzed, {cached} cached), \
+        "nocstar-lint: {} file(s) scanned, \
          {errors} error(s), {warns} warning(s), {} justified suppression(s)",
         report.files_scanned,
-        report.files_reanalyzed,
         report.suppressed.len()
     );
     out
@@ -54,10 +52,6 @@ pub fn json(report: &Report) -> String {
     Json::obj(vec![
         ("tool", Json::str("nocstar-lint")),
         ("files_scanned", Json::U64(report.files_scanned as u64)),
-        (
-            "files_reanalyzed",
-            Json::U64(report.files_reanalyzed as u64),
-        ),
         ("errors", Json::U64(report.error_count() as u64)),
         (
             "findings",
@@ -169,7 +163,6 @@ mod tests {
             }],
             suppressed: vec![],
             files_scanned: 3,
-            files_reanalyzed: 2,
         }
     }
 
@@ -178,7 +171,7 @@ mod tests {
         let text = human(&sample());
         assert!(text.contains("error[sim-unwrap]: crates/x/src/a.rs:7:"));
         assert!(text.contains("1 error(s)"));
-        assert!(text.contains("(2 re-analyzed, 1 cached)"), "{text}");
+        assert!(text.contains("3 file(s) scanned, 1 error(s)"), "{text}");
     }
 
     #[test]

@@ -61,9 +61,6 @@ pub struct Policy {
     /// Workspace-relative file path → rule id exempted for that file
     /// (the file *owns* the invariant the rule protects).
     pub exempt: BTreeMap<String, Vec<String>>,
-    /// FNV-1a hash of the policy text this was parsed from — part of the
-    /// incremental cache key, so editing the policy re-lints everything.
-    pub source_hash: u64,
 }
 
 /// A policy parse or validation error with line context.
@@ -103,10 +100,7 @@ impl Policy {
     ///
     /// [`PolicyError`] on the first malformed or unknown construct.
     pub fn parse(text: &str) -> Result<Policy, PolicyError> {
-        let mut policy = Policy {
-            source_hash: crate::cache::fnv1a(text.as_bytes()),
-            ..Policy::default()
-        };
+        let mut policy = Policy::default();
         let mut section: Option<String> = None;
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx as u32 + 1;

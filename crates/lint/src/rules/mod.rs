@@ -10,7 +10,6 @@ mod entropy_rng;
 mod event_time;
 mod float_accumulation;
 mod panic_indexing;
-mod shared_mut_parallel;
 mod sim_unwrap;
 mod tainted_event_time;
 mod unordered;
@@ -22,16 +21,10 @@ pub use entropy_rng::EntropyRng;
 pub use event_time::EventTimeRegression;
 pub use float_accumulation::FloatAccumulation;
 pub use panic_indexing::PanicIndexing;
-pub use shared_mut_parallel::SharedMutParallel;
 pub use sim_unwrap::SimUnwrap;
 pub use tainted_event_time::TaintedEventTime;
 pub use unordered::UnorderedIteration;
 pub use wall_clock::WallClock;
-
-/// Bumped whenever any rule's detection logic changes; part of the
-/// incremental cache key (see [`crate::cache`]), so stale findings are
-/// never replayed across a rules upgrade.
-pub const RULES_VERSION: &str = "2";
 
 /// A raw match a rule emitted, before policy/suppression filtering.
 #[derive(Debug, Clone)]
@@ -68,7 +61,6 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(EntropyRng),
         Box::new(SimUnwrap),
         Box::new(EventTimeRegression),
-        Box::new(SharedMutParallel),
         Box::new(FloatAccumulation),
         Box::new(PanicIndexing),
         Box::new(TaintedEventTime),

@@ -8,8 +8,7 @@ use crate::source::SourceFile;
 /// Flags `expr[index]` slice/array/map indexing in sim crates.
 ///
 /// `v[i]` panics on an out-of-range index, and a panic mid-simulation
-/// both loses the run and (under the domain-parallel driver) can tear
-/// down sibling workers at a nondeterministic point. The deliberate
+/// loses the run and every statistic it gathered so far. The deliberate
 /// spellings are `get`/`get_mut` with explicit handling, or an indexing
 /// site audited and annotated with a justified
 /// `allow(panic-indexing)` stating why the bound holds.

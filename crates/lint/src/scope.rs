@@ -25,16 +25,11 @@ pub const HASH_ORDERED: &[&str] = &[
     "IndexSet",
 ];
 
-/// Interior-mutability wrappers that are not `Sync`.
-pub const UNSYNC_CELLS: &[&str] = &["RefCell", "Cell", "UnsafeCell", "OnceCell", "LazyCell"];
-
 /// What a resolved type means to the determinism rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TypeClass {
     /// Iteration order varies run to run (`HashMap`, `HashSet`, …).
     HashOrdered,
-    /// Single-thread interior mutability (`RefCell`, `Cell`, …).
-    UnsyncCell,
     /// `f32` / `f64`.
     Float,
     /// Anything else (including unresolved).
@@ -45,8 +40,6 @@ pub enum TypeClass {
 pub fn classify_name(name: &str) -> TypeClass {
     if HASH_ORDERED.contains(&name) {
         TypeClass::HashOrdered
-    } else if UNSYNC_CELLS.contains(&name) {
-        TypeClass::UnsyncCell
     } else if name == "f32" || name == "f64" {
         TypeClass::Float
     } else {
@@ -390,15 +383,15 @@ mod tests {
     #[test]
     fn field_and_local_resolution() {
         let (ast, toks) = scoped(
-            "use std::cell::RefCell as Shared;\n\
-             struct S { inner: Shared<u64> }\n\
+            "use std::collections::HashMap as Shared;\n\
+             struct S { inner: Shared<u64, u64> }\n\
              impl S { fn f(&self, x: f64) { let m = std::collections::HashMap::new(); \
-             let y: Shared<u8> = make(); self.inner.borrow(); } }",
+             let y: Shared<u8, u8> = make(); self.inner.len(); } }",
         );
         let s = Scope::new(&ast);
         assert_eq!(
             s.field_type("S", "inner").map(|t| s.classify(t)),
-            Some(TypeClass::UnsyncCell)
+            Some(TypeClass::HashOrdered)
         );
         let f = &ast.fns[0];
         assert_eq!(
@@ -407,7 +400,7 @@ mod tests {
         );
         assert_eq!(
             s.local_type(f, "y", &toks).map(|t| s.classify(&t)),
-            Some(TypeClass::UnsyncCell)
+            Some(TypeClass::HashOrdered)
         );
         assert_eq!(
             s.local_type(f, "x", &toks).map(|t| s.classify(&t)),

@@ -20,8 +20,6 @@ const RULES: &[(&str, &str, bool)] = &[
     ("entropy_rng", "entropy-rng", true),
     ("sim_unwrap", "sim-unwrap", true),
     ("event_time_regression", "event-time-regression", true),
-    ("shared_mut_parallel", "shared-mut-parallel", true),
-    ("shared_mut_resolved", "shared-mut-parallel", true),
     ("float_accumulation", "float-accumulation", true),
     ("panic_indexing", "panic-indexing", false),
     ("tainted_event_time", "tainted-event-time", true),

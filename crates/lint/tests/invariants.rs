@@ -98,7 +98,6 @@ const SIM_SEVERITIES: &[(&str, Severity)] = &[
     ("entropy-rng", Severity::Error),
     ("sim-unwrap", Severity::Error),
     ("event-time-regression", Severity::Error),
-    ("shared-mut-parallel", Severity::Error),
     ("float-accumulation", Severity::Error),
     ("panic-indexing", Severity::Warn),
     ("tainted-event-time", Severity::Error),

@@ -11,51 +11,6 @@ use nocstar_types::time::Cycles;
 use nocstar_types::{Asid, CoreId, PageSize, PhysAddr, PhysPageNum, VirtAddr, VirtPageNum};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// The per-address-space page tables, shared between the simulator's
-/// commit thread and (under `--parallel-domains`) its read-only domain
-/// workers.
-///
-/// Invariant the parallel path relies on: mapped-ness is **monotone**
-/// within a run. [`MemorySystem`] maps pages on first touch and exposes
-/// remap/promote/demote (which keep every address mapped, only changing
-/// frames or leaf level) but never unmapping — so once a worker observes
-/// a virtual address as mapped, that observation can never go stale. A
-/// negative observation *can* go stale (another thread may map the page
-/// first) and must be re-verified at commit time.
-#[derive(Debug, Clone, Default)]
-pub struct SharedTables {
-    inner: Arc<RwLock<BTreeMap<Asid, PageTable>>>,
-}
-
-impl SharedTables {
-    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<Asid, PageTable>> {
-        // A panic on another thread aborts the run anyway; the table data
-        // itself is never left half-written (writers mutate through
-        // &mut self on the commit thread), so a poisoned lock is safe to
-        // enter — it only makes the original panic the one that surfaces.
-        match self.inner.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, BTreeMap<Asid, PageTable>> {
-        match self.inner.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Functional mapped-ness probe with no timing or cache effects (the
-    /// domain workers' only view of the tables).
-    pub fn is_mapped(&self, asid: Asid, va: VirtAddr) -> bool {
-        self.read()
-            .get(&asid)
-            .is_some_and(|table| table.walk(va).mapping.is_some())
-    }
-}
 
 /// Which level serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,7 +107,8 @@ pub struct MemorySystem {
     l2s: Vec<Cache>,
     llc: Cache,
     phys: PhysMemory,
-    tables: SharedTables,
+    /// Per-address-space page tables, created on first touch.
+    pub(crate) tables: BTreeMap<Asid, PageTable>,
     pwcs: Vec<PteCache>,
     /// Distribution of completed page-walk latencies (cycles).
     pub(crate) walk_latency: Log2Histogram,
@@ -174,7 +130,7 @@ impl MemorySystem {
             l2s: (0..config.cores).map(|_| Cache::new(config.l2)).collect(),
             llc: Cache::new(config.llc),
             phys: PhysMemory::new(config.phys_capacity),
-            tables: SharedTables::default(),
+            tables: BTreeMap::new(),
             pwcs: (0..config.cores)
                 .map(|_| PteCache::new(DEFAULT_PWC_ENTRIES))
                 .collect(),
@@ -241,27 +197,22 @@ impl MemorySystem {
         self.llc.touch(pa, write);
     }
 
-    /// A cloneable handle onto this system's page tables, for read-only
-    /// mapped-ness probes from parallel domain workers. See
-    /// [`SharedTables`] for the monotonicity contract.
-    pub fn shared_tables(&self) -> SharedTables {
-        self.tables.clone()
-    }
-
     /// Ensures `va` is mapped at the given page size (an OS demand-paging
     /// fault on first touch); returns the backing frame.
     pub fn ensure_mapped(&mut self, asid: Asid, va: VirtAddr, size: PageSize) -> PhysPageNum {
         let vpn = va.page_number(size);
         let phys = &mut self.phys;
-        let mut tables = self.tables.write();
-        let table = tables.entry(asid).or_insert_with(|| PageTable::new(phys));
+        let table = self
+            .tables
+            .entry(asid)
+            .or_insert_with(|| PageTable::new(phys));
         table.map(vpn, phys)
     }
 
     /// Functional translation with no timing or cache effects; `None` if
     /// unmapped.
     pub fn translate(&self, asid: Asid, va: VirtAddr) -> Option<(VirtPageNum, PhysPageNum)> {
-        self.tables.read().get(&asid)?.walk(va).mapping
+        self.tables.get(&asid)?.walk(va).mapping
     }
 
     /// The functional fast-forward translation entry point
@@ -287,28 +238,22 @@ impl MemorySystem {
 
     /// Remaps a page to a fresh frame; returns the new frame if mapped.
     pub fn remap(&mut self, asid: Asid, vpn: VirtPageNum) -> Option<PhysPageNum> {
-        let phys = &mut self.phys;
-        let mut tables = self.tables.write();
-        let table = tables.get_mut(&asid)?;
-        table.remap(vpn, phys)
+        let table = self.tables.get_mut(&asid)?;
+        table.remap(vpn, &mut self.phys)
     }
 
     /// Promotes 4 KiB pages under a 2 MiB region (see
     /// [`PageTable::promote`]); returns the stale base pages.
     pub fn promote(&mut self, asid: Asid, vpn_2m: VirtPageNum) -> Option<Vec<VirtPageNum>> {
-        let phys = &mut self.phys;
-        let mut tables = self.tables.write();
-        let table = tables.get_mut(&asid)?;
-        table.promote(vpn_2m, phys)
+        let table = self.tables.get_mut(&asid)?;
+        table.promote(vpn_2m, &mut self.phys)
     }
 
     /// Demotes a 2 MiB mapping (see [`PageTable::demote`]); returns the
     /// stale superpage.
     pub fn demote(&mut self, asid: Asid, vpn_2m: VirtPageNum) -> Option<VirtPageNum> {
-        let phys = &mut self.phys;
-        let mut tables = self.tables.write();
-        let table = tables.get_mut(&asid)?;
-        table.demote(vpn_2m, phys)
+        let table = self.tables.get_mut(&asid)?;
+        table.demote(vpn_2m, &mut self.phys)
     }
 
     /// Per-level hit/miss statistics: `(l1_combined, l2_combined, llc)`.
@@ -360,11 +305,6 @@ impl MemorySystem {
     /// Flushes one core's paging-structure cache (context switch).
     pub fn flush_pwc(&mut self, core: CoreId) {
         self.pwcs[core.index()].flush();
-    }
-
-    /// Read access to the tables for the walker (same crate).
-    pub(crate) fn tables_read(&self) -> RwLockReadGuard<'_, BTreeMap<Asid, PageTable>> {
-        self.tables.read()
     }
 }
 
@@ -478,35 +418,6 @@ mod tests {
             mem.translate(asid, VirtAddr::new(0x20_0000)).unwrap().1,
             new
         );
-    }
-
-    #[test]
-    fn shared_tables_probe_sees_live_mappings() {
-        let mut mem = system(1);
-        let asid = Asid::new(1);
-        let va = VirtAddr::new(0x77_7000);
-        let handle = mem.shared_tables();
-        assert!(!handle.is_mapped(asid, va));
-        mem.ensure_mapped(asid, va, PageSize::Size4K);
-        // The handle observes mappings made after it was taken, and the
-        // positive observation survives every mutation the system offers
-        // (the monotonicity contract the parallel workers rely on).
-        assert!(handle.is_mapped(asid, va));
-        mem.remap(asid, va.page_number(PageSize::Size4K));
-        assert!(handle.is_mapped(asid, va));
-        let v2m = VirtAddr::new(0x20_0000).page_number(PageSize::Size2M);
-        for i in 0..512u64 {
-            mem.ensure_mapped(
-                asid,
-                VirtAddr::new((v2m.to_base_pages() + i) << 12),
-                PageSize::Size4K,
-            );
-        }
-        mem.promote(asid, v2m);
-        assert!(handle.is_mapped(asid, VirtAddr::new(0x20_0000)));
-        mem.demote(asid, v2m);
-        assert!(handle.is_mapped(asid, VirtAddr::new(0x20_0000)));
-        assert!(handle.is_mapped(asid, va));
     }
 
     #[test]

@@ -125,13 +125,11 @@ impl MemorySystem {
         policy: WalkLatency,
         latency_multiplier: u64,
     ) -> WalkResult {
-        let outcome = {
-            let tables = self.tables_read();
-            tables
-                .get(&asid)
-                .unwrap_or_else(|| panic!("walk in unknown address space {asid}"))
-                .walk(va)
-        };
+        let outcome = self
+            .tables
+            .get(&asid)
+            .unwrap_or_else(|| panic!("walk in unknown address space {asid}"))
+            .walk(va);
         let (vpn, ppn) = outcome
             .mapping
             .unwrap_or_else(|| panic!("walk of unmapped address {va} in {asid}"));
@@ -187,12 +185,9 @@ impl MemorySystem {
     /// no latency or hit/miss statistics. Unmapped addresses are ignored
     /// — fast-forward resolves the mapping before warming.
     pub fn warm_walk(&mut self, core: CoreId, asid: Asid, va: VirtAddr) {
-        let outcome = {
-            let tables = self.tables_read();
-            match tables.get(&asid) {
-                Some(table) => table.walk(va),
-                None => return,
-            }
+        let outcome = match self.tables.get(&asid) {
+            Some(table) => table.walk(va),
+            None => return,
         };
         if outcome.mapping.is_none() || outcome.pte_addrs.is_empty() {
             return;

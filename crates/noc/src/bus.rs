@@ -167,12 +167,6 @@ impl Interconnect for BusNoc {
         out
     }
 
-    fn lookahead(&self) -> Cycles {
-        // Best case for a non-local message: the bus is granted in the
-        // submit cycle T and the broadcast occupies cycle T+1.
-        Cycles::ONE
-    }
-
     fn next_activity(&self) -> Option<Cycle> {
         let flight = self.in_flight.map(|(_, at, _)| at);
         // A queued message cannot be granted while a broadcast occupies the

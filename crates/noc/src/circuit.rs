@@ -461,13 +461,6 @@ impl Interconnect for CircuitFabric {
         out
     }
 
-    fn lookahead(&self) -> Cycles {
-        // Full-path acquisition happens in the submit cycle T; even a
-        // fully granted path traverses during T+1 at the earliest
-        // (`traversal_cycles` is at least one for any non-local hop count).
-        Cycles::ONE
-    }
-
     fn next_activity(&self) -> Option<Cycle> {
         let pending_min = self.pending.iter().map(|p| p.depart_at).min();
         let sched_min = self.scheduled.peek().map(|s| s.at);

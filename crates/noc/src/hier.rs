@@ -28,11 +28,6 @@
 //! statistics: `latency` is submit-to-final-arrival, and `no_contention`
 //! counts messages that matched their route's zero-queueing floor.
 //!
-//! `lookahead` composes as the minimum member lookahead along any
-//! cross-tile path: with real clusters the nearest non-local tile is one
-//! intra hop away (1 cycle); with single-tile clusters every non-local
-//! message rides the overlay, so its bound applies.
-//!
 //! Fault plans target the overlay: `link:L` clauses index the overlay
 //! mesh's directed links (the cluster-local wires are short, wide and
 //! assumed reliable). Whole clusters are taken offline via the fault
@@ -177,11 +172,6 @@ impl Interconnect for XbarNoc {
         out
     }
 
-    fn lookahead(&self) -> Cycles {
-        // Uncontended: granted in the submit cycle, one traversal cycle.
-        Cycles::ONE
-    }
-
     fn next_activity(&self) -> Option<Cycle> {
         let flights = self
             .ports
@@ -256,13 +246,6 @@ impl Intra {
             Intra::Xbar(n) => n.next_activity(),
         }
     }
-
-    fn lookahead(&self) -> Cycles {
-        match self {
-            Intra::Bus(n) => n.lookahead(),
-            Intra::Xbar(n) => n.lookahead(),
-        }
-    }
 }
 
 /// The overlay fabric between cluster gateways.
@@ -284,13 +267,6 @@ impl Inter {
         match self {
             Inter::Mesh(n) => n.next_activity(),
             Inter::Smart(n) => n.next_activity(),
-        }
-    }
-
-    fn lookahead(&self) -> Cycles {
-        match self {
-            Inter::Mesh(n) => n.lookahead(),
-            Inter::Smart(n) => n.lookahead(),
         }
     }
 
@@ -599,18 +575,6 @@ impl Interconnect for HierNoc {
         out
     }
 
-    fn lookahead(&self) -> Cycles {
-        // Minimum member lookahead along any cross-tile path: the
-        // cheapest non-local message is one intra hop, unless clusters
-        // are single tiles and everything rides the overlay.
-        let inter = self.inter.lookahead();
-        if self.map.cluster_size() > 1 {
-            self.intra[0].lookahead().min(inter)
-        } else {
-            inter
-        }
-    }
-
     fn next_activity(&self) -> Option<Cycle> {
         self.intra
             .iter()
@@ -793,9 +757,7 @@ mod tests {
 
     #[test]
     fn single_tile_clusters_collapse_to_the_overlay() {
-        let noc = HierNoc::new(16, 1, IntraKind::Bus, InterKind::Mesh);
-        assert_eq!(noc.lookahead(), Cycles::new(crate::mesh::CYCLES_PER_HOP));
-        let mut noc = noc;
+        let mut noc = HierNoc::new(16, 1, IntraKind::Bus, InterKind::Mesh);
         noc.submit(Cycle::ZERO, msg(1, 0, 1));
         let d = drain(&mut noc, Cycle::ZERO);
         assert_eq!(d[0].at, Cycle::new(2));

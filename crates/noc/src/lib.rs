@@ -92,15 +92,6 @@ pub trait Interconnect {
     /// The earliest cycle at which the network has work to do, if any.
     fn next_activity(&self) -> Option<Cycle>;
 
-    /// Conservative cross-tile lookahead: a *non-local* message submitted
-    /// at cycle `T` can never be delivered before `T + lookahead()`. This
-    /// is the fabric's minimum cross-tile link latency, the bound the
-    /// epoch-parallel driver uses to size a domain's safe run-ahead
-    /// horizon (no other domain can affect it sooner). Local (same-tile)
-    /// messages deliver in the submit cycle, but they never cross a
-    /// domain boundary, so they do not constrain the lookahead.
-    fn lookahead(&self) -> Cycles;
-
     /// Aggregate network statistics.
     fn stats(&self) -> &NocStats;
 

@@ -386,12 +386,6 @@ impl Interconnect for MeshNoc {
         out
     }
 
-    fn lookahead(&self) -> Cycles {
-        // One router + one link cycle per hop: the closest non-local
-        // destination (one hop) is CYCLES_PER_HOP cycles away.
-        Cycles::new(CYCLES_PER_HOP)
-    }
-
     fn next_activity(&self) -> Option<Cycle> {
         let flight_min = self.flights.iter().map(|f| f.ready_at).min();
         let sched_min = self.scheduled.peek().map(|s| s.at);

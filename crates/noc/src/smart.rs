@@ -317,12 +317,6 @@ impl Interconnect for SmartNoc {
         out
     }
 
-    fn lookahead(&self) -> Cycles {
-        // A non-local flit spends one SA-G setup cycle, then at least one
-        // bypass cycle, however short the path and however large HPCmax.
-        Cycles::new(2)
-    }
-
     fn next_activity(&self) -> Option<Cycle> {
         let flight_min = self.flights.iter().map(|f| f.ready_at).min();
         let sched_min = self.scheduled.peek().map(|s| s.at);

@@ -46,8 +46,9 @@ pub enum TraceEvent {
 /// An infinite, deterministic stream of [`TraceEvent`]s for one hardware
 /// thread, plus the page-size backing decisions for the addresses it emits.
 ///
-/// Sources are `Send`: under `--parallel-domains`, each domain worker
-/// thread owns the sources of the hardware threads in its domain.
+/// Sources are `Send` so that a workload assignment, and the simulation
+/// built from it, can be handed to another host thread — one simulation
+/// per thread is how sweeps use more than one CPU.
 pub trait TraceSource: Send {
     /// The next event. Streams are infinite; the simulator decides when to
     /// stop.

@@ -7,22 +7,18 @@
 #   ci.sh             fast PR gate: fmt + determinism lint + clippy +
 #                     build + tier-1 tests (including the NCT trace
 #                     round-trip/golden-fixture suite and the
-#                     hierarchical-fabric unit/property/lookahead
-#                     suites). Target: a few minutes.
+#                     hierarchical-fabric unit/property suites).
+#                     Target: a few minutes.
 #   ci.sh --nightly   everything above plus the slow sweeps: chaos
 #                     property suite (including the 1024-core
 #                     cluster-outage run), the 1024-core cascading
 #                     recovery-chaos smoke and the closed-loop
-#                     recovery-latency study, the 512/1024-core hier-vs-mesh
-#                     scale-up claim and smoke, fault-sweep smoke, the
-#                     full golden-report determinism sweep, the full
-#                     domain-parallel sweep (domains 2/4/8 on every
-#                     fabric, plus the perf.sh wall-clock gate), and the
-#                     end-to-end trace-replay equivalence check
+#                     recovery-latency study (the closed loop must never
+#                     lose to the open loop), the 512/1024-core
+#                     hier-vs-mesh scale-up claim and smoke, fault-sweep
+#                     smoke, the full golden-report determinism sweep,
+#                     and the end-to-end trace-replay equivalence check
 #                     (record -> replay -> byte-for-byte report diff).
-#
-# The fast gate already proves 2-domain invariance: tier-1 tests include
-# determinism.rs's two_domain_runs_are_byte_identical_to_sequential.
 #
 # The lint step writes JSON + SARIF reports to target/lint/ so CI can
 # upload them as build artifacts; it exits non-zero on any
@@ -45,22 +41,10 @@ echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
 echo "== nocstar-lint (determinism & simulator invariants) =="
-# Cold pass: drop the incremental cache so every file is analyzed, then
-# a warm pass over the unchanged tree must be served 100% from cache —
-# this doubles as an end-to-end check of cache.rs's content hashing.
-rm -rf target/lint
-mkdir -p target/lint
 cargo run --release -q -p nocstar-lint -- \
   --json-out target/lint/report.json \
   --sarif-out target/lint/report.sarif
 echo "   lint artifacts: target/lint/report.json, target/lint/report.sarif"
-echo "== nocstar-lint (warm cache pass) =="
-WARM_SUMMARY="$(cargo run --release -q -p nocstar-lint -- --quiet 2>&1 | tail -n 1)"
-echo "   $WARM_SUMMARY"
-if [[ "$WARM_SUMMARY" != *"(0 re-analyzed"* ]]; then
-  echo "error: warm lint pass re-analyzed files on an unchanged tree" >&2
-  exit 1
-fi
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -86,12 +70,28 @@ if [[ "$NIGHTLY" == "1" ]]; then
 
   echo "== nightly: recovery-chaos smoke (1024-core cascading schedule) =="
   # The test itself asserts a non-empty recovered-translation count and
-  # 8-domain byte-identity; release mode keeps the smoke under a minute.
+  # repeat byte-identity; release mode keeps the smoke under a minute.
   cargo test -q --release --test chaos \
     nightly_cascading_recovery_storm_at_1024_cores -- --ignored
 
   echo "== nightly: recovery-latency study =="
   cargo run --release -q -p nocstar-bench --bin recovery -- --quick
+  # The closed loop must never lose to the open loop: every scenario's
+  # latency saving must be positive.
+  python3 - bench_results/recovery.csv <<'EOF'
+import csv, sys
+
+with open(sys.argv[1]) as f:
+    savings = [float(r["latency saved"].rstrip("%")) for r in csv.DictReader(f)]
+if not savings:
+    sys.exit("recovery gate: FAILED — no scenarios in the recovery study")
+if min(savings) <= 0.0:
+    sys.exit(
+        "recovery gate: FAILED — the closed loop lost to the open loop "
+        f"on at least one scenario (min saving {min(savings)}%)"
+    )
+print(f"   recovery gate: OK (savings {min(savings)}% .. {max(savings)}%)")
+EOF
 
   echo "== nightly: scale-up claim (hier vs flat mesh at 512/1024 cores) =="
   cargo test -q --release --test paper_claims claim_hier_beats_flat_mesh_at_scale -- --ignored
@@ -105,12 +105,6 @@ if [[ "$NIGHTLY" == "1" ]]; then
   echo "== nightly: golden-report determinism sweep =="
   cargo test -q --test golden_reports
   cargo test -q --test determinism
-
-  echo "== nightly: full domain-parallel sweep (domains 2/4/8, every fabric) =="
-  cargo test -q --test determinism -- --ignored
-
-  echo "== nightly: domain-parallel wall-clock gate =="
-  NOCSTAR_PERF_ENFORCE=1 scripts/perf.sh --quick
 
   echo "== nightly: trace-replay equivalence (live vs recorded, real binaries) =="
   # Capture the redis preset with the simulator's defaults, then run the

@@ -10,8 +10,7 @@
 //!   cross-checked in both directions — the estimator reproduces the
 //!   printed numbers, and the printed numbers are internally consistent.
 //! * **Determinism** (`SAMPLING.md §6`): byte-identical reports across
-//!   repeated runs and across `--parallel-domains` {1, 2, 4, 8}; the
-//!   seed moves only the placement offset.
+//!   repeated runs; the seed moves only the placement offset.
 //! * **Report contract** (`SAMPLING.md §4`): exact-mode reports carry no
 //!   `sampling` key, so exact goldens stay byte-identical.
 
@@ -27,24 +26,23 @@ const SPEC: &str = "800:40:20@7";
 /// shootdowns are rare discrete events a periodic sample has no power
 /// against (`SAMPLING.md §7`), so the suite isolates the steady-state
 /// rates sampling is for.
-fn build(domains: usize) -> Simulation {
-    let mut config = SystemConfig::new(CORES, TlbOrg::paper_nocstar());
-    config.parallel_domains = domains;
+fn build() -> Simulation {
+    let config = SystemConfig::new(CORES, TlbOrg::paper_nocstar());
     let mut spec = Preset::Redis.spec();
     spec.remaps_per_million = 0.0;
     let workload = WorkloadAssignment::homogeneous(&config, spec);
     Simulation::new(config, workload)
 }
 
-fn sampled_report(spec: &str, domains: usize) -> SimReport {
+fn sampled_report(spec: &str) -> SimReport {
     let spec: SampleSpec = spec.parse().expect("valid sample spec");
-    build(domains).run_sampled(spec, SPAN)
+    build().run_sampled(spec, SPAN)
 }
 
 #[test]
 fn every_interval_covers_the_exact_value_at_ten_x_reduction() {
-    let exact = build(1).run_measured(EXACT_WARMUP, SPAN - EXACT_WARMUP);
-    let sampled = sampled_report(SPEC, 1);
+    let exact = build().run_measured(EXACT_WARMUP, SPAN - EXACT_WARMUP);
+    let sampled = sampled_report(SPEC);
     let s = sampled.sampling.as_ref().expect("sampled report section");
 
     let measured = ((SPAN - EXACT_WARMUP) * CORES as u64) as f64;
@@ -85,30 +83,22 @@ fn every_interval_covers_the_exact_value_at_ten_x_reduction() {
 }
 
 #[test]
-fn sampled_reports_are_deterministic_and_domain_invariant() {
-    let reference = sampled_report(SPEC, 1).to_json().to_string();
+fn sampled_reports_are_deterministic() {
     assert_eq!(
-        reference,
-        sampled_report(SPEC, 1).to_json().to_string(),
+        sampled_report(SPEC).to_json().to_string(),
+        sampled_report(SPEC).to_json().to_string(),
         "repeated sampled runs diverged"
     );
-    for domains in [2, 4, 8] {
-        assert_eq!(
-            reference,
-            sampled_report(SPEC, domains).to_json().to_string(),
-            "sampled report diverged at {domains} domains"
-        );
-    }
 }
 
 #[test]
 fn the_seed_moves_only_the_placement_offset() {
     // Equal seeds never differ; different seeds may move the offset (and
     // with it the estimates) but never the spec geometry.
-    let a = sampled_report("800:40:20@7", 1);
-    let b = sampled_report("800:40:20@7", 1);
+    let a = sampled_report("800:40:20@7");
+    let b = sampled_report("800:40:20@7");
     assert_eq!(a.to_json().to_string(), b.to_json().to_string());
-    let other = sampled_report("800:40:20@8", 1);
+    let other = sampled_report("800:40:20@8");
     let (sa, so) = (
         a.sampling.as_ref().expect("section"),
         other.sampling.as_ref().expect("section"),
@@ -122,7 +112,7 @@ fn the_seed_moves_only_the_placement_offset() {
 
 #[test]
 fn exact_reports_carry_no_sampling_key() {
-    let exact = build(1).run_measured(EXACT_WARMUP, SPAN - EXACT_WARMUP);
+    let exact = build().run_measured(EXACT_WARMUP, SPAN - EXACT_WARMUP);
     assert!(exact.sampling.is_none());
     let json = exact.to_json();
     assert!(json.get("sampling").is_none());
@@ -133,7 +123,7 @@ fn a_single_window_span_degenerates_per_the_spec() {
     // One window: every estimate is degenerate (`SAMPLING.md §3`) — the
     // interval collapses to the point estimate.
     let spec: SampleSpec = "4000:40:20@7".parse().expect("valid sample spec");
-    let report = build(1).run_sampled(spec, SPAN);
+    let report = build().run_sampled(spec, SPAN);
     let s = report.sampling.as_ref().expect("section");
     assert_eq!(s.windows, 1);
     for name in ["cycles_per_access", "l1_miss_rate"] {
