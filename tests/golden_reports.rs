@@ -25,21 +25,26 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-fn golden_json(org: TlbOrg) -> String {
+/// The configuration every golden shares: metrics on and a tiny trace
+/// ring, which keeps the snapshot readable while still pinning the trace
+/// serialization format and the drop accounting.
+fn golden_config(org: TlbOrg) -> SystemConfig {
     let mut config = SystemConfig::new(CORES, org);
     config.metrics = true;
-    // A tiny ring keeps the snapshot readable while still pinning the
-    // trace serialization format and the drop accounting.
     config.trace_capacity = 32;
-    let workload = WorkloadAssignment::preset(&config, Preset::Redis);
-    let report = Simulation::new(config, workload).run_measured(WARMUP, MEASURE);
-    let mut text = report.to_json().to_string_pretty();
-    text.push('\n');
-    text
+    config
 }
 
-fn check_golden(name: &str, org: TlbOrg) {
-    let actual = golden_json(org);
+fn build(config: SystemConfig) -> Simulation {
+    let workload = WorkloadAssignment::preset(&config, Preset::Redis);
+    Simulation::new(config, workload)
+}
+
+/// Compares `report`'s pretty JSON against `tests/golden/<name>.json`, or
+/// rewrites the snapshot under `UPDATE_GOLDEN`.
+fn check_report(name: &str, report: &SimReport) {
+    let mut actual = report.to_json().to_string_pretty();
+    actual.push('\n');
     let path = golden_dir().join(format!("{name}.json"));
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v != "0") {
         std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
@@ -60,6 +65,11 @@ fn check_golden(name: &str, org: TlbOrg) {
          with UPDATE_GOLDEN=1 cargo test --test golden_reports",
         path.display()
     );
+}
+
+fn check_golden(name: &str, org: TlbOrg) {
+    let report = build(golden_config(org)).run_measured(WARMUP, MEASURE);
+    check_report(name, &report);
 }
 
 #[test]
@@ -101,36 +111,67 @@ fn golden_recovery() {
     // exact closed-loop timing. The plan keeps one slice offline across
     // the measurement window and kills every link briefly, so re-homing,
     // re-routing/escalation, and the handoff path all leave fingerprints.
-    let org = TlbOrg::paper_distributed();
-    let mut config = SystemConfig::new(CORES, org);
-    config.metrics = true;
-    config.trace_capacity = 32;
-    let workload = WorkloadAssignment::preset(&config, Preset::Redis);
     let plan = FaultPlan::parse("link:*@26000-27500=off; slice:1@24000-40000").expect("valid plan");
-    let report = Simulation::new(config, workload)
+    let report = build(golden_config(TlbOrg::paper_distributed()))
         .with_faults(plan)
         .with_recovery(RecoveryPolicy::all())
         .run_measured(WARMUP, MEASURE);
-    let mut actual = report.to_json().to_string_pretty();
-    actual.push('\n');
-    let path = golden_dir().join("recovery.json");
-    if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v != "0") {
-        std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
-        std::fs::write(&path, &actual).expect("write golden snapshot");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); run UPDATE_GOLDEN=1 \
-             cargo test --test golden_reports to create it",
-            path.display()
-        )
-    });
+    check_report("recovery", &report);
+}
+
+/// A sampled run small enough for the test profile: two measurement
+/// windows, each preceded by a functional fast-forward and a detailed
+/// warmup ramp.
+const SAMPLE_SPEC: &str = "500:40:20@7";
+const SAMPLE_SPAN: u64 = 1_200;
+
+fn sample_spec() -> SampleSpec {
+    SAMPLE_SPEC.parse().expect("valid sample spec")
+}
+
+#[test]
+fn golden_sampled() {
+    // Pins the window reduction: summed totals, merged distributions,
+    // the last window's metrics and the `sampling` section.
+    let spec = sample_spec();
+    assert_eq!(spec.windows(SAMPLE_SPAN), 2);
+    let report = build(golden_config(TlbOrg::paper_nocstar())).run_sampled(spec, SAMPLE_SPAN);
+    check_report("sampled", &report);
+}
+
+#[test]
+fn golden_aborted() {
+    // An exact run stopped by its cycle budget inside the measured
+    // quota: pins the partial report an abort harvests.
+    let mut config = golden_config(TlbOrg::paper_nocstar());
+    config.max_cycles = Some(35_000);
+    let abort = build(config)
+        .try_run_measured(WARMUP, MEASURE)
+        .expect_err("the budget ends the run early");
+    assert!(matches!(abort.error, SimError::CycleBudgetExceeded { .. }));
+    check_report("aborted", &abort.partial);
+}
+
+#[test]
+fn golden_aborted_sampled() {
+    // The budget falls inside the second window, so the partial report
+    // holds exactly the first. It is read from the unbounded run: the
+    // warmup boundary clears the trace ring, so the oldest record that
+    // run keeps lies after the first window's end, inside the second.
+    let spec = sample_spec();
+    let unbounded = build(golden_config(TlbOrg::paper_nocstar())).run_sampled(spec, SAMPLE_SPAN);
+    let budget = unbounded.trace.first().expect("traced window").cycle;
+    let mut config = golden_config(TlbOrg::paper_nocstar());
+    config.max_cycles = Some(budget);
+    let abort = build(config)
+        .try_run_sampled(spec, SAMPLE_SPAN)
+        .expect_err("the budget ends the run inside the second window");
+    assert!(matches!(abort.error, SimError::CycleBudgetExceeded { .. }));
+    let windows = abort.partial.sampling.as_ref().map(|s| s.windows);
     assert_eq!(
-        actual,
-        expected,
-        "recovery report drifted from {}; if intentional, regenerate \
-         with UPDATE_GOLDEN=1 cargo test --test golden_reports",
-        path.display()
+        windows,
+        Some(1),
+        "the partial report holds the first window only"
     );
+    check_report("aborted_sampled", &abort.partial);
 }
