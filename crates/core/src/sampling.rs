@@ -1,38 +1,34 @@
 //! Per-window samples and whole-trace estimates for sampled replay.
 //!
 //! Normative spec: `SAMPLING.md` at the repository root. The simulation
-//! loop harvests one `WindowSample` per measurement window
-//! (`sim.rs`); this module reduces those samples to the per-access-rate
+//! harvests one `WindowSample` per measurement window
+//! (`sim/harvest.rs`); this module reduces those samples to the per-access-rate
 //! estimates of `SAMPLING.md §3` and carries the [`SamplingReport`]
 //! section that [`SimReport`](crate::report::SimReport) emits for
 //! sampled runs only — exact-mode reports never contain it, which keeps
 //! their goldens byte-identical.
 
-use nocstar_energy::account::EnergyAccount;
+use crate::sim::RunStats;
 use nocstar_json::Json;
 use nocstar_noc::NocStats;
 use nocstar_stats::counter::HitMiss;
 use nocstar_stats::histogram::ConcurrencyBins;
 use nocstar_stats::interval::Interval;
-use nocstar_stats::latency::LatencyRecorder;
 
-/// Everything one measurement window measured, captured at leg end
-/// (`SAMPLING.md §1`, "Harvest").
+/// Everything one measurement window measured, captured at its end
+/// (`SAMPLING.md §1`, "Harvest"). An exact run is a single window.
 #[derive(Debug, Clone)]
 pub(crate) struct WindowSample {
     /// Per-thread measured cycles (warmup crossing → finish).
     pub(crate) durations: Vec<u64>,
     /// Window runtime: the max of `durations`.
     pub(crate) runtime: u64,
+    /// Measured accesses, all threads: the window's quota.
+    pub(crate) accesses: u64,
     pub(crate) l1: HitMiss,
     pub(crate) l2: HitMiss,
     pub(crate) per_structure: Vec<HitMiss>,
-    pub(crate) walks: u64,
-    pub(crate) walks_llc_or_mem: u64,
-    pub(crate) shootdowns: u64,
-    pub(crate) flushes: u64,
-    pub(crate) translation_latency: LatencyRecorder,
-    pub(crate) energy: EnergyAccount,
+    pub(crate) stats: RunStats,
     pub(crate) chip_concurrency: ConcurrencyBins,
     pub(crate) slice_concurrency: ConcurrencyBins,
     pub(crate) network: Option<NocStats>,
@@ -168,23 +164,29 @@ pub(crate) fn estimates(
         ),
         MetricEstimate::of("l1_miss_rate", per(&|w| w.l1.miss_rate())),
         MetricEstimate::of("l2_miss_rate", per(&|w| w.l2.miss_rate())),
-        MetricEstimate::of("walks_per_access", per(&|w| w.walks as f64 / measured)),
+        MetricEstimate::of(
+            "walks_per_access",
+            per(&|w| w.stats.walks.get() as f64 / measured),
+        ),
         MetricEstimate::of(
             "walks_llc_or_mem_per_access",
-            per(&|w| w.walks_llc_or_mem as f64 / measured),
+            per(&|w| w.stats.walks_llc_or_mem.get() as f64 / measured),
         ),
         MetricEstimate::of(
             "shootdowns_per_access",
-            per(&|w| w.shootdowns as f64 / measured),
+            per(&|w| w.stats.shootdowns.get() as f64 / measured),
         ),
-        MetricEstimate::of("flushes_per_access", per(&|w| w.flushes as f64 / measured)),
+        MetricEstimate::of(
+            "flushes_per_access",
+            per(&|w| w.stats.flushes.get() as f64 / measured),
+        ),
         MetricEstimate::of(
             "translation_latency_mean",
-            per(&|w| w.translation_latency.mean()),
+            per(&|w| w.stats.translation_latency.mean()),
         ),
         MetricEstimate::of(
             "energy_pj_per_access",
-            per(&|w| w.energy.total_pj() / measured),
+            per(&|w| w.stats.energy.total_pj() / measured),
         ),
     ]
 }
@@ -194,18 +196,16 @@ mod tests {
     use super::*;
 
     fn window(runtime: u64, walks: u64) -> WindowSample {
+        let mut stats = RunStats::default();
+        stats.walks.add(walks);
         WindowSample {
             durations: vec![runtime],
             runtime,
+            accesses: 60,
             l1: HitMiss::new(),
             l2: HitMiss::new(),
             per_structure: Vec::new(),
-            walks,
-            walks_llc_or_mem: 0,
-            shootdowns: 0,
-            flushes: 0,
-            translation_latency: LatencyRecorder::new(),
-            energy: EnergyAccount::default(),
+            stats,
             chip_concurrency: ConcurrencyBins::new(),
             slice_concurrency: ConcurrencyBins::new(),
             network: None,

@@ -1,0 +1,215 @@
+//! Sampled fast-forward replay (`SAMPLING.md`): functional fast-forward
+//! legs that evolve architectural state without timing it, alternating
+//! with detailed legs that each measure one window.
+
+use super::Simulation;
+use crate::event::Event;
+use crate::sampling::{self, SamplingReport, WindowSample};
+use nocstar_faults::SimError;
+use nocstar_mem::walker::WalkLatency;
+use nocstar_tlb::entry::TlbEntry;
+use nocstar_types::time::Cycle;
+use nocstar_types::{Asid, VirtPageNum};
+use nocstar_workloads::sample::SampleSpec;
+use nocstar_workloads::trace::{MemAccess, TraceEvent};
+
+/// Live state of a sampled run: the placement spec, the replayed span,
+/// and how much of it was consumed functionally.
+pub(super) struct SamplingState {
+    pub(super) spec: SampleSpec,
+    /// Total trace span, in accesses per thread.
+    pub(super) span: u64,
+    /// Accesses (all threads) consumed functionally so far.
+    pub(super) ff_accesses: u64,
+}
+
+impl SamplingState {
+    /// The report's `sampling` section (`SAMPLING.md §4`) over the
+    /// harvested `windows`; its estimate list is empty when none
+    /// completed.
+    pub(super) fn section(&self, windows: &[WindowSample], threads: usize) -> SamplingReport {
+        let spec = self.spec;
+        let legs = windows.len() as u64;
+        SamplingReport {
+            spec: spec.to_string(),
+            period: spec.period(),
+            window: spec.window(),
+            warmup: spec.warmup(),
+            seed: spec.seed(),
+            offset: spec.offset(),
+            windows: legs,
+            span_accesses_per_thread: self.span,
+            accesses_fast_forwarded: self.ff_accesses,
+            accesses_detailed: legs * (spec.warmup() + spec.window()) * threads as u64,
+            estimates: sampling::estimates(windows, spec.window(), threads),
+        }
+    }
+}
+
+impl Simulation {
+    /// Alternates functional fast-forward legs with detailed legs until
+    /// the spec places no further window inside the span (`SAMPLING.md §1`
+    /// state machine). The loop produces exactly
+    /// [`SampleSpec::windows`]`(span)` measurement windows.
+    pub(super) fn sampled_loop(
+        &mut self,
+        spec: SampleSpec,
+        span: u64,
+    ) -> Result<(), Box<SimError>> {
+        let mut consumed = 0u64;
+        let mut ff = spec.offset();
+        while consumed + ff + spec.warmup() + spec.window() <= span {
+            self.fast_forward(ff);
+            consumed += ff;
+            self.detailed_leg(spec.warmup(), spec.window())?;
+            consumed += spec.warmup() + spec.window();
+            self.harvest_window();
+            ff = spec.slack();
+        }
+        Ok(())
+    }
+
+    /// Functionally consumes `quota` memory accesses per thread without
+    /// advancing simulated time: architectural state (page tables, TLB and
+    /// replica contents, ASID state) evolves exactly as the trace
+    /// dictates, but nothing is timed, counted, or sent over the network.
+    /// Threads are drained round-robin, one access each, in thread-index
+    /// order, so shared-state mutation order is deterministic
+    /// (`SAMPLING.md §6`).
+    fn fast_forward(&mut self, quota: u64) {
+        for _ in 0..quota {
+            for t in 0..self.threads.len() {
+                loop {
+                    let (event, asid) = self.next_event(t);
+                    match event {
+                        TraceEvent::Access(a) => {
+                            self.functional_access(t, asid, a);
+                            self.threads[t].accesses_done += 1;
+                            break;
+                        }
+                        TraceEvent::ContextSwitch => {
+                            self.context_switch_flush(self.threads[t].core);
+                        }
+                        TraceEvent::Remap(vpn) => {
+                            if self.mem.remap(asid, vpn).is_some() {
+                                self.functional_shootdown(asid, vpn);
+                            }
+                        }
+                        TraceEvent::Promote(v2m) => {
+                            self.premap_promoted(asid, v2m);
+                            if let Some(stale) = self.mem.promote(asid, v2m) {
+                                for vpn in stale {
+                                    self.functional_shootdown(asid, vpn);
+                                }
+                            }
+                        }
+                        TraceEvent::Demote(v2m) => {
+                            if let Some(stale) = self.mem.demote(asid, v2m) {
+                                self.functional_shootdown(asid, stale);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(s) = &mut self.sampling {
+            s.ff_accesses += quota * self.threads.len() as u64;
+        }
+    }
+
+    /// One access, functionally: the stat-free mirror of
+    /// [`issue`](Self::issue)'s translation path. L1 and home-slice
+    /// contents update through the stat-free `touch` entry points, misses
+    /// demand-map and fill through `MemorySystem::resolve_mapped`, and the
+    /// same adjacent-page prefetch fills fire — so the TLB state a measurement window starts
+    /// from matches what an exact replay would have left behind, up to
+    /// timing-dependent interleaving (`SAMPLING.md §2`).
+    ///
+    /// The memory side warms functionally too: every access touches the
+    /// data-cache hierarchy at the translated physical address, and every
+    /// would-be walk touches the PWC and PTE cache lines — otherwise each
+    /// measurement window would start from stale-warm caches and charge
+    /// inflated miss latencies the exact replay never sees.
+    fn functional_access(&mut self, t: usize, asid: Asid, access: MemAccess) {
+        let va = access.va;
+        let core = self.threads[t].core;
+        if let Some(entry) = self.l1s[core.index()].touch(asid, va) {
+            // An L1 entry exists only for a mapped page, and mapped-ness is
+            // monotone — the demand-map check below would be a no-op.
+            self.mem
+                .warm_access(core, entry.translate(va), access.is_write);
+            return;
+        }
+        let size = self.traces[t].backing(va);
+        // The home is keyed by the workload's backing page size, exactly
+        // as the issue path keys its lookup transaction.
+        let home_vpn = va.page_number(size);
+        let (home_idx, _) = self.org.home_of(home_vpn, core);
+        if let Some(entry) = self.org.structure_mut(home_idx).touch(asid, home_vpn) {
+            self.l1s[core.index()].insert(entry);
+            self.mem
+                .warm_access(core, entry.translate(va), access.is_write);
+            return;
+        }
+        // Slice miss: a walk would resolve the page-table leaf (demand-
+        // mapping on first touch), fill both levels, and pull the PTE
+        // lines through the walking core's caches (variable-latency walks
+        // only — fixed-latency walks never touch the hierarchy).
+        let (vpn, ppn) = self.mem.resolve_mapped(asid, va, size);
+        if self.config.walk_latency == WalkLatency::Variable {
+            self.mem.warm_walk(core, asid, va);
+        }
+        let entry = TlbEntry::new(asid, vpn, ppn);
+        self.org.structure_mut(home_idx).insert(entry);
+        self.l1s[core.index()].insert(entry);
+        self.mem
+            .warm_access(core, entry.translate(va), access.is_write);
+        self.functional_prefetch(home_vpn, asid);
+    }
+
+    /// [`prefetch_around`](Self::prefetch_around) minus timing and
+    /// energy: fills the neighbours' home slices directly.
+    fn functional_prefetch(&mut self, vpn: VirtPageNum, asid: Asid) {
+        for (idx, entry) in self.prefetch_fills(vpn, asid) {
+            self.org.structure_mut(idx).insert(entry);
+        }
+    }
+
+    /// [`shootdown`](Self::shootdown) minus timing, counting and
+    /// messaging: the stale translation leaves every L1 and every home
+    /// structure immediately (re-homed backups cannot exist — sampled mode
+    /// rejects recovery).
+    fn functional_shootdown(&mut self, asid: Asid, vpn: VirtPageNum) {
+        for l1 in &mut self.l1s {
+            l1.invalidate(asid, vpn);
+        }
+        self.org.invalidate(asid, vpn);
+    }
+
+    /// One detailed leg: `warmup` cycle-accurate accesses per thread whose
+    /// statistics are discarded at the boundary (the existing
+    /// [`reset_statistics`](Self::reset_statistics) warmup machinery),
+    /// then `window` measured accesses per thread. Resumes simulated time at the latest per-thread
+    /// finish of the previous leg, so time stays monotone across legs.
+    fn detailed_leg(&mut self, warmup: u64, window: u64) -> Result<(), Box<SimError>> {
+        let done = self.threads[0].accesses_done;
+        debug_assert!(
+            self.threads.iter().all(|th| th.accesses_done == done),
+            "threads drifted between legs"
+        );
+        self.warm_target = done + warmup;
+        self.warm_crossed = 0;
+        self.target = done + warmup + window;
+        self.completed_threads = 0;
+        let resume = self
+            .threads
+            .iter()
+            .map(|th| th.finish_time)
+            .fold(self.now, Cycle::max);
+        for t in 0..self.threads.len() {
+            self.threads[t].finished = false;
+            self.events.push(resume, Event::ThreadNext(t));
+        }
+        self.event_loop()
+    }
+}

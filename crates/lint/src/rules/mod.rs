@@ -9,7 +9,6 @@
 mod entropy_rng;
 mod event_time;
 mod float_accumulation;
-mod panic_indexing;
 mod sim_unwrap;
 mod tainted_event_time;
 mod unordered;
@@ -20,7 +19,6 @@ use crate::source::SourceFile;
 pub use entropy_rng::EntropyRng;
 pub use event_time::EventTimeRegression;
 pub use float_accumulation::FloatAccumulation;
-pub use panic_indexing::PanicIndexing;
 pub use sim_unwrap::SimUnwrap;
 pub use tainted_event_time::TaintedEventTime;
 pub use unordered::UnorderedIteration;
@@ -62,7 +60,6 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(SimUnwrap),
         Box::new(EventTimeRegression),
         Box::new(FloatAccumulation),
-        Box::new(PanicIndexing),
         Box::new(TaintedEventTime),
     ]
 }

@@ -91,13 +91,20 @@ impl SourceFile {
 /// Finds line ranges belonging to test-only code: any item annotated
 /// `#[cfg(test)]` or `#[test]`. The item's extent is the balanced
 /// `{ … }` block (or the terminating `;` for block-less items) that
-/// follows the attribute.
+/// follows the attribute. An inner `#![cfg(test)]` — a test module kept
+/// in its own file — covers everything from the attribute to the end of
+/// the file.
 fn find_test_regions(toks: &[Tok]) -> Vec<(u32, u32)> {
     let mut regions = Vec::new();
     let mut i = 0;
     while i < toks.len() {
         if let Some(attr_len) = test_attr_len(&toks[i..]) {
             let start_line = toks[i].line;
+            if toks[i + 1].is_punct('!') {
+                let end_line = toks.last().map_or(start_line, |t| t.line);
+                regions.push((start_line, end_line));
+                break;
+            }
             let mut j = i + attr_len;
             // Skip further attributes between #[cfg(test)] and the item.
             while j < toks.len() && toks[j].is_punct('#') {
@@ -138,14 +145,15 @@ fn find_test_regions(toks: &[Tok]) -> Vec<(u32, u32)> {
 }
 
 /// If `toks` starts with `#[cfg(test)]` or `#[test]` (possibly with extra
-/// arguments such as `#[cfg(any(test, fuzzing))]`), returns the attribute
-/// token length.
+/// arguments such as `#[cfg(any(test, fuzzing))]`), or the inner form
+/// `#![cfg(test)]`, returns the attribute token length.
 fn test_attr_len(toks: &[Tok]) -> Option<usize> {
-    if !(toks.first()?.is_punct('#') && toks.get(1)?.is_punct('[')) {
+    let bang = usize::from(toks.get(1)?.is_punct('!'));
+    if !(toks.first()?.is_punct('#') && toks.get(1 + bang)?.is_punct('[')) {
         return None;
     }
     let len = skip_attr(toks);
-    let body = &toks[2..len.saturating_sub(1)];
+    let body = &toks[2 + bang..len.saturating_sub(1)];
     let is_test = match body.first() {
         Some(t) if t.is_ident("test") => body.len() == 1,
         Some(t) if t.is_ident("cfg") => body.iter().any(|t| t.is_ident("test")),
@@ -265,6 +273,15 @@ mod tests {
         assert!(f.in_test_code(2));
         assert!(f.in_test_code(4));
         assert!(!f.in_test_code(5));
+    }
+
+    #[test]
+    fn inner_cfg_test_covers_the_rest_of_the_file() {
+        let src = "//! Tests.\n#![cfg(test)]\n\nuse super::*;\nfn helper() { x.unwrap(); }\n";
+        let f = analyze(src);
+        assert_eq!(f.test_regions, vec![(2, 5)]);
+        assert!(!f.in_test_code(1));
+        assert!(f.in_test_code(5));
     }
 
     #[test]

@@ -9,20 +9,18 @@ use nocstar_lint::{lint_source, Report};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// (fixture directory, rule id, bad fixture fails the build) for every
-/// shipped rule and every resolution-path variant. `panic-indexing` is
-/// warn severity under the shipped sim policy, so its bad fixture must
-/// fire without failing the CLI gate.
-const RULES: &[(&str, &str, bool)] = &[
-    ("unordered_iteration", "unordered-iteration", true),
-    ("unordered_resolved", "unordered-iteration", true),
-    ("wall_clock", "wall-clock", true),
-    ("entropy_rng", "entropy-rng", true),
-    ("sim_unwrap", "sim-unwrap", true),
-    ("event_time_regression", "event-time-regression", true),
-    ("float_accumulation", "float-accumulation", true),
-    ("panic_indexing", "panic-indexing", false),
-    ("tainted_event_time", "tainted-event-time", true),
+/// (fixture directory, rule id) for every shipped rule and every
+/// resolution-path variant. Every rule is error severity under the shipped
+/// sim policy, so every bad fixture fails the build.
+const RULES: &[(&str, &str)] = &[
+    ("unordered_iteration", "unordered-iteration"),
+    ("unordered_resolved", "unordered-iteration"),
+    ("wall_clock", "wall-clock"),
+    ("entropy_rng", "entropy-rng"),
+    ("sim_unwrap", "sim-unwrap"),
+    ("event_time_regression", "event-time-regression"),
+    ("float_accumulation", "float-accumulation"),
+    ("tainted_event_time", "tainted-event-time"),
 ];
 
 fn workspace_root() -> PathBuf {
@@ -49,7 +47,7 @@ fn lint_fixture(dir: &str, name: &str) -> Report {
 
 #[test]
 fn every_bad_fixture_fires_its_rule() {
-    for (dir, rule, fails_build) in RULES {
+    for (dir, rule) in RULES {
         let report = lint_fixture(dir, "bad.rs");
         let hits: Vec<_> = report.findings.iter().filter(|f| f.rule == *rule).collect();
         assert!(
@@ -57,25 +55,16 @@ fn every_bad_fixture_fires_its_rule() {
             "{dir}/bad.rs produced no `{rule}` finding: {:?}",
             report.findings
         );
-        if *fails_build {
-            assert!(
-                report.error_count() > 0,
-                "{dir}/bad.rs findings must be error severity under the shipped sim policy"
-            );
-        } else {
-            assert_eq!(
-                report.error_count(),
-                0,
-                "{dir}/bad.rs must fire `{rule}` as a warning only: {:?}",
-                report.findings
-            );
-        }
+        assert!(
+            report.error_count() > 0,
+            "{dir}/bad.rs findings must be error severity under the shipped sim policy"
+        );
     }
 }
 
 #[test]
 fn every_good_fixture_is_clean() {
-    for (dir, rule, _) in RULES {
+    for (dir, rule) in RULES {
         let report = lint_fixture(dir, "good.rs");
         assert!(
             report.findings.is_empty(),
@@ -195,12 +184,11 @@ fn cli_exit_code(file: &Path) -> i32 {
 
 #[test]
 fn cli_exit_codes_track_fixture_severity() {
-    for (dir, rule, fails_build) in RULES {
-        let expected = i32::from(*fails_build);
+    for (dir, rule) in RULES {
         assert_eq!(
             cli_exit_code(&fixture(dir, "bad.rs")),
-            expected,
-            "`{rule}` bad fixture ({dir}) must exit {expected} under the shipped policy"
+            1,
+            "`{rule}` bad fixture ({dir}) must exit 1 under the shipped policy"
         );
         assert_eq!(
             cli_exit_code(&fixture(dir, "good.rs")),

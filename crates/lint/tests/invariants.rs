@@ -88,10 +88,7 @@ fn sim_crates_cannot_be_declassified() {
     }
 }
 
-/// The pinned sim-class severity floor. Every rule is `error` except
-/// `panic-indexing`, which ships at `warn` until the tree's audited
-/// fixed-geometry indexing sites are burned down (tracked in ROADMAP);
-/// it must never drop to `allow`.
+/// The pinned sim-class severity floor: every rule is `error`.
 const SIM_SEVERITIES: &[(&str, Severity)] = &[
     ("unordered-iteration", Severity::Error),
     ("wall-clock", Severity::Error),
@@ -99,7 +96,6 @@ const SIM_SEVERITIES: &[(&str, Severity)] = &[
     ("sim-unwrap", Severity::Error),
     ("event-time-regression", Severity::Error),
     ("float-accumulation", Severity::Error),
-    ("panic-indexing", Severity::Warn),
     ("tainted-event-time", Severity::Error),
 ];
 
