@@ -29,7 +29,13 @@ fn golden_dir() -> PathBuf {
 /// ring, which keeps the snapshot readable while still pinning the trace
 /// serialization format and the drop accounting.
 fn golden_config(org: TlbOrg) -> SystemConfig {
-    let mut config = SystemConfig::new(CORES, org);
+    golden_config_at(CORES, org)
+}
+
+/// [`golden_config`] at `cores` cores, for goldens that need more
+/// traffic than four cores make.
+fn golden_config_at(cores: usize, org: TlbOrg) -> SystemConfig {
+    let mut config = SystemConfig::new(cores, org);
     config.metrics = true;
     config.trace_capacity = 32;
     config
@@ -90,6 +96,46 @@ fn golden_distributed() {
 #[test]
 fn golden_nocstar() {
     check_golden("nocstar", TlbOrg::paper_nocstar());
+}
+
+/// Cores for the circuit-fabric goldens below: enough contention that
+/// each one shows setup retries.
+const CIRCUIT_CORES: usize = 16;
+
+fn assert_retries(report: &SimReport) {
+    let retries = report.network.as_ref().map_or(0, |n| n.retries);
+    assert!(retries > 0, "no setup retries to pin");
+}
+
+#[test]
+fn golden_nocstar_roundtrip() {
+    // Round-trip acquisition under contention: pins reservation hold
+    // times and the retries they cause.
+    let org = TlbOrg::Nocstar {
+        slice_entries: 920,
+        hpc_max: 16,
+        acquire: AcquireMode::RoundTrip,
+        ideal_fabric: false,
+    };
+    let report = build(golden_config_at(CIRCUIT_CORES, org)).run_measured(WARMUP, MEASURE);
+    assert_retries(&report);
+    check_report("nocstar_roundtrip", &report);
+}
+
+#[test]
+fn golden_nocstar_faulted() {
+    // A one-way circuit under setup denial, a link outage and a link
+    // degradation, with the full recovery policy: pins the fault
+    // counters, the backoff ladder and the escalated fallback escapes.
+    let plan =
+        FaultPlan::parse("deny@20000-20300; link:14@22000-30000=off; link:29@18000-40000=+2")
+            .expect("valid plan");
+    let report = build(golden_config_at(CIRCUIT_CORES, TlbOrg::paper_nocstar()))
+        .with_faults(plan)
+        .with_recovery(RecoveryPolicy::all())
+        .run_measured(WARMUP, MEASURE);
+    assert_retries(&report);
+    check_report("nocstar_faulted", &report);
 }
 
 #[test]
