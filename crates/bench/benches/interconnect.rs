@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks for the network models: arbitration and
-//! traversal cost per message under uniform-random load, plus an ablation
+//! traversal cost per message under uniform-random load (at 256 tiles also
+//! near saturation, where most setups retry), plus an ablation
 //! of the NOCSTAR priority-rotation period (the paper's starvation-
 //! avoidance knob, §III-B2).
 
@@ -33,6 +34,26 @@ fn bench_models(c: &mut Criterion) {
             black_box(run_uniform_random(&mut noc, mesh, 0.1, 500, 42))
         })
     });
+    group.finish();
+}
+
+fn bench_retry_storm(c: &mut Criterion) {
+    // 256 tiles just below saturation: most path setups lose a link and
+    // retry, the regime the full-system circuit runs arbitrate in. The
+    // ratio is checked once, outside the timed loop, so the case cannot
+    // drift into the uncontended regime unnoticed.
+    let mesh = MeshShape::square_for(256);
+    let run = || {
+        let mut noc = CircuitFabric::new(mesh, 16, AcquireMode::OneWay);
+        run_uniform_random(&mut noc, mesh, 0.044, 300, 42);
+        noc
+    };
+    let noc = run();
+    let stats = noc.stats();
+    let ratio = stats.retries as f64 / stats.delivered as f64;
+    assert!(ratio >= 2.0, "retries per delivery {ratio:.2} < 2");
+    let mut group = c.benchmark_group("noc_uniform_random_0.044x300cy");
+    group.bench_function("circuit_fabric_256", |b| b.iter(|| black_box(run())));
     group.finish();
 }
 
@@ -78,6 +99,7 @@ fn bench_rotation_ablation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_models,
+    bench_retry_storm,
     bench_single_message,
     bench_rotation_ablation
 );

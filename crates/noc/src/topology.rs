@@ -150,11 +150,15 @@ impl Links {
     /// The directed links along the XY route from `src` to `dst`
     /// (empty when `src == dst`).
     pub fn path(&self, src: CoreId, dst: CoreId) -> Vec<LinkId> {
-        let tiles: Vec<Coord> = self.mesh.xy_path(src, dst).collect();
-        tiles
-            .windows(2)
-            .map(|w| self.link_between(w[0], w[1]))
-            .collect()
+        let mut path = Vec::with_capacity(self.mesh.hops(src, dst));
+        let mut tiles = self.mesh.xy_path(src, dst);
+        if let Some(mut from) = tiles.next() {
+            for to in tiles {
+                path.push(self.link_between(from, to));
+                from = to;
+            }
+        }
+        path
     }
 }
 

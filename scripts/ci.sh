@@ -16,8 +16,11 @@
 #                     recovery-latency study (the closed loop must never
 #                     lose to the open loop), the 512/1024-core
 #                     hier-vs-mesh scale-up claim and smoke, fault-sweep
-#                     smoke, and the end-to-end trace-replay equivalence
-#                     check (record -> replay -> byte-for-byte report diff).
+#                     smoke, the end-to-end trace-replay equivalence
+#                     check (record -> replay -> byte-for-byte report diff),
+#                     and hostbench's correctness gate: its self-tests
+#                     (layer replays on every fabric) plus one traced
+#                     256-core circuit run whose report digests must match.
 #
 # The lint step writes JSON + SARIF reports to target/lint/ so CI can
 # upload them as build artifacts; it exits non-zero on any
@@ -118,6 +121,26 @@ EOF
     --trace-file tests/golden/example.nct >/dev/null
   diff "$TRACE_TMP/fixture/replay.report.json" tests/golden/replay_example.json
   echo "   fixture replay matches tests/golden/replay_example.json"
+
+  echo "== nightly: hostbench self-tests and 256-core circuit digest gate =="
+  cargo test -q --release --offline --manifest-path hostbench/Cargo.toml
+  cargo run --release --offline --quiet --manifest-path hostbench/Cargo.toml -- \
+    --workload circuit-redis-256 --seconds 3 --trace 1 | tee "$TRACE_TMP/hostbench.out"
+  # The last line is the result JSON: every run's report digest and the
+  # traced run's self-checks must have passed.
+  python3 - "$TRACE_TMP/hostbench.out" <<'EOF_HB'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    result = json.loads(f.read().splitlines()[-1])
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit(
+        "hostbench gate: FAILED — correct={} failed={}".format(
+            result.get("correct"), result.get("failed")
+        )
+    )
+print(f"   hostbench gate: OK ({result['attempted']} runs, 0 failed)")
+EOF_HB
 
   echo "Nightly CI gate passed."
 else
