@@ -1,5 +1,10 @@
 //! Criterion microbenchmarks for the memory substrate: cache accesses,
 //! page-table walks (cold and PWC-warm), and demand mapping.
+//!
+//! `hierarchy_access_stream` (4 cores, strided) fits in host caches;
+//! `hierarchy_access_random_1024` spreads accesses over a 1024-core
+//! hierarchy and its 64 GiB physical space, so it measures the host-memory
+//! footprint of the cache model's tag arrays.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nocstar::mem::{MemoryConfig, MemorySystem};
@@ -20,6 +25,36 @@ fn bench_cache_access(c: &mut Criterion) {
             ))
         })
     });
+}
+
+fn bench_cache_access_random(c: &mut Criterion) {
+    // One iteration is one access by an LCG-random core to an LCG-random
+    // line. A million untimed accesses first fault in the tag arrays'
+    // pages, so the timed loop sees the steady state.
+    let mut group = c.benchmark_group("hierarchy_access_random_1024");
+    group.sample_size(200_000);
+    group.bench_function("warm", |b| {
+        let cfg = MemoryConfig::haswell(1024);
+        let lines = cfg.phys_capacity / 64;
+        let mut mem = MemorySystem::new(cfg);
+        let mut x = 1u64;
+        let mut access = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = x >> 16;
+            mem.access(
+                CoreId::new((r % 1024) as usize),
+                nocstar::types::PhysAddr::new((r / 1024) % lines * 64),
+                false,
+            )
+        };
+        for _ in 0..1_000_000 {
+            black_box(access());
+        }
+        b.iter(|| black_box(access()))
+    });
+    group.finish();
 }
 
 fn bench_walks(c: &mut Criterion) {
@@ -67,5 +102,11 @@ fn bench_demand_map(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_cache_access, bench_walks, bench_demand_map);
+criterion_group!(
+    benches,
+    bench_cache_access,
+    bench_cache_access_random,
+    bench_walks,
+    bench_demand_map
+);
 criterion_main!(benches);

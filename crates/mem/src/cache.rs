@@ -1,7 +1,8 @@
-//! A set-associative, write-back cache model.
+//! A set-associative, presence-only LRU cache model.
 //!
-//! Tracks only presence (tags + LRU stamps), not data: the simulator needs
-//! hit/miss outcomes and latencies, not values. Lines are 64 bytes.
+//! Tracks only which lines are resident, in recency order, not data or
+//! dirtiness: the simulator needs hit/miss outcomes and latencies, not
+//! values, and models no write-back traffic. Lines are 64 bytes.
 
 use nocstar_stats::counter::HitMiss;
 use nocstar_types::time::Cycles;
@@ -56,7 +57,14 @@ impl CacheConfig {
     }
 }
 
-/// One level of cache: a tag array with per-line LRU stamps.
+/// One level of cache: per set, `ways` tags in recency order.
+///
+/// Each set is `ways` contiguous `u32` tags, most recently used first. A
+/// tag is `line / num_sets + 1`, so 0 marks an invalid way and a fresh
+/// cache is all zeros (which the host allocator maps lazily). A hit
+/// rotates its tag to the front; a miss shifts the set right by one and
+/// writes the new tag at the front, dropping the LRU tag or a trailing
+/// invalid way. One access thus touches one host cache line per level.
 ///
 /// # Examples
 ///
@@ -66,25 +74,18 @@ impl CacheConfig {
 ///
 /// let mut l1 = Cache::new(CacheConfig::haswell_l1d());
 /// let pa = PhysAddr::new(0x1000);
-/// assert!(!l1.access(pa, false)); // cold miss (fills the line)
-/// assert!(l1.access(pa, false));  // now hits
-/// assert!(l1.access(PhysAddr::new(0x1020), true)); // same 64B line
+/// assert!(!l1.access(pa)); // cold miss (fills the line)
+/// assert!(l1.access(pa));  // now hits
+/// assert!(l1.access(PhysAddr::new(0x1020))); // same 64B line
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    num_sets: usize,
-    /// Per (set, way): line tag, or `u64::MAX` when invalid.
-    tags: Vec<u64>,
-    /// Per (set, way): last-use stamp.
-    stamps: Vec<u64>,
-    /// Per (set, way): dirty bit.
-    dirty: Vec<bool>,
-    clock: u64,
+    num_sets: u64,
+    /// Per set, `ways` tags, most recently used first; 0 is invalid.
+    tags: Vec<u32>,
     stats: HitMiss,
 }
-
-const INVALID: u64 = u64::MAX;
 
 impl Cache {
     /// Builds a cache level.
@@ -102,15 +103,10 @@ impl Cache {
             "capacity must be a whole number of {}-way sets of {LINE_BYTES}B lines",
             config.ways
         );
-        let num_sets = (lines / config.ways as u64) as usize;
-        let total = num_sets * config.ways;
         Self {
             config,
-            num_sets,
-            tags: vec![INVALID; total],
-            stamps: vec![0; total],
-            dirty: vec![false; total],
-            clock: 0,
+            num_sets: lines / config.ways as u64,
+            tags: vec![0; lines as usize],
             stats: HitMiss::new(),
         }
     }
@@ -121,14 +117,14 @@ impl Cache {
     }
 
     /// Accesses one physical address; returns whether it hit. A miss fills
-    /// the line (evicting LRU); a write marks the line dirty.
-    pub fn access(&mut self, pa: PhysAddr, write: bool) -> bool {
-        let hit = self.lookup_fill(pa, write);
-        if hit {
-            self.stats.hit();
-        } else {
-            self.stats.miss();
-        }
+    /// the line, evicting the set's LRU line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pa` is beyond the tag range, as [`probe`](Self::probe).
+    pub fn access(&mut self, pa: PhysAddr) -> bool {
+        let hit = self.touch(pa);
+        self.stats.record(hit);
         hit
     }
 
@@ -136,48 +132,47 @@ impl Cache {
     /// updates recency identically but records no hit or miss — the
     /// functional-warming entry point for sampled fast-forward replay
     /// (`SAMPLING.md §2`).
-    pub fn touch(&mut self, pa: PhysAddr, write: bool) -> bool {
-        self.lookup_fill(pa, write)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pa` is beyond the tag range, as [`probe`](Self::probe).
+    pub fn touch(&mut self, pa: PhysAddr) -> bool {
+        let (base, tag) = self.locate(pa);
+        let set = &mut self.tags[base..base + self.config.ways];
+        let found = set.iter().position(|&t| t == tag);
+        // A hit moves its tag to the front; a miss shifts the whole set
+        // right, dropping the last (LRU or invalid) way.
+        let end = found.unwrap_or(set.len() - 1);
+        set.copy_within(..end, 1);
+        set[0] = tag;
+        found.is_some()
     }
 
-    fn lookup_fill(&mut self, pa: PhysAddr, write: bool) -> bool {
+    /// The first way of `pa`'s set and its tag.
+    fn locate(&self, pa: PhysAddr) -> (usize, u32) {
         let line = pa.value() / LINE_BYTES;
-        let set = (line % self.num_sets as u64) as usize;
-        let base = set * self.config.ways;
-        self.clock += 1;
-
-        let ways = &mut self.tags[base..base + self.config.ways];
-        if let Some(w) = ways.iter().position(|&t| t == line) {
-            self.stamps[base + w] = self.clock;
-            if write {
-                self.dirty[base + w] = true;
-            }
-            return true;
-        }
-        // Miss: fill into the LRU way (invalid ways have stamp 0, so they
-        // are chosen first). `ways >= 1` is asserted at construction, so
-        // the min always exists; way 0 is the degenerate fallback.
-        let victim = (0..self.config.ways)
-            .min_by_key(|&w| {
-                if self.tags[base + w] == INVALID {
-                    0
-                } else {
-                    self.stamps[base + w].max(1)
-                }
-            })
-            .unwrap_or(0);
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
-        self.dirty[base + victim] = write;
-        false
+        let tag = line / self.num_sets + 1;
+        assert!(
+            tag <= u64::from(u32::MAX),
+            "{pa} is beyond the {}-set cache's 32-bit tag range",
+            self.num_sets
+        );
+        (
+            (line % self.num_sets) as usize * self.config.ways,
+            tag as u32,
+        )
     }
 
     /// Checks for presence without filling or updating recency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pa`'s tag, `pa / LINE_BYTES / sets + 1`, does not fit
+    /// in 32 bits: at or beyond 16 TiB for the 64-set Haswell L1D, further
+    /// out for levels with more sets.
     pub fn probe(&self, pa: PhysAddr) -> bool {
-        let line = pa.value() / LINE_BYTES;
-        let set = (line % self.num_sets as u64) as usize;
-        let base = set * self.config.ways;
-        self.tags[base..base + self.config.ways].contains(&line)
+        let (base, tag) = self.locate(pa);
+        self.tags[base..base + self.config.ways].contains(&tag)
     }
 
     /// Hit/miss statistics.
@@ -192,7 +187,7 @@ impl Cache {
 
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID).count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 }
 
@@ -200,6 +195,73 @@ impl Cache {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The stamp-based LRU this module used to implement, kept as the
+    /// reference the recency-ordered sets must agree with: a global clock
+    /// stamps every use, and a miss fills the lowest-index invalid way,
+    /// else the way with the oldest stamp.
+    struct Reference {
+        ways: usize,
+        num_sets: u64,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        clock: u64,
+        stats: HitMiss,
+    }
+
+    const INVALID: u64 = u64::MAX;
+
+    impl Reference {
+        fn new(config: CacheConfig) -> Self {
+            let lines = (config.capacity / LINE_BYTES) as usize;
+            Self {
+                ways: config.ways,
+                num_sets: (lines / config.ways) as u64,
+                tags: vec![INVALID; lines],
+                stamps: vec![0; lines],
+                clock: 0,
+                stats: HitMiss::new(),
+            }
+        }
+
+        fn access(&mut self, pa: PhysAddr) -> bool {
+            let hit = self.touch(pa);
+            self.stats.record(hit);
+            hit
+        }
+
+        fn touch(&mut self, pa: PhysAddr) -> bool {
+            let line = pa.value() / LINE_BYTES;
+            let base = (line % self.num_sets) as usize * self.ways;
+            self.clock += 1;
+            if let Some(w) = (0..self.ways).find(|&w| self.tags[base + w] == line) {
+                self.stamps[base + w] = self.clock;
+                return true;
+            }
+            let victim = (0..self.ways)
+                .min_by_key(|&w| {
+                    if self.tags[base + w] == INVALID {
+                        0
+                    } else {
+                        self.stamps[base + w].max(1)
+                    }
+                })
+                .unwrap();
+            self.tags[base + victim] = line;
+            self.stamps[base + victim] = self.clock;
+            false
+        }
+
+        fn probe(&self, pa: PhysAddr) -> bool {
+            let line = pa.value() / LINE_BYTES;
+            let base = (line % self.num_sets) as usize * self.ways;
+            self.tags[base..base + self.ways].contains(&line)
+        }
+
+        fn occupancy(&self) -> usize {
+            self.tags.iter().filter(|&&t| t != INVALID).count()
+        }
+    }
 
     fn tiny() -> Cache {
         // 8 lines, 2 ways => 4 sets.
@@ -214,8 +276,8 @@ mod tests {
     fn cold_miss_then_hit() {
         let mut c = tiny();
         let pa = PhysAddr::new(0x40);
-        assert!(!c.access(pa, false));
-        assert!(c.access(pa, false));
+        assert!(!c.access(pa));
+        assert!(c.access(pa));
         assert_eq!(c.stats().hits(), 1);
         assert_eq!(c.stats().misses(), 1);
     }
@@ -223,8 +285,8 @@ mod tests {
     #[test]
     fn same_line_different_offsets_share_one_line() {
         let mut c = tiny();
-        c.access(PhysAddr::new(0x100), false);
-        assert!(c.access(PhysAddr::new(0x13f), true));
+        c.access(PhysAddr::new(0x100));
+        assert!(c.access(PhysAddr::new(0x13f)));
         assert_eq!(c.occupancy(), 1);
     }
 
@@ -232,10 +294,10 @@ mod tests {
     fn lru_eviction_within_a_set() {
         let mut c = tiny(); // 4 sets; lines 0,4,8 map to set 0
         let line = |n: u64| PhysAddr::new(n * 4 * LINE_BYTES);
-        c.access(line(0), false);
-        c.access(line(1), false);
-        c.access(line(0), false); // line 1 is now LRU
-        c.access(line(2), false); // evicts line 1
+        c.access(line(0));
+        c.access(line(1));
+        c.access(line(0)); // line 1 is now LRU
+        c.access(line(2)); // evicts line 1
         assert!(c.probe(line(0)));
         assert!(!c.probe(line(1)));
         assert!(c.probe(line(2)));
@@ -247,7 +309,7 @@ mod tests {
         assert!(!c.probe(PhysAddr::new(0)));
         assert_eq!(c.occupancy(), 0);
         assert_eq!(c.stats().accesses(), 0);
-        c.access(PhysAddr::new(0), false);
+        c.access(PhysAddr::new(0));
         assert!(c.probe(PhysAddr::new(0)));
     }
 
@@ -255,11 +317,11 @@ mod tests {
     fn touch_fills_and_promotes_without_statistics() {
         let mut c = tiny();
         let pa = PhysAddr::new(0x40);
-        assert!(!c.touch(pa, false)); // cold: fills the line
-        assert!(c.touch(pa, false));
+        assert!(!c.touch(pa)); // cold: fills the line
+        assert!(c.touch(pa));
         assert_eq!(c.stats().accesses(), 0);
         // The touched line is genuinely resident for later timed accesses.
-        assert!(c.access(pa, false));
+        assert!(c.access(pa));
         assert_eq!(c.stats().hits(), 1);
     }
 
@@ -267,10 +329,10 @@ mod tests {
     fn touch_and_access_share_one_recency_order() {
         let mut c = tiny(); // 4 sets; lines 0,4,8 map to set 0
         let line = |n: u64| PhysAddr::new(n * 4 * LINE_BYTES);
-        c.access(line(0), false);
-        c.access(line(1), false);
-        c.touch(line(0), false); // line 1 is now LRU
-        c.access(line(2), false); // evicts line 1
+        c.access(line(0));
+        c.access(line(1));
+        c.touch(line(0)); // line 1 is now LRU
+        c.access(line(2)); // evicts line 1
         assert!(c.probe(line(0)));
         assert!(!c.probe(line(1)));
     }
@@ -289,6 +351,20 @@ mod tests {
             Cache::new(CacheConfig::haswell_llc(32)).latency(),
             Cycles::new(50)
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit tag range")]
+    fn address_beyond_tag_range_rejected() {
+        // One set: the tag is the line number plus one, so the line at
+        // `u32::MAX` needs a 33-bit tag.
+        let mut c = Cache::new(CacheConfig {
+            capacity: LINE_BYTES,
+            ways: 1,
+            latency: Cycles::new(1),
+        });
+        assert!(!c.access(PhysAddr::new((u64::from(u32::MAX) - 1) * LINE_BYTES)));
+        c.access(PhysAddr::new(u64::from(u32::MAX) * LINE_BYTES));
     }
 
     #[test]
@@ -313,11 +389,46 @@ mod tests {
             });
             for &a in &addrs {
                 let pa = PhysAddr::new(a);
-                c.access(pa, a % 3 == 0);
+                c.access(pa);
                 prop_assert!(c.probe(pa));
                 prop_assert!(c.occupancy() <= 64);
             }
             prop_assert_eq!(c.stats().accesses(), addrs.len() as u64);
+        }
+
+        /// Recency-ordered sets agree with the stamp-based reference on
+        /// every `access`, `touch` and `probe` result, on occupancy and on
+        /// statistics, for 1-, 2-, 8- and 16-way sets and set counts that
+        /// are not powers of two (as the LLC's 2.5 MiB-per-core are not).
+        #[test]
+        fn prop_matches_stamp_lru_reference(
+            ways in prop::sample::select(vec![1usize, 2, 8, 16]),
+            sets in prop::sample::select(vec![1u64, 3, 5, 12, 40]),
+            ops in prop::collection::vec((0u8..3, 0u64..1 << 20, 0u64..LINE_BYTES), 1..600),
+        ) {
+            let config = CacheConfig {
+                capacity: sets * ways as u64 * LINE_BYTES,
+                ways,
+                latency: Cycles::new(1),
+            };
+            let (mut cache, mut reference) = (Cache::new(config), Reference::new(config));
+            // Three lines per way and set: enough reuse to hit, enough
+            // conflict to evict.
+            let span = sets * ways as u64 * 3;
+            for (op, line, offset) in ops {
+                let pa = PhysAddr::new(line % span * LINE_BYTES + offset);
+                match op {
+                    0 => prop_assert_eq!(cache.access(pa), reference.access(pa)),
+                    1 => prop_assert_eq!(cache.touch(pa), reference.touch(pa)),
+                    _ => prop_assert_eq!(cache.probe(pa), reference.probe(pa)),
+                }
+                prop_assert_eq!(cache.occupancy(), reference.occupancy());
+            }
+            prop_assert_eq!(cache.stats(), reference.stats);
+            for line in 0..span {
+                let pa = PhysAddr::new(line * LINE_BYTES);
+                prop_assert_eq!(cache.probe(pa), reference.probe(pa));
+            }
         }
 
         /// A working set that fits in one set's ways never misses after warmup.
@@ -326,12 +437,12 @@ mod tests {
             let mut c = tiny(); // 4 sets, 2 ways
             let a = PhysAddr::new(seed * 4 * LINE_BYTES);
             let b = PhysAddr::new((seed + 1000) * 4 * LINE_BYTES); // same set
-            c.access(a, false);
-            c.access(b, false);
+            c.access(a);
+            c.access(b);
             c.reset_stats();
             for _ in 0..10 {
-                c.access(a, false);
-                c.access(b, false);
+                c.access(a);
+                c.access(b);
             }
             prop_assert_eq!(c.stats().misses(), 0);
         }

@@ -145,26 +145,29 @@ impl MemorySystem {
     }
 
     /// One data (or PTE) access by `core` to physical address `pa`,
-    /// walking L1 → L2 → LLC → DRAM and filling on the way back.
+    /// walking L1 → L2 → LLC → DRAM and filling on the way back. The
+    /// caches are presence-only (no dirty state, no write-back traffic),
+    /// so a write (`_write`) behaves exactly like a read.
     ///
     /// # Panics
     ///
-    /// Panics if `core` is out of range.
-    pub fn access(&mut self, core: CoreId, pa: PhysAddr, write: bool) -> AccessResult {
+    /// Panics if `core` is out of range, or if `pa` is beyond a level's
+    /// tag range (see [`Cache::probe`]).
+    pub fn access(&mut self, core: CoreId, pa: PhysAddr, _write: bool) -> AccessResult {
         let c = core.index();
-        if self.l1s[c].access(pa, write) {
+        if self.l1s[c].access(pa) {
             return AccessResult {
                 latency: self.l1s[c].latency(),
                 serviced_by: ServicedBy::L1,
             };
         }
-        if self.l2s[c].access(pa, write) {
+        if self.l2s[c].access(pa) {
             return AccessResult {
                 latency: self.l2s[c].latency(),
                 serviced_by: ServicedBy::L2,
             };
         }
-        if self.llc.access(pa, write) {
+        if self.llc.access(pa) {
             return AccessResult {
                 latency: self.llc.latency(),
                 serviced_by: ServicedBy::Llc,
@@ -185,16 +188,16 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics if `core` is out of range.
-    pub fn warm_access(&mut self, core: CoreId, pa: PhysAddr, write: bool) {
+    /// Panics as [`access`](Self::access) does.
+    pub fn warm_access(&mut self, core: CoreId, pa: PhysAddr, _write: bool) {
         let c = core.index();
-        if self.l1s[c].touch(pa, write) {
+        if self.l1s[c].touch(pa) {
             return;
         }
-        if self.l2s[c].touch(pa, write) {
+        if self.l2s[c].touch(pa) {
             return;
         }
-        self.llc.touch(pa, write);
+        self.llc.touch(pa);
     }
 
     /// Ensures `va` is mapped at the given page size (an OS demand-paging
@@ -212,7 +215,7 @@ impl MemorySystem {
     /// Functional translation with no timing or cache effects; `None` if
     /// unmapped.
     pub fn translate(&self, asid: Asid, va: VirtAddr) -> Option<(VirtPageNum, PhysPageNum)> {
-        self.tables.get(&asid)?.walk(va).mapping
+        self.tables.get(&asid)?.lookup(va)
     }
 
     /// The functional fast-forward translation entry point

@@ -5,10 +5,11 @@
 //!
 //! * [`phys`] — a physical frame allocator over the simulated machine's
 //!   memory (the paper's systems have 2 TB).
-//! * [`cache`] — a set-associative, write-back cache model.
+//! * [`cache`] — a set-associative, presence-only LRU cache model.
 //! * [`hierarchy`] — the per-core L1D/L2 plus shared-LLC hierarchy (32 KiB /
-//!   256 KiB / 8 MiB-per-core at 4 / 12 / 50 cycles, paper §IV) through
-//!   which both data accesses and page-walk PTE reads travel.
+//!   256 KiB / 2.5 MiB-per-core at 4 / 12 / 50 cycles; paper §IV, with the
+//!   LLC at real Haswell's per-core size, see `CacheConfig::haswell_llc`)
+//!   through which both data accesses and page-walk PTE reads travel.
 //! * [`page_table`] — real 4-level x86-64-style radix page tables with
 //!   2 MiB and 1 GiB superpage leaves, built frame-by-frame in simulated
 //!   physical memory so every PTE has a physical address to fetch.

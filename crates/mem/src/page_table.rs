@@ -107,30 +107,37 @@ impl PageTable {
 
     /// Walks `va`, recording the PTE reads a hardware walker would issue.
     pub fn walk(&self, va: VirtAddr) -> WalkOutcome {
-        let idx = Self::indices(va);
         let mut pte_addrs = Vec::with_capacity(LEVELS);
+        let mapping = self.descend(va, |pa| pte_addrs.push(pa));
+        WalkOutcome { pte_addrs, mapping }
+    }
+
+    /// The translation of `va`, if mapped: [`walk`](Self::walk)'s
+    /// `mapping` without recording (or allocating for) the PTE reads.
+    pub fn lookup(&self, va: VirtAddr) -> Option<(VirtPageNum, PhysPageNum)> {
+        self.descend(va, |_| {})
+    }
+
+    /// Descends the radix tree for `va`, passing each PTE read to `read`
+    /// in walk order (up to and including the hole of a failed walk).
+    fn descend(
+        &self,
+        va: VirtAddr,
+        mut read: impl FnMut(PhysAddr),
+    ) -> Option<(VirtPageNum, PhysPageNum)> {
         let mut node = self.root;
-        for (depth, &i) in idx.iter().enumerate() {
-            pte_addrs.push(self.pte_addr(node, i));
-            match self.nodes[node].entries.get(&i) {
-                Some(Slot::Table(child)) => node = *child,
-                Some(Slot::Leaf(ppn)) => {
+        for (depth, &i) in Self::indices(va).iter().enumerate() {
+            read(self.pte_addr(node, i));
+            match self.nodes[node].entries.get(&i)? {
+                Slot::Table(child) => node = *child,
+                Slot::Leaf(ppn) => {
                     let size = match depth {
                         1 => PageSize::Size1G,
                         2 => PageSize::Size2M,
                         3 => PageSize::Size4K,
                         _ => unreachable!("no leaves at the PML4 level"),
                     };
-                    return WalkOutcome {
-                        pte_addrs,
-                        mapping: Some((va.page_number(size), *ppn)),
-                    };
-                }
-                None => {
-                    return WalkOutcome {
-                        pte_addrs,
-                        mapping: None,
-                    }
+                    return Some((va.page_number(size), *ppn));
                 }
             }
         }
@@ -325,6 +332,7 @@ mod tests {
         let (_, pt) = setup();
         let walk = pt.walk(VirtAddr::new(0x1234));
         assert!(walk.mapping.is_none());
+        assert!(pt.lookup(VirtAddr::new(0x1234)).is_none());
         assert_eq!(walk.pte_addrs.len(), 1); // read the PML4 entry, found hole
     }
 
@@ -348,8 +356,9 @@ mod tests {
         assert_eq!(pt.walk(VirtAddr::new(0x4000_1000)).pte_addrs.len(), 3);
 
         let v1g = VirtAddr::new(0x1_0000_0000).page_number(PageSize::Size1G);
-        pt.map(v1g, &mut phys);
+        let frame = pt.map(v1g, &mut phys);
         assert_eq!(pt.walk(VirtAddr::new(0x1_2345_6789)).pte_addrs.len(), 2);
+        assert_eq!(pt.lookup(VirtAddr::new(0x1_2345_6789)), Some((v1g, frame)));
     }
 
     #[test]
@@ -483,6 +492,7 @@ mod tests {
             }
             for (&p, &frame) in &expect {
                 let walk = pt.walk(VirtAddr::new(p << 12));
+                prop_assert_eq!(pt.lookup(VirtAddr::new(p << 12)), walk.mapping);
                 let (vpn, got) = walk.mapping.expect("mapped page must walk");
                 prop_assert_eq!(got, frame);
                 prop_assert_eq!(vpn.number(), p);

@@ -31,10 +31,9 @@ pub const DEFAULT_PWC_ENTRIES: usize = 32;
 /// ```
 #[derive(Debug, Clone)]
 pub struct PteCache {
+    /// Cached PTE keys (`pa / 8`), most recently used first.
     keys: Vec<u64>,
-    stamps: Vec<u64>,
     capacity: usize,
-    clock: u64,
     stats: HitMiss,
 }
 
@@ -48,21 +47,15 @@ impl PteCache {
         assert!(capacity > 0, "PWC needs at least one entry");
         Self {
             keys: Vec::with_capacity(capacity),
-            stamps: Vec::with_capacity(capacity),
             capacity,
-            clock: 0,
             stats: HitMiss::new(),
         }
     }
 
     /// Looks up the PTE at `pa`, filling on miss; returns whether it hit.
     pub fn access(&mut self, pa: PhysAddr) -> bool {
-        let hit = self.lookup_fill(pa);
-        if hit {
-            self.stats.hit();
-        } else {
-            self.stats.miss();
-        }
+        let hit = self.touch(pa);
+        self.stats.record(hit);
         hit
     }
 
@@ -71,35 +64,22 @@ impl PteCache {
     /// functional-warming entry point for sampled fast-forward replay
     /// (`SAMPLING.md §2`).
     pub fn touch(&mut self, pa: PhysAddr) -> bool {
-        self.lookup_fill(pa)
-    }
-
-    fn lookup_fill(&mut self, pa: PhysAddr) -> bool {
         let key = pa.value() / 8;
-        self.clock += 1;
-        if let Some(i) = self.keys.iter().position(|&k| k == key) {
-            self.stamps[i] = self.clock;
-            return true;
+        let found = self.keys.iter().position(|&k| k == key);
+        match found {
+            Some(i) => self.keys[..=i].rotate_right(1),
+            None => {
+                // Drops the LRU entry when full.
+                self.keys.truncate(self.capacity - 1);
+                self.keys.insert(0, key);
+            }
         }
-        if self.keys.len() < self.capacity {
-            self.keys.push(key);
-            self.stamps.push(self.clock);
-        } else {
-            // `keys` is at capacity (> 0) on this branch; index 0 is the
-            // degenerate fallback the min can never actually take.
-            let victim = (0..self.keys.len())
-                .min_by_key(|&i| self.stamps[i])
-                .unwrap_or(0);
-            self.keys[victim] = key;
-            self.stamps[victim] = self.clock;
-        }
-        false
+        found.is_some()
     }
 
     /// Drops everything (context switch on a PCID-less OS).
     pub fn flush(&mut self) {
         self.keys.clear();
-        self.stamps.clear();
     }
 
     /// Hit/miss statistics.
@@ -111,6 +91,82 @@ impl PteCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The stamp-based LRU this module used to implement, kept as the
+    /// reference the recency-ordered keys must agree with: a clock stamps
+    /// every use and a full cache replaces the entry with the oldest stamp.
+    struct Reference {
+        keys: Vec<u64>,
+        stamps: Vec<u64>,
+        capacity: usize,
+        clock: u64,
+    }
+
+    impl Reference {
+        fn touch(&mut self, pa: PhysAddr) -> bool {
+            let key = pa.value() / 8;
+            self.clock += 1;
+            if let Some(i) = self.keys.iter().position(|&k| k == key) {
+                self.stamps[i] = self.clock;
+                return true;
+            }
+            if self.keys.len() < self.capacity {
+                self.keys.push(key);
+                self.stamps.push(self.clock);
+            } else {
+                let victim = (0..self.keys.len())
+                    .min_by_key(|&i| self.stamps[i])
+                    .unwrap();
+                self.keys[victim] = key;
+                self.stamps[victim] = self.clock;
+            }
+            false
+        }
+
+        fn flush(&mut self) {
+            self.keys.clear();
+            self.stamps.clear();
+        }
+    }
+
+    proptest! {
+        /// Recency-ordered keys agree with the stamp-based reference on
+        /// every `access` and `touch` result across flushes, and the
+        /// statistics count exactly the timed accesses.
+        #[test]
+        fn prop_matches_stamp_lru_reference(
+            capacity in prop::sample::select(vec![1usize, 2, 8, DEFAULT_PWC_ENTRIES]),
+            ops in prop::collection::vec((0u8..20, 0u64..1 << 20), 1..600),
+        ) {
+            let mut pwc = PteCache::new(capacity);
+            let mut reference = Reference {
+                keys: Vec::new(),
+                stamps: Vec::new(),
+                capacity,
+                clock: 0,
+            };
+            let mut stats = HitMiss::new();
+            // Twice as many distinct PTEs as entries: hits and evictions.
+            let span = capacity as u64 * 2;
+            for (op, key) in ops {
+                let pa = PhysAddr::new(key % span * 8);
+                match op {
+                    0 => {
+                        pwc.flush();
+                        reference.flush();
+                    }
+                    1..=9 => prop_assert_eq!(pwc.touch(pa), reference.touch(pa)),
+                    _ => {
+                        let hit = reference.touch(pa);
+                        stats.record(hit);
+                        prop_assert_eq!(pwc.access(pa), hit);
+                    }
+                }
+            }
+            prop_assert_eq!(pwc.stats(), stats);
+        }
+    }
 
     #[test]
     fn lru_eviction_keeps_recent_entries() {

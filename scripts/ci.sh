@@ -19,8 +19,9 @@
 #                     smoke, the end-to-end trace-replay equivalence
 #                     check (record -> replay -> byte-for-byte report diff),
 #                     and hostbench's correctness gate: its self-tests
-#                     (layer replays on every fabric) plus one traced
-#                     256-core circuit run whose report digests must match.
+#                     (layer replays on every fabric), one traced
+#                     256-core circuit run and one untraced 1024-core
+#                     sampled hier run, whose report digests must match.
 #
 # The lint step writes JSON + SARIF reports to target/lint/ so CI can
 # upload them as build artifacts; it exits non-zero on any
@@ -122,25 +123,32 @@ EOF
   diff "$TRACE_TMP/fixture/replay.report.json" tests/golden/replay_example.json
   echo "   fixture replay matches tests/golden/replay_example.json"
 
-  echo "== nightly: hostbench self-tests and 256-core circuit digest gate =="
+  echo "== nightly: hostbench self-tests and circuit-256 / hier-1024 digest gates =="
   cargo test -q --release --offline --manifest-path hostbench/Cargo.toml
-  cargo run --release --offline --quiet --manifest-path hostbench/Cargo.toml -- \
-    --workload circuit-redis-256 --seconds 3 --trace 1 | tee "$TRACE_TMP/hostbench.out"
-  # The last line is the result JSON: every run's report digest and the
-  # traced run's self-checks must have passed.
-  python3 - "$TRACE_TMP/hostbench.out" <<'EOF_HB'
+  # hostbench_gate WORKLOAD TRACE: one short hostbench run whose last
+  # line, the result JSON, must show every run's report digest (and a
+  # traced run's self-checks) passing.
+  hostbench_gate() {
+    cargo run --release --offline --quiet --manifest-path hostbench/Cargo.toml -- \
+      --workload "$1" --seconds 3 --trace "$2" | tee "$TRACE_TMP/hostbench.out"
+    python3 - "$TRACE_TMP/hostbench.out" "$1" <<'EOF_HB'
 import json, sys
 
 with open(sys.argv[1]) as f:
     result = json.loads(f.read().splitlines()[-1])
 if result.get("correct") is not True or result.get("failed") != 0:
     sys.exit(
-        "hostbench gate: FAILED — correct={} failed={}".format(
-            result.get("correct"), result.get("failed")
+        "hostbench gate ({}): FAILED — correct={} failed={}".format(
+            sys.argv[2], result.get("correct"), result.get("failed")
         )
     )
-print(f"   hostbench gate: OK ({result['attempted']} runs, 0 failed)")
+print(f"   hostbench gate ({sys.argv[2]}): OK ({result['attempted']} runs, 0 failed)")
 EOF_HB
+  }
+  hostbench_gate circuit-redis-256 1
+  # The 1024-core sampled run gates the cache hierarchy at full scale:
+  # most of its accesses warm the caches on the fast-forward path.
+  hostbench_gate hier-replay-sampled-1024 0
 
   echo "Nightly CI gate passed."
 else
