@@ -151,6 +151,20 @@ fn golden_hier() {
 }
 
 #[test]
+fn golden_storm() {
+    // Context-switch flushes and superpage promote/demote shootdowns on
+    // the hier fabric: the only golden whose page tables change under
+    // the running workload. More than 512 shootdowns means at least one
+    // promote's stale 4 KiB pages were shot down.
+    let config = golden_config_at(CIRCUIT_CORES, TlbOrg::paper_hier(4));
+    let workload = WorkloadAssignment::storm(&config, Preset::Canneal, 100, 150);
+    let report = Simulation::new(config, workload).run_measured(WARMUP, MEASURE);
+    assert!(report.flushes > 0, "no context-switch flushes to pin");
+    assert!(report.shootdowns > 512, "no promote shootdowns to pin");
+    check_report("storm", &report);
+}
+
+#[test]
 fn golden_recovery() {
     // A faulted distributed run under the full recovery policy: pins the
     // recovery.* metric names, the detect→recovered percentiles, and the
