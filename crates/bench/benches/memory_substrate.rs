@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks for the memory substrate: cache accesses,
-//! page-table walks (cold and PWC-warm), and demand mapping.
+//! page-table walks (cold and PWC-warm), demand mapping, and superpage
+//! promotion/demotion.
 //!
 //! `hierarchy_access_stream` (4 cores, strided) fits in host caches;
 //! `hierarchy_access_random_1024` spreads accesses over a 1024-core
@@ -102,11 +103,37 @@ fn bench_demand_map(c: &mut Criterion) {
     });
 }
 
+fn bench_promote_demote(c: &mut Criterion) {
+    // One iteration promotes a fully mapped 2 MiB region into a superpage
+    // and demotes it back into 512 base pages: the THP-storm path. Every
+    // round allocates two fresh 2 MiB frames and a page-table node, so
+    // the simulated machine is sized for the iteration count.
+    let mut group = c.benchmark_group("page_table_promote_demote");
+    group.sample_size(1_000);
+    group.bench_function("2m_region", |b| {
+        let mut cfg = MemoryConfig::haswell(1);
+        cfg.phys_capacity = 16 << 30;
+        let mut mem = MemorySystem::new(cfg);
+        let asid = Asid::new(1);
+        let va = VirtAddr::new(0x4000_0000);
+        for p in 0..512u64 {
+            mem.ensure_mapped(asid, va.offset(p << 12), PageSize::Size4K);
+        }
+        let vpn_2m = va.page_number(PageSize::Size2M);
+        b.iter(|| {
+            black_box(mem.promote(asid, vpn_2m));
+            black_box(mem.demote(asid, vpn_2m))
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_cache_access,
     bench_cache_access_random,
     bench_walks,
-    bench_demand_map
+    bench_demand_map,
+    bench_promote_demote
 );
 criterion_main!(benches);

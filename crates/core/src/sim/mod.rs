@@ -8,13 +8,15 @@
 //!
 //! This module holds the run entry points, the event loop and the thread
 //! lifecycle; `translate`, `rehome`, `sampled` and `harvest` hold the
-//! translation path, slice re-homing, sampled replay and report assembly.
+//! translation path, slice re-homing, sampled replay and report assembly,
+//! and `tx_table` the in-flight transactions they share.
 
 mod harvest;
 mod rehome;
 mod sampled;
 mod tests;
 mod translate;
+mod tx_table;
 
 use crate::assignment::WorkloadAssignment;
 use crate::config::{MonolithicNet, SystemConfig, TlbOrg};
@@ -40,6 +42,7 @@ use rehome::Rehome;
 use sampled::SamplingState;
 use std::collections::BTreeMap;
 use translate::TxState;
+use tx_table::TxTable;
 
 pub(crate) use harvest::RunStats;
 
@@ -137,7 +140,7 @@ pub struct Simulation {
     threads: Vec<ThreadState>,
     walker_free: Vec<Cycle>,
     events: EventQueue,
-    txs: BTreeMap<u64, TxState>,
+    txs: TxTable<TxState>,
     next_tx: u64,
     now: Cycle,
     target: u64,
@@ -266,7 +269,7 @@ impl Simulation {
                 .collect(),
             walker_free: vec![Cycle::ZERO; config.cores],
             events: EventQueue::new(),
-            txs: BTreeMap::new(),
+            txs: TxTable::new(),
             next_tx: 0,
             now: Cycle::ZERO,
             target: 0,

@@ -143,7 +143,7 @@ impl Simulation {
     /// dropped), but the structure stays electrically present, so the
     /// request falls back to a page walk instead of being lost.
     fn schedule_slice_lookup(&mut self, id: u64, at: Cycle) -> Result<(), Box<SimError>> {
-        let Some(TxState::Lookup(mut lookup)) = self.txs.get(&id).copied() else {
+        let Some(TxState::Lookup(mut lookup)) = self.txs.get(id) else {
             return Err(self.protocol_error(format!("slice lookup for unknown transaction {id}")));
         };
         if !self.faults.is_empty() {
@@ -170,7 +170,7 @@ impl Simulation {
     }
 
     pub(super) fn slice_done(&mut self, id: u64) -> Result<(), Box<SimError>> {
-        let Some(TxState::Lookup(mut lookup)) = self.txs.get(&id).copied() else {
+        let Some(TxState::Lookup(mut lookup)) = self.txs.get(id) else {
             return Err(self.protocol_error(format!("slice done for unknown transaction {id}")));
         };
         // The L2 access itself is over: close the concurrency trackers.
@@ -230,7 +230,7 @@ impl Simulation {
     /// Removes and returns a lookup transaction, or a protocol error if it
     /// is missing or of another kind (the caller just observed it).
     fn take_lookup(&mut self, id: u64) -> Result<LookupTx, Box<SimError>> {
-        match self.txs.remove(&id) {
+        match self.txs.remove(id) {
             Some(TxState::Lookup(l)) => Ok(l),
             other => {
                 if let Some(state) = other {
@@ -242,7 +242,7 @@ impl Simulation {
     }
 
     fn start_walk(&mut self, id: u64, walk_core: CoreId) -> Result<(), Box<SimError>> {
-        let Some(TxState::Lookup(mut lookup)) = self.txs.get(&id).copied() else {
+        let Some(TxState::Lookup(mut lookup)) = self.txs.get(id) else {
             return Err(self.protocol_error(format!("walk for unknown transaction {id}")));
         };
         // Cluster-homed organizations may shift the walk to the home
@@ -310,7 +310,7 @@ impl Simulation {
     }
 
     pub(super) fn walk_done(&mut self, id: u64) -> Result<(), Box<SimError>> {
-        let Some(TxState::Lookup(lookup)) = self.txs.get(&id).copied() else {
+        let Some(TxState::Lookup(lookup)) = self.txs.get(id) else {
             return Err(self.protocol_error(format!("walk done for unknown transaction {id}")));
         };
         let Some(entry) = lookup.entry else {
@@ -603,7 +603,7 @@ impl Simulation {
         match d.msg.kind {
             MsgKind::TlbRequest => self.schedule_slice_lookup(id, d.at)?,
             MsgKind::TlbResponse => {
-                let Some(TxState::Lookup(lookup)) = self.txs.get(&id).copied() else {
+                let Some(TxState::Lookup(lookup)) = self.txs.get(id) else {
                     return Err(
                         self.protocol_error(format!("response for unknown transaction {id}"))
                     );
@@ -616,7 +616,7 @@ impl Simulation {
                 }
             }
             MsgKind::Insert => {
-                let Some(TxState::Insert(entry)) = self.txs.remove(&id) else {
+                let Some(TxState::Insert(entry)) = self.txs.remove(id) else {
                     return Err(self.protocol_error(format!("insert for unknown transaction {id}")));
                 };
                 let vpn = entry.vpn();
@@ -632,7 +632,7 @@ impl Simulation {
                     home_idx,
                     at_leader,
                     ..
-                }) = self.txs.remove(&id)
+                }) = self.txs.remove(id)
                 else {
                     return Err(
                         self.protocol_error(format!("invalidation for unknown transaction {id}"))

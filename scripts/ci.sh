@@ -20,8 +20,9 @@
 #                     check (record -> replay -> byte-for-byte report diff),
 #                     and hostbench's correctness gate: its self-tests
 #                     (layer replays on every fabric), one traced
-#                     256-core circuit run and one untraced 1024-core
-#                     sampled hier run, whose report digests must match.
+#                     256-core circuit run and untraced 256-core mesh
+#                     GUPS, 256-core hier storm and 1024-core sampled
+#                     hier runs, whose report digests must match.
 #
 # The lint step writes JSON + SARIF reports to target/lint/ so CI can
 # upload them as build artifacts; it exits non-zero on any
@@ -123,7 +124,7 @@ EOF
   diff "$TRACE_TMP/fixture/replay.report.json" tests/golden/replay_example.json
   echo "   fixture replay matches tests/golden/replay_example.json"
 
-  echo "== nightly: hostbench self-tests and circuit-256 / hier-1024 digest gates =="
+  echo "== nightly: hostbench self-tests and circuit / mesh / storm / hier-1024 digest gates =="
   cargo test -q --release --offline --manifest-path hostbench/Cargo.toml
   # hostbench_gate WORKLOAD TRACE: one short hostbench run whose last
   # line, the result JSON, must show every run's report digest (and a
@@ -146,6 +147,11 @@ print(f"   hostbench gate ({sys.argv[2]}): OK ({result['attempted']} runs, 0 fai
 EOF_HB
   }
   hostbench_gate circuit-redis-256 1
+  # Mesh GUPS and the hier storm gate the transaction table and the page
+  # table: demand mapping and walks on every access, and (storm only)
+  # promote/demote shootdowns.
+  hostbench_gate mesh-gups-256 0
+  hostbench_gate hier-storm-256 0
   # The 1024-core sampled run gates the cache hierarchy at full scale:
   # most of its accesses warm the caches on the fast-forward path.
   hostbench_gate hier-replay-sampled-1024 0
