@@ -139,6 +139,64 @@ fn golden_nocstar_faulted() {
 }
 
 #[test]
+fn golden_smart() {
+    // Monolithic banks behind a SMART(4) bypass mesh: six-hop paths need
+    // two bypass runs, so contention latches flits mid-path.
+    let org = TlbOrg::Monolithic {
+        entries_per_core: 1024,
+        banks: 4,
+        net: MonolithicNet::Smart(4),
+        latency_override: None,
+    };
+    let report = build(golden_config_at(CIRCUIT_CORES, org)).run_measured(WARMUP, MEASURE);
+    assert_retries(&report);
+    check_report("smart", &report);
+}
+
+/// A 16-core hier storm over `inter` with one overlay link dead for the
+/// whole run, another degraded, and a brief whole-overlay outage, under
+/// the full recovery policy: the shootdown relays that cross clusters
+/// detour, back off, escalate and escape.
+fn check_hier_faulted(name: &str, inter: InterKind) {
+    let org = TlbOrg::Hier {
+        slice_entries: 1024,
+        cluster_size: 2,
+        intra: IntraKind::Bus,
+        inter,
+    };
+    let config = golden_config_at(CIRCUIT_CORES, org);
+    let workload = WorkloadAssignment::storm(&config, Preset::Canneal, 100, 150);
+    let plan =
+        FaultPlan::parse("link:4@0-1000000=off; link:9@0-1000000=+2; link:*@49000-50000=off")
+            .expect("valid plan");
+    let report = Simulation::new(config, workload)
+        .with_faults(plan)
+        .with_recovery(RecoveryPolicy::all())
+        .run_measured(WARMUP, MEASURE);
+    for counter in [
+        "faults.link_blocked",
+        "faults.degraded_traversals",
+        "faults.fallbacks",
+        "recovery.reroutes",
+        "recovery.escalations",
+    ] {
+        let n = report.metrics.counter(counter).unwrap_or(0);
+        assert!(n > 0, "no {counter} to pin");
+    }
+    check_report(name, &report);
+}
+
+#[test]
+fn golden_hier_mesh_faulted() {
+    check_hier_faulted("hier_mesh_faulted", InterKind::Mesh);
+}
+
+#[test]
+fn golden_hier_smart_faulted() {
+    check_hier_faulted("hier_smart_faulted", InterKind::Smart(2));
+}
+
+#[test]
 fn golden_ideal() {
     check_golden("ideal", TlbOrg::paper_ideal());
 }
