@@ -314,6 +314,7 @@ impl SystemConfig {
             TlbOrg::Monolithic {
                 entries_per_core,
                 banks,
+                net,
                 ..
             } => {
                 assert!(entries_per_core > 0, "bad monolithic size");
@@ -325,6 +326,9 @@ impl SystemConfig {
                     (entries_per_core * self.cores).is_multiple_of(banks * TlbOrg::WAYS),
                     "banked capacity must divide evenly"
                 );
+                if let MonolithicNet::Smart(hpc) = net {
+                    assert!(hpc > 0, "HPCmax must be nonzero");
+                }
             }
             TlbOrg::Distributed { slice_entries } | TlbOrg::IdealShared { slice_entries } => {
                 assert!(
@@ -470,6 +474,21 @@ mod tests {
                 entries_per_core: 1024,
                 banks: 8,
                 net: MonolithicNet::Mesh,
+                latency_override: None,
+            },
+        );
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "HPCmax must be nonzero")]
+    fn zero_hpc_monolithic_smart_rejected() {
+        let cfg = SystemConfig::new(
+            16,
+            TlbOrg::Monolithic {
+                entries_per_core: 1024,
+                banks: 4,
+                net: MonolithicNet::Smart(0),
                 latency_override: None,
             },
         );

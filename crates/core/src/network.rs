@@ -64,8 +64,7 @@ impl NetworkModel {
     pub fn submit(&mut self, now: Cycle, msg: Message) {
         match self {
             NetworkModel::None => panic!("no network in this organization"),
-            NetworkModel::Mesh(n) => n.submit(now, msg),
-            NetworkModel::Smart(n) => n.submit(now, msg),
+            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.submit(now, msg),
             NetworkModel::Circuit(n) => n.submit(now, msg),
             NetworkModel::Hier(n) => n.submit(now, msg),
         }
@@ -97,8 +96,7 @@ impl NetworkModel {
     pub fn advance(&mut self, cycle: Cycle) -> Vec<Delivery> {
         match self {
             NetworkModel::None => Vec::new(),
-            NetworkModel::Mesh(n) => n.advance(cycle),
-            NetworkModel::Smart(n) => n.advance(cycle),
+            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.advance(cycle),
             NetworkModel::Circuit(n) => n.advance(cycle),
             NetworkModel::Hier(n) => n.advance(cycle),
         }
@@ -108,8 +106,7 @@ impl NetworkModel {
     pub fn next_activity(&self) -> Option<Cycle> {
         match self {
             NetworkModel::None => None,
-            NetworkModel::Mesh(n) => n.next_activity(),
-            NetworkModel::Smart(n) => n.next_activity(),
+            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.next_activity(),
             NetworkModel::Circuit(n) => n.next_activity(),
             NetworkModel::Hier(n) => n.next_activity(),
         }
@@ -119,8 +116,7 @@ impl NetworkModel {
     pub fn reset_stats(&mut self) {
         match self {
             NetworkModel::None => {}
-            NetworkModel::Mesh(n) => n.reset_stats(),
-            NetworkModel::Smart(n) => n.reset_stats(),
+            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.reset_stats(),
             NetworkModel::Circuit(n) => n.reset_stats(),
             NetworkModel::Hier(n) => n.reset_stats(),
         }
@@ -130,8 +126,7 @@ impl NetworkModel {
     pub fn stats(&self) -> Option<&NocStats> {
         match self {
             NetworkModel::None => None,
-            NetworkModel::Mesh(n) => Some(n.stats()),
-            NetworkModel::Smart(n) => Some(n.stats()),
+            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => Some(n.stats()),
             NetworkModel::Circuit(n) => Some(n.stats()),
             NetworkModel::Hier(n) => Some(n.stats()),
         }
@@ -141,8 +136,7 @@ impl NetworkModel {
     pub fn install_faults(&mut self, plan: FaultPlan) {
         match self {
             NetworkModel::None => {}
-            NetworkModel::Mesh(n) => n.install_faults(plan),
-            NetworkModel::Smart(n) => n.install_faults(plan),
+            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.install_faults(plan),
             NetworkModel::Circuit(n) => n.install_faults(plan),
             NetworkModel::Hier(n) => n.install_faults(plan),
         }
@@ -152,8 +146,7 @@ impl NetworkModel {
     pub fn fault_stats(&self) -> Option<&FaultStats> {
         match self {
             NetworkModel::None => None,
-            NetworkModel::Mesh(n) => n.fault_stats(),
-            NetworkModel::Smart(n) => n.fault_stats(),
+            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.fault_stats(),
             NetworkModel::Circuit(n) => n.fault_stats(),
             NetworkModel::Hier(n) => n.fault_stats(),
         }
@@ -163,8 +156,7 @@ impl NetworkModel {
     pub fn install_recovery(&mut self, policy: RecoveryPolicy) {
         match self {
             NetworkModel::None => {}
-            NetworkModel::Mesh(n) => n.install_recovery(policy),
-            NetworkModel::Smart(n) => n.install_recovery(policy),
+            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.install_recovery(policy),
             NetworkModel::Circuit(n) => n.install_recovery(policy),
             NetworkModel::Hier(n) => n.install_recovery(policy),
         }
@@ -176,8 +168,7 @@ impl NetworkModel {
     pub fn recovery_stats(&self) -> Option<RecoveryStats> {
         match self {
             NetworkModel::None => None,
-            NetworkModel::Mesh(n) => n.recovery_stats().cloned(),
-            NetworkModel::Smart(n) => n.recovery_stats().cloned(),
+            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.recovery_stats().cloned(),
             NetworkModel::Circuit(n) => n.recovery_stats().cloned(),
             NetworkModel::Hier(n) => Some(n.recovery_stats_merged()),
         }
@@ -190,8 +181,7 @@ impl NetworkModel {
                 cycle: cycle.value(),
                 ..DiagSnapshot::default()
             },
-            NetworkModel::Mesh(n) => n.diagnostics(cycle),
-            NetworkModel::Smart(n) => n.diagnostics(cycle),
+            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.diagnostics(cycle),
             NetworkModel::Circuit(n) => n.diagnostics(cycle),
             NetworkModel::Hier(n) => n.diagnostics(cycle),
         }

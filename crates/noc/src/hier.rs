@@ -11,7 +11,7 @@
 //!   non-blocking [`XbarNoc`] (per-output-port arbitration, 1-cycle
 //!   traversal);
 //! * an **inter-cluster overlay** connecting one gateway tile per cluster
-//!   — a contended [`MeshNoc`] or a [`SmartNoc`] bypass mesh over the
+//!   — a contended [`MeshNoc`] or a SMART bypass [`MeshNoc`] over the
 //!   cluster grid.
 //!
 //! A same-cluster message takes one intra-fabric leg. A cross-cluster
@@ -37,7 +37,6 @@
 use crate::bus::BusNoc;
 use crate::mesh::MeshNoc;
 use crate::message::{Delivery, Message};
-use crate::smart::SmartNoc;
 use crate::{Interconnect, NocStats};
 use nocstar_faults::{
     DiagSnapshot, FaultPlan, FaultStats, PendingMessage, RecoveryPolicy, RecoveryStats,
@@ -248,50 +247,6 @@ impl Intra {
     }
 }
 
-/// The overlay fabric between cluster gateways.
-#[derive(Debug)]
-enum Inter {
-    Mesh(MeshNoc),
-    Smart(SmartNoc),
-}
-
-impl Inter {
-    fn as_dyn(&mut self) -> &mut dyn Interconnect {
-        match self {
-            Inter::Mesh(n) => n,
-            Inter::Smart(n) => n,
-        }
-    }
-
-    fn next_activity(&self) -> Option<Cycle> {
-        match self {
-            Inter::Mesh(n) => n.next_activity(),
-            Inter::Smart(n) => n.next_activity(),
-        }
-    }
-
-    fn fault_stats(&self) -> Option<&FaultStats> {
-        match self {
-            Inter::Mesh(n) => n.fault_stats(),
-            Inter::Smart(n) => n.fault_stats(),
-        }
-    }
-
-    fn recovery_stats(&self) -> Option<&RecoveryStats> {
-        match self {
-            Inter::Mesh(n) => n.recovery_stats(),
-            Inter::Smart(n) => n.recovery_stats(),
-        }
-    }
-
-    fn diagnostics(&self, cycle: Cycle) -> DiagSnapshot {
-        match self {
-            Inter::Mesh(n) => n.diagnostics(cycle),
-            Inter::Smart(n) => n.diagnostics(cycle),
-        }
-    }
-}
-
 /// Which leg of its route a message is riding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
@@ -322,10 +277,10 @@ struct Route {
 pub struct HierNoc {
     map: ClusterMap,
     overlay_shape: MeshShape,
-    inter_kind: InterKind,
     /// Index-addressed per-cluster fabrics.
     intra: Vec<Intra>,
-    inter: Inter,
+    /// The overlay: a contended mesh or SMART over the cluster grid.
+    inter: MeshNoc,
     routes: BTreeMap<u64, Route>,
     stats: NocStats,
     faults: FaultPlan,
@@ -352,13 +307,12 @@ impl HierNoc {
             })
             .collect();
         let inter = match inter {
-            InterKind::Mesh => Inter::Mesh(MeshNoc::contended(overlay_shape)),
-            InterKind::Smart(hpc) => Inter::Smart(SmartNoc::new(overlay_shape, hpc)),
+            InterKind::Mesh => MeshNoc::contended(overlay_shape),
+            InterKind::Smart(hpc) => MeshNoc::new(overlay_shape, hpc),
         };
         Self {
             map,
             overlay_shape,
-            inter_kind: inter_kind_of(&inter),
             intra,
             inter,
             routes: BTreeMap::new(),
@@ -429,14 +383,10 @@ impl HierNoc {
             };
         }
         let hops = self.overlay_shape.hops(CoreId::new(cs), CoreId::new(cd)) as u64;
-        let overlay = match self.inter_kind {
-            InterKind::Mesh => crate::mesh::CYCLES_PER_HOP * hops,
-            // SA-G setup, then ceil(hops / HPCmax) bypass cycles.
-            InterKind::Smart(hpc) => 1 + hops.div_ceil(hpc as u64),
-        };
+        let overlay = self.inter.uncontended_latency(hops);
         let leg1 = u64::from(src != self.map.gateway(cs));
         let leg3 = u64::from(dst != self.map.gateway(cd));
-        Cycles::new(leg1 + overlay + leg3)
+        Cycles::new(leg1 + leg3) + overlay
     }
 
     /// Routes one member-fabric delivery: forwards the next leg (true) or
@@ -476,7 +426,7 @@ impl HierNoc {
                     },
                 );
                 self.stats.grants += 1;
-                self.inter.as_dyn().submit(
+                self.inter.submit(
                     d.at,
                     Message::new(
                         route.msg.id,
@@ -506,13 +456,6 @@ impl HierNoc {
                 true
             }
         }
-    }
-}
-
-fn inter_kind_of(inter: &Inter) -> InterKind {
-    match inter {
-        Inter::Mesh(_) => InterKind::Mesh,
-        Inter::Smart(n) => InterKind::Smart(n.hpc_max()),
     }
 }
 
@@ -563,7 +506,7 @@ impl Interconnect for HierNoc {
             for f in &mut self.intra {
                 legs.extend(f.as_dyn().advance(cycle));
             }
-            legs.extend(self.inter.as_dyn().advance(cycle));
+            legs.extend(self.inter.advance(cycle));
             let mut forwarded = false;
             for d in legs {
                 forwarded |= self.step_route(d, &mut out);
@@ -593,7 +536,7 @@ impl Interconnect for HierNoc {
         for f in &mut self.intra {
             f.as_dyn().reset_stats();
         }
-        self.inter.as_dyn().reset_stats();
+        self.inter.reset_stats();
     }
 
     fn install_faults(&mut self, plan: FaultPlan) {
@@ -601,7 +544,7 @@ impl Interconnect for HierNoc {
         // reliable (cluster outages are modelled as slice-offline windows
         // by the simulator, not the network).
         self.faults = plan.clone();
-        self.inter.as_dyn().install_faults(plan);
+        self.inter.install_faults(plan);
     }
 
     fn fault_stats(&self) -> Option<&FaultStats> {
@@ -612,7 +555,7 @@ impl Interconnect for HierNoc {
         // Failover is handled here; re-routing and escalation act on the
         // overlay's links, so the policy is forwarded down as well.
         self.recovery = policy;
-        self.inter.as_dyn().install_recovery(policy);
+        self.inter.install_recovery(policy);
     }
 
     fn recovery_stats(&self) -> Option<&RecoveryStats> {

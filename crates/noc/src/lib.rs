@@ -11,6 +11,7 @@
 //!   contention-free variant used for the `distributed` baseline.
 //! * [`smart`] — the SMART NoC \[48\]: dynamic multi-hop bypass up to
 //!   `HPCmax` hops per cycle, falling back to latching under contention.
+//!   It is the contended mesh's flit engine with longer runs.
 //! * [`arbiter`] — NOCSTAR's per-link arbiters: static priority, rotated
 //!   round-robin every 1000 cycles to prevent starvation (§III-B2).
 //! * [`hier`] — a two-level hierarchical fabric for 1000+ tiles: per-cluster

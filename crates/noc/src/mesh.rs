@@ -1,12 +1,30 @@
-//! A traditional multi-hop mesh NoC (Table I's "Mesh" row).
+//! The flit-mesh engine behind Table I's "Mesh" and "SMART" rows.
 //!
-//! Each hop costs one router cycle plus one link cycle. In `contended`
-//! mode, flits arbitrate per directed link each cycle (oldest first) and
-//! stall on loss — this is the mesh that Fig 11(c) loads with synthetic
-//! traffic. In `contention_free` mode every message sails through at
-//! 2 cycles/hop, which is the generous baseline the paper grants the
-//! `distributed` configuration ("we place enough buffers and links in the
-//! system to prevent link contention", §IV).
+//! [`MeshNoc`] steps single-flit messages over the mesh one cycle at a
+//! time. Each cycle the ready flights arbitrate oldest first, by
+//! `(submitted_at, id)`: a flight claims consecutive free directed links
+//! up to its run limit and stalls when it loses the first one. The same
+//! stepper is both baselines:
+//!
+//! * the **contended mesh** ([`MeshNoc::contended`]): one router cycle
+//!   plus one link cycle per hop. This is the mesh that Fig 11(c) loads
+//!   with synthetic traffic.
+//! * **SMART** ([`MeshNoc::new`], alias [`SmartNoc`](crate::smart::SmartNoc)):
+//!   single-cycle bypass runs of up to `HPCmax` hops; see [`crate::smart`].
+//!
+//! | | contended mesh | SMART |
+//! | --- | --- | --- |
+//! | SA-G setup cycle before the first run | no | yes |
+//! | links claimed per run | 1 | up to `HPCmax` |
+//! | cycles per run | 2 + that link's degradation | 1 + the run's summed degradation |
+//! | `link_busy` per link crossed | 2 + its degradation | 1 |
+//! | a run that ends before the destination | a normal hop | latches: the flit counts as stalled |
+//!
+//! Injected outages, detours, backoff and the escape path are the same
+//! for both. In `contention_free` mode every message instead sails
+//! through at 2 cycles/hop, in closed form: the generous baseline the
+//! paper grants the `distributed` configuration ("we place enough
+//! buffers and links in the system to prevent link contention", §IV).
 
 use crate::message::{Delivery, Message};
 use crate::topology::Links;
@@ -16,7 +34,7 @@ use nocstar_faults::{
 };
 use nocstar_types::time::{Cycle, Cycles};
 use nocstar_types::{Coord, MeshShape};
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Cycles per hop: one for the router, one for the link.
 pub const CYCLES_PER_HOP: u64 = 2;
@@ -25,9 +43,13 @@ pub const CYCLES_PER_HOP: u64 = 2;
 struct Flight {
     msg: Message,
     tiles: Vec<Coord>,
+    // The router the flit sits at; it has left the network once
+    // `pos + 1 == tiles.len()`.
     pos: usize,
     ready_at: Cycle,
     submitted_at: Cycle,
+    // False until SMART's SA-G setup cycle has passed.
+    injected: bool,
     stalled: bool,
     fault_attempts: u64,
     // First cycle an outage blocked this flight (recovery's detect time);
@@ -56,7 +78,7 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// The mesh network model.
+/// The mesh network model: contended, contention-free, or SMART.
 ///
 /// # Examples
 ///
@@ -75,7 +97,18 @@ impl PartialOrd for Scheduled {
 pub struct MeshNoc {
     links: Links,
     contention_free: bool,
+    /// Links one run may claim: 1 on the contended mesh, `HPCmax` on SMART.
+    hpc_max: usize,
+    /// SMART's setup cycle and single-cycle bypass runs (the module
+    /// table's right column) instead of buffered 2-cycle hops.
+    bypass: bool,
     flights: Vec<Flight>,
+    /// Per-link round stamp: a link is claimed this cycle iff its stamp
+    /// equals `round`, so nothing is cleared between cycles.
+    claimed: Vec<u64>,
+    round: u64,
+    /// This cycle's ready flights, oldest first (reused across cycles).
+    order: Vec<usize>,
     scheduled: BinaryHeap<Scheduled>,
     seq: u64,
     stats: NocStats,
@@ -86,14 +119,18 @@ pub struct MeshNoc {
 }
 
 impl MeshNoc {
-    /// A mesh with per-link contention (used under synthetic load).
-    pub fn contended(mesh: MeshShape) -> Self {
+    fn build(mesh: MeshShape, hpc_max: usize, bypass: bool) -> Self {
         let links = Links::new(mesh);
         Self {
             stats: NocStats::with_links(links.count()),
+            claimed: vec![0; links.count()],
             links,
             contention_free: false,
+            hpc_max,
+            bypass,
             flights: Vec::new(),
+            round: 0,
+            order: Vec::new(),
             scheduled: BinaryHeap::new(),
             seq: 0,
             faults: FaultPlan::default(),
@@ -101,6 +138,11 @@ impl MeshNoc {
             recovery: RecoveryPolicy::default(),
             rstats: RecoveryStats::default(),
         }
+    }
+
+    /// A mesh with per-link contention (used under synthetic load).
+    pub fn contended(mesh: MeshShape) -> Self {
+        Self::build(mesh, 1, false)
     }
 
     /// The paper's idealized mesh: enough buffering that no message ever
@@ -111,9 +153,30 @@ impl MeshNoc {
         noc
     }
 
+    /// A SMART bypass mesh with the given maximum hops per cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hpc_max` is zero.
+    pub fn new(mesh: MeshShape, hpc_max: usize) -> Self {
+        assert!(hpc_max > 0, "HPCmax must be at least 1");
+        Self::build(mesh, hpc_max, true)
+    }
+
     /// The mesh shape this network spans.
     pub fn mesh(&self) -> MeshShape {
         self.links.mesh()
+    }
+
+    /// Cycles a lone message on an idle, fault-free network takes to
+    /// cross `hops` links: 2 per hop on the mesh; on SMART, the SA-G setup
+    /// cycle plus `ceil(hops / HPCmax)` bypass runs.
+    pub fn uncontended_latency(&self, hops: u64) -> Cycles {
+        Cycles::new(match (hops, self.bypass) {
+            (0, _) => 0,
+            (_, true) => 1 + hops.div_ceil(self.hpc_max as u64),
+            (_, false) => CYCLES_PER_HOP * hops,
+        })
     }
 
     fn schedule(&mut self, msg: Message, at: Cycle, submitted_at: Cycle, stalled: bool) {
@@ -132,123 +195,145 @@ impl MeshNoc {
             return;
         }
         // Oldest-first arbitration per directed link.
-        let mut order: Vec<usize> = (0..self.flights.len())
-            .filter(|&i| self.flights[i].ready_at <= cycle)
-            .collect();
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend((0..self.flights.len()).filter(|&i| self.flights[i].ready_at <= cycle));
         order.sort_by_key(|&i| (self.flights[i].submitted_at, self.flights[i].msg.id));
-
-        let mut claimed: BTreeSet<usize> = BTreeSet::new();
-        let mut done: Vec<usize> = Vec::new();
+        self.round += 1;
         let now = cycle.value();
+        let run_cycles = if self.bypass { 1 } else { CYCLES_PER_HOP };
         for &i in &order {
-            let (from, to) = {
-                let f = &self.flights[i];
-                (f.tiles[f.pos], f.tiles[f.pos + 1])
-            };
-            let link = self.links.link_between(from, to).index();
-            if !self.faults.is_empty() && self.faults.link_outage(link, now) {
-                // The next hop is down: with a re-routing policy, detour
-                // around the outage; otherwise back off, then escape over
-                // the maintenance path once the retry budget is spent.
-                {
-                    let f = &mut self.flights[i];
-                    f.fault_attempts += 1;
-                    f.stalled = true;
-                    if f.blocked_at.is_none() {
-                        f.blocked_at = Some(cycle);
-                    }
-                }
-                self.stats.retries += 1;
-                self.fstats.link_blocked += 1;
-                if self.recovery.reroute {
-                    let (pos, cur, dst, old_remaining) = {
-                        let f = &self.flights[i];
-                        let last = f.tiles[f.tiles.len() - 1];
-                        (f.pos, f.tiles[f.pos], last, f.tiles.len() - 1 - f.pos)
-                    };
-                    let detour = self
-                        .links
-                        .detour(cur, dst, |l| self.faults.link_outage(l.index(), now));
-                    if let Some(path) = detour {
-                        self.rstats.reroutes += 1;
-                        self.rstats.detour_extra_hops +=
-                            (path.len() - 1).saturating_sub(old_remaining) as u64;
-                        let f = &mut self.flights[i];
-                        f.tiles.truncate(pos + 1);
-                        f.tiles.extend(path.into_iter().skip(1));
-                        // Picking the detour costs one decision cycle.
-                        f.ready_at = cycle + Cycles::ONE;
-                        if let Some(b) = f.blocked_at.take() {
-                            self.rstats
-                                .detect_to_reroute
-                                .record((f.ready_at - b).value());
-                        }
-                        continue;
-                    }
-                    self.rstats.reroute_failed += 1;
-                }
-                let max = self.recovery.effective_max_attempts(self.faults.retry);
-                let f = &mut self.flights[i];
-                if max.is_some_and(|m| f.fault_attempts >= m) {
-                    let remaining = (f.tiles.len() - 1 - f.pos) as u64;
-                    let arrival = cycle + Cycles::new(CYCLES_PER_HOP * remaining + 1);
-                    let (msg, submitted_at, attempts) = (f.msg, f.submitted_at, f.fault_attempts);
-                    done.push(i);
-                    self.fstats.fallbacks += 1;
-                    self.fstats.retries_per_fallback.record(attempts);
-                    if self
-                        .faults
-                        .retry
-                        .max_attempts
-                        .is_none_or(|pm| attempts < u64::from(pm))
-                    {
-                        // The policy's threshold, not the plan's budget,
-                        // triggered the escape.
-                        self.rstats.escalations += 1;
-                    }
-                    self.schedule(msg, arrival, submitted_at, true);
-                } else {
-                    let wait = self.faults.backoff(f.fault_attempts, f.msg.id);
-                    f.ready_at = cycle + Cycles::new(wait);
-                    self.fstats.backoff_cycles += wait;
-                }
+            let f = &mut self.flights[i];
+            if !f.injected {
+                // SA-G: the setup request propagates this cycle.
+                f.injected = true;
+                f.ready_at = cycle + Cycles::ONE;
                 continue;
             }
-            if claimed.contains(&link) {
-                let f = &mut self.flights[i];
+            // Claim consecutive free, live links up to the run limit;
+            // degraded links stay claimable but add their penalty to the
+            // run. Testing the claim before the outage is the same as the
+            // reverse: a link is claimed only after passing the outage
+            // test this cycle, and `link_outage` depends only on
+            // (link, cycle).
+            let limit = self.hpc_max.min(f.tiles.len() - 1 - f.pos);
+            let (mut run, mut penalty, mut outaged) = (0, 0, false);
+            while run < limit {
+                let hop = f.pos + run;
+                let link = self
+                    .links
+                    .link_between(f.tiles[hop], f.tiles[hop + 1])
+                    .index();
+                if self.claimed[link] == self.round {
+                    break;
+                }
+                if !self.faults.is_empty() && self.faults.link_outage(link, now) {
+                    outaged = run == 0;
+                    break;
+                }
+                let extra = if self.faults.is_empty() {
+                    0
+                } else {
+                    self.faults.link_degrade(link, now)
+                };
+                self.claimed[link] = self.round;
+                self.stats.link_busy[link] += if self.bypass {
+                    1
+                } else {
+                    CYCLES_PER_HOP + extra
+                };
+                penalty += extra;
+                run += 1;
+            }
+            if outaged {
+                self.blocked_by_outage(i, cycle);
+                continue;
+            }
+            if run == 0 {
+                // An older flight holds the first link: retry next cycle.
                 f.ready_at = cycle + Cycles::ONE;
                 f.stalled = true;
                 self.stats.retries += 1;
                 continue;
             }
-            claimed.insert(link);
-            let extra = if self.faults.is_empty() {
-                0
-            } else {
-                self.faults.link_degrade(link, now)
-            };
-            if extra > 0 {
+            self.stats.grants += run as u64;
+            if penalty > 0 {
                 self.fstats.degraded_traversals += 1;
             }
-            self.stats.grants += 1;
-            self.stats.link_busy[link] += CYCLES_PER_HOP + extra;
-            let f = &mut self.flights[i];
-            f.pos += 1;
+            f.pos += run;
+            let at = cycle + Cycles::new(run_cycles + penalty);
             if f.pos + 1 == f.tiles.len() {
-                let arrival = cycle + Cycles::new(CYCLES_PER_HOP + extra);
                 let (msg, submitted_at, stalled) = (f.msg, f.submitted_at, f.stalled);
-                done.push(i);
-                self.schedule(msg, arrival, submitted_at, stalled);
+                self.schedule(msg, at, submitted_at, stalled);
             } else {
-                f.ready_at = cycle + Cycles::new(CYCLES_PER_HOP + extra);
+                // A bypass run cut short latches at the blocking router.
+                f.stalled |= self.bypass;
+                f.ready_at = at;
             }
         }
-        let mut index = 0usize;
-        self.flights.retain(|_| {
-            let keep = !done.contains(&index);
-            index += 1;
-            keep
-        });
+        self.order = order;
+        self.flights.retain(|f| f.pos + 1 < f.tiles.len());
+    }
+
+    /// Flight `i`'s next link is down at `cycle`. With a re-routing
+    /// policy it detours around the outage; otherwise it backs off, and
+    /// once the (possibly escalation-clamped) retry budget is spent it
+    /// escapes over the buffered maintenance path, so it is never lost.
+    fn blocked_by_outage(&mut self, i: usize, cycle: Cycle) {
+        let now = cycle.value();
+        let f = &mut self.flights[i];
+        f.fault_attempts += 1;
+        f.stalled = true;
+        f.blocked_at.get_or_insert(cycle);
+        self.stats.retries += 1;
+        self.fstats.link_blocked += 1;
+        let remaining = f.tiles.len() - 1 - f.pos;
+        if self.recovery.reroute {
+            let (cur, dst) = (f.tiles[f.pos], f.tiles[f.tiles.len() - 1]);
+            let faults = &self.faults;
+            if let Some(path) = self
+                .links
+                .detour(cur, dst, |l| faults.link_outage(l.index(), now))
+            {
+                self.rstats.reroutes += 1;
+                self.rstats.detour_extra_hops += (path.len() - 1).saturating_sub(remaining) as u64;
+                f.tiles.truncate(f.pos + 1);
+                f.tiles.extend(path.into_iter().skip(1));
+                // Picking the detour costs one decision cycle.
+                f.ready_at = cycle + Cycles::ONE;
+                if let Some(b) = f.blocked_at.take() {
+                    self.rstats
+                        .detect_to_reroute
+                        .record((f.ready_at - b).value());
+                }
+                return;
+            }
+            self.rstats.reroute_failed += 1;
+        }
+        let max = self.recovery.effective_max_attempts(self.faults.retry);
+        if max.is_some_and(|m| f.fault_attempts >= m) {
+            let arrival = cycle + Cycles::new(CYCLES_PER_HOP * remaining as u64 + 1);
+            // The escape path delivers it; the flight leaves the mesh.
+            f.pos = f.tiles.len() - 1;
+            let (msg, submitted_at, attempts) = (f.msg, f.submitted_at, f.fault_attempts);
+            self.fstats.fallbacks += 1;
+            self.fstats.retries_per_fallback.record(attempts);
+            if self
+                .faults
+                .retry
+                .max_attempts
+                .is_none_or(|pm| attempts < u64::from(pm))
+            {
+                // The policy's threshold, not the plan's budget,
+                // triggered the escape.
+                self.rstats.escalations += 1;
+            }
+            self.schedule(msg, arrival, submitted_at, true);
+        } else {
+            let wait = self.faults.backoff(f.fault_attempts, f.msg.id);
+            f.ready_at = cycle + Cycles::new(wait);
+            self.fstats.backoff_cycles += wait;
+        }
     }
 }
 
@@ -362,6 +447,7 @@ impl Interconnect for MeshNoc {
             pos: 0,
             ready_at: now,
             submitted_at: now,
+            injected: !self.bypass,
             stalled: false,
             fault_attempts: 0,
             blocked_at: None,
@@ -452,6 +538,8 @@ impl Interconnect for MeshNoc {
         }
     }
 }
+
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -589,6 +677,28 @@ mod tests {
         let d = drain(&mut noc);
         assert_eq!(d[0].at, Cycle::new(6)); // 3 hops x 2 cycles
         assert_eq!(noc.stats().no_contention, 1);
+    }
+
+    #[test]
+    fn a_lone_message_takes_exactly_the_uncontended_latency() {
+        // Every hop count on an 8x8 mesh (0..=14 from corner 0), on the
+        // contended mesh and on SMART at three run limits.
+        let shape = MeshShape::new(8, 8);
+        let engines: [fn(MeshShape) -> MeshNoc; 4] = [
+            MeshNoc::contended,
+            |m| MeshNoc::new(m, 1),
+            |m| MeshNoc::new(m, 2),
+            |m| MeshNoc::new(m, 8),
+        ];
+        for engine in engines {
+            for dst in 0..64 {
+                let mut noc = engine(shape);
+                noc.submit(Cycle::new(5), msg(1, 0, dst));
+                let d = drain(&mut noc);
+                let hops = shape.hops(CoreId::new(0), CoreId::new(dst)) as u64;
+                assert_eq!(d[0].at, Cycle::new(5) + noc.uncontended_latency(hops));
+            }
+        }
     }
 
     #[test]

@@ -6,54 +6,12 @@
 //! flit that cycle; on contention it latches at the blocking router and
 //! continues next cycle. Unlike NOCSTAR, bypass runs are opportunistic —
 //! partial progress is made rather than retrying the whole path.
+//!
+//! SMART is the contended mesh's flit engine with a run limit above one
+//! hop; [`crate::mesh`] tabulates where the two differ.
 
-use crate::message::{Delivery, Message};
-use crate::topology::Links;
-use crate::{Interconnect, NocStats};
-use nocstar_faults::{
-    DiagSnapshot, FaultPlan, FaultStats, LinkState, PendingMessage, RecoveryPolicy, RecoveryStats,
-};
-use nocstar_types::time::{Cycle, Cycles};
-use nocstar_types::{Coord, MeshShape};
-use std::collections::{BTreeSet, BinaryHeap};
-
-#[derive(Debug, Clone)]
-struct Flight {
-    msg: Message,
-    tiles: Vec<Coord>,
-    pos: usize,
-    ready_at: Cycle,
-    submitted_at: Cycle,
-    injected: bool,
-    stalled: bool,
-    fault_attempts: u64,
-    // First cycle an outage blocked this flit (recovery's detect time);
-    // cleared once a detour departs.
-    blocked_at: Option<Cycle>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Scheduled {
-    at: Cycle,
-    seq: u64,
-    msg: Message,
-    submitted_at: Cycle,
-    stalled: bool,
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The SMART network model.
+/// The SMART network model: [`MeshNoc`](crate::mesh::MeshNoc) built by
+/// [`MeshNoc::new`](crate::mesh::MeshNoc::new).
 ///
 /// # Examples
 ///
@@ -72,323 +30,16 @@ impl PartialOrd for Scheduled {
 /// // 14 hops at HPCmax=8: 1 setup + 2 bypass cycles.
 /// assert_eq!(d[0].at, Cycle::new(3));
 /// ```
-#[derive(Debug, Clone)]
-pub struct SmartNoc {
-    links: Links,
-    hpc_max: usize,
-    flights: Vec<Flight>,
-    scheduled: BinaryHeap<Scheduled>,
-    seq: u64,
-    stats: NocStats,
-    faults: FaultPlan,
-    fstats: FaultStats,
-    recovery: RecoveryPolicy,
-    rstats: RecoveryStats,
-}
-
-impl SmartNoc {
-    /// Builds a SMART network with the given maximum hops per cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hpc_max` is zero.
-    pub fn new(mesh: MeshShape, hpc_max: usize) -> Self {
-        assert!(hpc_max > 0, "HPCmax must be at least 1");
-        let links = Links::new(mesh);
-        Self {
-            stats: NocStats::with_links(links.count()),
-            links,
-            hpc_max,
-            flights: Vec::new(),
-            scheduled: BinaryHeap::new(),
-            seq: 0,
-            faults: FaultPlan::default(),
-            fstats: FaultStats::default(),
-            recovery: RecoveryPolicy::default(),
-            rstats: RecoveryStats::default(),
-        }
-    }
-
-    /// The configured maximum hops per cycle.
-    pub fn hpc_max(&self) -> usize {
-        self.hpc_max
-    }
-
-    fn schedule(&mut self, msg: Message, at: Cycle, submitted_at: Cycle, stalled: bool) {
-        self.seq += 1;
-        self.scheduled.push(Scheduled {
-            at,
-            seq: self.seq,
-            msg,
-            submitted_at,
-            stalled,
-        });
-    }
-
-    fn step_flights(&mut self, cycle: Cycle) {
-        if self.flights.is_empty() {
-            return;
-        }
-        let mut order: Vec<usize> = (0..self.flights.len())
-            .filter(|&i| self.flights[i].ready_at <= cycle)
-            .collect();
-        // Oldest flit wins bypass arbitration.
-        order.sort_by_key(|&i| (self.flights[i].submitted_at, self.flights[i].msg.id));
-
-        let mut claimed: BTreeSet<usize> = BTreeSet::new();
-        let mut done: Vec<usize> = Vec::new();
-        for &i in &order {
-            if !self.flights[i].injected {
-                // SA-G: the setup request propagates this cycle.
-                let f = &mut self.flights[i];
-                f.injected = true;
-                f.ready_at = cycle + Cycles::ONE;
-                continue;
-            }
-            // Claim as many consecutive free, non-outaged links as
-            // possible, up to HPCmax. Degraded links stay claimable but
-            // add their penalty to this cycle's run.
-            let now = cycle.value();
-            let (run, links_to_claim, penalty, first_outaged) = {
-                let f = &self.flights[i];
-                let remaining = f.tiles.len() - 1 - f.pos;
-                let mut run = 0usize;
-                let mut to_claim = Vec::new();
-                let mut penalty = 0u64;
-                let mut first_outaged = false;
-                while run < remaining && run < self.hpc_max {
-                    let from = f.tiles[f.pos + run];
-                    let to = f.tiles[f.pos + run + 1];
-                    let link = self.links.link_between(from, to).index();
-                    if claimed.contains(&link) {
-                        break;
-                    }
-                    if !self.faults.is_empty() && self.faults.link_outage(link, now) {
-                        first_outaged = run == 0;
-                        break;
-                    }
-                    if !self.faults.is_empty() {
-                        penalty += self.faults.link_degrade(link, now);
-                    }
-                    to_claim.push(link);
-                    run += 1;
-                }
-                (run, to_claim, penalty, first_outaged)
-            };
-            if run == 0 && first_outaged {
-                // Blocked by an injected outage, not by traffic: with a
-                // re-routing policy, detour around the dead link; else
-                // back off deterministically, and once the (possibly
-                // escalation-clamped) retry budget is spent escape over
-                // the buffered service path so the flit is never lost.
-                {
-                    let f = &mut self.flights[i];
-                    f.fault_attempts += 1;
-                    f.stalled = true;
-                    if f.blocked_at.is_none() {
-                        f.blocked_at = Some(cycle);
-                    }
-                }
-                self.stats.retries += 1;
-                self.fstats.link_blocked += 1;
-                if self.recovery.reroute {
-                    let (pos, cur, dst, old_remaining) = {
-                        let f = &self.flights[i];
-                        let last = f.tiles[f.tiles.len() - 1];
-                        (f.pos, f.tiles[f.pos], last, f.tiles.len() - 1 - f.pos)
-                    };
-                    let detour = self
-                        .links
-                        .detour(cur, dst, |l| self.faults.link_outage(l.index(), now));
-                    if let Some(path) = detour {
-                        self.rstats.reroutes += 1;
-                        self.rstats.detour_extra_hops +=
-                            (path.len() - 1).saturating_sub(old_remaining) as u64;
-                        let f = &mut self.flights[i];
-                        f.tiles.truncate(pos + 1);
-                        f.tiles.extend(path.into_iter().skip(1));
-                        // Picking the detour costs one decision cycle.
-                        f.ready_at = cycle + Cycles::ONE;
-                        if let Some(b) = f.blocked_at.take() {
-                            self.rstats
-                                .detect_to_reroute
-                                .record((f.ready_at - b).value());
-                        }
-                        continue;
-                    }
-                    self.rstats.reroute_failed += 1;
-                }
-                let max = self.recovery.effective_max_attempts(self.faults.retry);
-                let f = &mut self.flights[i];
-                if max.is_some_and(|m| f.fault_attempts >= m) {
-                    let remaining = (f.tiles.len() - 1 - f.pos) as u64;
-                    let arrival = cycle + Cycles::new(2 * remaining + 1);
-                    let (msg, submitted_at, attempts) = (f.msg, f.submitted_at, f.fault_attempts);
-                    done.push(i);
-                    self.fstats.fallbacks += 1;
-                    self.fstats.retries_per_fallback.record(attempts);
-                    if self
-                        .faults
-                        .retry
-                        .max_attempts
-                        .is_none_or(|pm| attempts < u64::from(pm))
-                    {
-                        self.rstats.escalations += 1;
-                    }
-                    self.schedule(msg, arrival, submitted_at, true);
-                } else {
-                    let wait = self.faults.backoff(f.fault_attempts, f.msg.id);
-                    f.ready_at = cycle + Cycles::new(wait);
-                    self.fstats.backoff_cycles += wait;
-                }
-                continue;
-            }
-            if run == 0 {
-                let f = &mut self.flights[i];
-                f.ready_at = cycle + Cycles::ONE;
-                f.stalled = true;
-                self.stats.retries += 1;
-                continue;
-            }
-            for &link in &links_to_claim {
-                self.stats.link_busy[link] += 1;
-            }
-            self.stats.grants += run as u64;
-            claimed.extend(links_to_claim);
-            if penalty > 0 {
-                self.fstats.degraded_traversals += 1;
-            }
-            let f = &mut self.flights[i];
-            f.pos += run;
-            if f.pos + 1 == f.tiles.len() {
-                let arrival = cycle + Cycles::ONE + Cycles::new(penalty);
-                let (msg, submitted_at, stalled) = (f.msg, f.submitted_at, f.stalled);
-                done.push(i);
-                self.schedule(msg, arrival, submitted_at, stalled);
-            } else {
-                f.stalled = true; // latched mid-path
-                f.ready_at = cycle + Cycles::ONE + Cycles::new(penalty);
-            }
-        }
-        let mut index = 0usize;
-        self.flights.retain(|_| {
-            let keep = !done.contains(&index);
-            index += 1;
-            keep
-        });
-    }
-}
-
-impl Interconnect for SmartNoc {
-    fn submit(&mut self, now: Cycle, msg: Message) {
-        if msg.is_local() {
-            self.schedule(msg, now, now, false);
-            return;
-        }
-        let tiles: Vec<Coord> = self.links.mesh().xy_path(msg.src, msg.dst).collect();
-        self.flights.push(Flight {
-            msg,
-            tiles,
-            pos: 0,
-            ready_at: now,
-            submitted_at: now,
-            injected: false,
-            stalled: false,
-            fault_attempts: 0,
-            blocked_at: None,
-        });
-    }
-
-    fn advance(&mut self, cycle: Cycle) -> Vec<Delivery> {
-        self.step_flights(cycle);
-        let mut out = Vec::new();
-        while self.scheduled.peek().is_some_and(|top| top.at <= cycle) {
-            let Some(s) = self.scheduled.pop() else { break };
-            self.stats.delivered += 1;
-            self.stats.latency.record(s.at - s.submitted_at);
-            if !s.stalled {
-                self.stats.no_contention += 1;
-            }
-            out.push(Delivery {
-                msg: s.msg,
-                at: s.at,
-            });
-        }
-        out
-    }
-
-    fn next_activity(&self) -> Option<Cycle> {
-        let flight_min = self.flights.iter().map(|f| f.ready_at).min();
-        let sched_min = self.scheduled.peek().map(|s| s.at);
-        match (flight_min, sched_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn stats(&self) -> &NocStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-        self.fstats.reset();
-        self.rstats.reset();
-    }
-
-    fn install_faults(&mut self, plan: FaultPlan) {
-        self.faults = plan;
-    }
-
-    fn fault_stats(&self) -> Option<&FaultStats> {
-        Some(&self.fstats)
-    }
-
-    fn install_recovery(&mut self, policy: RecoveryPolicy) {
-        self.recovery = policy;
-    }
-
-    fn recovery_stats(&self) -> Option<&RecoveryStats> {
-        Some(&self.rstats)
-    }
-
-    fn diagnostics(&self, cycle: Cycle) -> DiagSnapshot {
-        let now = cycle.value();
-        let pending_messages = self
-            .flights
-            .iter()
-            .map(|f| PendingMessage {
-                id: f.msg.id,
-                src: f.msg.src.index(),
-                dst: f.msg.dst.index(),
-                kind: format!("{:?}", f.msg.kind),
-                submitted_at: f.submitted_at.value(),
-                attempts: f.fault_attempts,
-            })
-            .collect();
-        let links = (0..self.links.count())
-            .map(|l| LinkState {
-                link: l,
-                busy_until: 0,
-                reserved_by: None,
-                faulted: self.faults.link_outage(l, now),
-            })
-            .collect();
-        DiagSnapshot {
-            cycle: now,
-            pending_messages,
-            links,
-            active_faults: self.faults.active_at(now),
-            ..DiagSnapshot::default()
-        }
-    }
-}
+pub type SmartNoc = crate::mesh::MeshNoc;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::MsgKind;
-    use nocstar_types::CoreId;
+    use crate::message::{Delivery, Message, MsgKind};
+    use crate::Interconnect;
+    use nocstar_faults::RecoveryPolicy;
+    use nocstar_types::time::{Cycle, Cycles};
+    use nocstar_types::{CoreId, MeshShape};
 
     fn msg(id: u64, src: usize, dst: usize) -> Message {
         Message::new(id, CoreId::new(src), CoreId::new(dst), MsgKind::TlbRequest)

@@ -12,9 +12,11 @@
 #   ci.sh --nightly   everything above plus the slow runs that the fast
 #                     gate skips, each exactly once: the 1024-core
 #                     cluster-outage and cascading recovery-chaos runs
-#                     (ignored in tier-1), the closed-loop
-#                     recovery-latency study (the closed loop must never
-#                     lose to the open loop), the 512/1024-core
+#                     (ignored in tier-1), the 2,048-case differential
+#                     check of the flit-mesh engine (contended mesh and
+#                     SMART) against its test-only reference, the
+#                     closed-loop recovery-latency study (the closed loop
+#                     must never lose to the open loop), the 512/1024-core
 #                     hier-vs-mesh scale-up claim and smoke, fault-sweep
 #                     smoke, the end-to-end trace-replay equivalence
 #                     check (record -> replay -> byte-for-byte report diff),
@@ -71,6 +73,9 @@ if [[ "$NIGHTLY" == "1" ]]; then
   # repeat byte-identity; release mode keeps the smoke under a minute.
   cargo test -q --release --test chaos \
     nightly_cascading_recovery_storm_at_1024_cores -- --ignored
+
+  echo "== nightly: flit-mesh engine vs its two-stepper reference (2,048 cases) =="
+  cargo test -q --release -p nocstar-noc --lib prop_engine_matches_reference_nightly -- --ignored
 
   echo "== nightly: recovery-latency study =="
   cargo run --release -q -p nocstar-bench --bin recovery -- --quick
