@@ -373,7 +373,11 @@ impl FaultPlan {
             self.retry.max_attempts = if v == "inf" {
                 None
             } else {
-                Some(parse_u64(v)? as u32)
+                let n = parse_u64(v)?;
+                Some(
+                    u32::try_from(n)
+                        .map_err(|_| format!("retry count {n} exceeds {}", u32::MAX))?,
+                )
             };
             return Ok(());
         }
@@ -831,6 +835,19 @@ mod tests {
         let inf: FaultPlan = "retry=inf".parse().unwrap();
         assert_eq!(inf.retry.max_attempts, None);
         assert!(inf.is_empty());
+    }
+
+    #[test]
+    fn retry_counts_beyond_u32_are_rejected_not_truncated() {
+        let max = FaultPlan::parse("retry=4294967295").unwrap();
+        assert_eq!(max.retry.max_attempts, Some(u32::MAX));
+        // 2^32 used to wrap to `Some(0)`: escape on the first fault.
+        let err = FaultPlan::parse("retry=4294967296").unwrap_err();
+        assert!(
+            err.contains("`retry=4294967296`"),
+            "names the clause: {err}"
+        );
+        assert!(err.contains("exceeds"), "explains the cause: {err}");
     }
 
     #[test]

@@ -4,28 +4,24 @@
 //! cycle-level reports. The runtime guards (golden snapshots, the
 //! determinism suite) catch drift *after* it happens; this crate catches
 //! the three classic ways drift lands — hash-ordered iteration,
-//! wall-clock reads, entropy-seeded RNG — plus two simulator invariants
-//! (no panicking extraction in sim code, no in-place event-timestamp
-//! mutation) at analysis time.
+//! wall-clock reads, entropy-seeded RNG — plus order-sensitive float
+//! reduction and two simulator invariants (no panicking extraction in
+//! sim code, no in-place event-timestamp mutation) at analysis time.
 //!
-//! The environment vendors no `syn`, so the analyzer builds its own
-//! stack: a small Rust lexer ([`lexer`]) feeds an AST-lite
-//! recursive-descent parser ([`parser`]) covering the subset the repo
-//! uses (items, `use` paths, `impl` blocks, fn signatures, typed `let`
-//! bindings, struct/enum fields), a per-file scope table ([`scope`])
-//! that chases import renames and `type` aliases to resolve collection
-//! and cell types, and a forward dataflow-lite pass ([`taint`]) that
-//! propagates nondeterministic taint through `let` chains into
-//! event-time and `SimReport` sinks. Rule visitors ([`rules`]) combine
-//! token patterns with these resolved views; `#[cfg(test)]` regions,
-//! string/char literals and comments are excluded soundly. Rules are
-//! configured per crate *class* (deterministic sim crates vs. bench/
-//! tools) by a TOML policy file ([`policy`], `nocstar-lint.toml` at the
-//! workspace root). Findings can be suppressed inline with
+//! The environment vendors no `syn`, and the rules do not need one: a
+//! small Rust lexer ([`lexer`]) turns each file into tokens and comments,
+//! and every rule ([`rules`]) is a token pattern. Where a rule must see
+//! through a local rename (`use … HashMap as Map`, `type Score = f64`),
+//! one token helper, `rules::aliases`, collects the names a file
+//! introduces for a root type. `#[cfg(test)]` regions, string/char
+//! literals and comments are excluded soundly. Rules are configured per
+//! crate *class* (deterministic sim crates vs. bench/tools) by a TOML
+//! policy file ([`policy`], `nocstar-lint.toml` at the workspace root).
+//! Findings can be suppressed inline with
 //! `// nocstar-lint: allow(<rule>): <justification>` — the justification
 //! is mandatory, its absence is itself a build-failing finding, and a
-//! suppression whose rules ran but matched nothing is *stale* and fails
-//! the build too.
+//! suppression whose rules ran (or cannot run, as in test code) but
+//! matched nothing is *stale* and fails the build too.
 //!
 //! Run it as `cargo run -p nocstar-lint`; see `--help` for output
 //! formats (human, JSON, SARIF) and CI wiring.
@@ -35,12 +31,9 @@
 
 pub mod lexer;
 pub mod output;
-pub mod parser;
 pub mod policy;
 pub mod rules;
-pub mod scope;
 pub mod source;
-pub mod taint;
 
 use policy::{Policy, Severity};
 use rules::INVALID_SUPPRESSION;
@@ -147,8 +140,10 @@ pub fn lint_source(rel_path: &Path, class: &str, text: &str, policy: &Policy) ->
     }
     // Stale / nonsense suppressions. A well-formed suppression that names
     // an unknown rule (or the meta rule itself) is malformed; one whose
-    // rules all *ran* on its covered lines yet silenced nothing is stale
-    // — the code it excused was fixed, so the comment must go too.
+    // rules all ran on its covered lines yet silenced nothing is stale —
+    // the code it excused was fixed, so the comment must go too. A rule
+    // that skips test code counts as having run there: a suppression in
+    // test code can never silence it.
     for (idx, s) in file.suppressions.iter().enumerate() {
         let mut problems: Vec<String> = Vec::new();
         for rid in &s.rules {
@@ -169,27 +164,36 @@ pub fn lint_source(rel_path: &Path, class: &str, text: &str, policy: &Policy) ->
         if used_suppressions.contains(&idx) {
             continue;
         }
-        let covered_in_test = file.in_test_code(s.covers.0) || file.in_test_code(s.covers.1);
         let all_ran = s.rules.iter().all(|rid| {
-            let rule = registry
-                .iter()
-                .find(|r| r.id() == rid)
-                .expect("unknown rules handled above");
-            policy.severity(class, rid) != Severity::Allow
-                && !policy.exempted(&rel, rid)
-                && !(rule.exempts_test_code() && covered_in_test)
+            policy.severity(class, rid) != Severity::Allow && !policy.exempted(&rel, rid)
         });
-        if all_ran {
-            report.findings.push(invalid_suppression(
-                rel_path,
-                s.line,
-                format!(
-                    "stale suppression: `allow({})` matched no finding on the lines it \
-                     covers — delete the comment",
-                    s.rules.join(", ")
-                ),
-            ));
+        if !all_ran {
+            continue;
         }
+        let covered_in_test = file.in_test_code(s.covers.0) || file.in_test_code(s.covers.1);
+        let skipped: Vec<&str> = registry
+            .iter()
+            .filter(|r| {
+                covered_in_test && r.exempts_test_code() && s.rules.iter().any(|rid| rid == r.id())
+            })
+            .map(|r| r.id())
+            .collect();
+        let why = if skipped.is_empty() {
+            "matched no finding on the lines it covers".to_string()
+        } else {
+            format!(
+                "covers test code, where `{}` does not run",
+                skipped.join("`, `")
+            )
+        };
+        report.findings.push(invalid_suppression(
+            rel_path,
+            s.line,
+            format!(
+                "stale suppression: `allow({})` {why} — delete the comment",
+                s.rules.join(", ")
+            ),
+        ));
     }
     report
 }

@@ -1,8 +1,7 @@
 //! `unordered-iteration`: hash-ordered collections in deterministic code.
 
-use super::{RawFinding, Rule};
+use super::{aliases, RawFinding, Rule};
 use crate::lexer::TokKind;
-use crate::scope::{Scope, TypeClass};
 use crate::source::SourceFile;
 
 /// Names whose presence marks hash-ordered (iteration-order-unstable)
@@ -31,12 +30,12 @@ const HASH_NAMES: &[&str] = &[
 /// `BTreeMap`/`BTreeSet` cost nothing at sim scale. Two passes:
 ///
 /// 1. the token pass flags direct spellings (`HashMap`, `FxHashSet`, …);
-/// 2. the resolution pass consults the per-file [`Scope`] for import
-///    renames (`use … ::HashMap as Map`) and `type` aliases
-///    (`type Cache = Map<K, V>`) that *resolve* to a hash-ordered type,
+/// 2. the alias pass asks `aliases` for the import renames
+///    (`use … ::HashMap as Map`) and `type` aliases
+///    (`type Cache = Map<K, V>`) that *resolve* to a hash-ordered name,
 ///    and flags every use of those names — struct fields, fn signatures,
 ///    and locals included. The introducing declaration line is skipped:
-///    it already carries a token-pass finding for the underlying name.
+///    it already carries a finding for the name it renames.
 ///
 /// Genuinely unreachable-by-iteration uses can carry a justified
 /// `nocstar-lint: allow(unordered-iteration)` suppression.
@@ -68,13 +67,12 @@ impl Rule for UnorderedIteration {
             }
         }
         // Pass 2: names that resolve to a hash-ordered type.
-        let scope = Scope::new(&file.ast);
-        for (name, decl_line, canon) in scope.resolved_names(TypeClass::HashOrdered) {
+        for (name, decl_line, root) in aliases(&file.toks, HASH_NAMES) {
             for t in &file.toks {
-                if t.kind == TokKind::Ident && t.text == name && t.line != decl_line {
+                if t.is_ident(&name) && t.line != decl_line {
                     out.push(RawFinding {
                         line: t.line,
-                        message: format!("`{name}` resolves to hash-ordered `{canon}`"),
+                        message: format!("`{name}` resolves to hash-ordered `{root}`"),
                     });
                 }
             }

@@ -2,7 +2,6 @@
 //! `#[cfg(test)]` / `#[test]` region map, and suppression comments.
 
 use crate::lexer::{self, Comment, Lexed, Tok};
-use crate::parser::{self, Ast};
 use std::path::PathBuf;
 
 /// A `// nocstar-lint: allow(rule, …): justification` comment.
@@ -28,9 +27,6 @@ pub struct SourceFile {
     pub class: String,
     /// Code tokens.
     pub toks: Vec<Tok>,
-    /// AST-lite view of the token stream (items, fns, struct fields),
-    /// consumed by the type-resolved rules via [`crate::scope::Scope`].
-    pub ast: Ast,
     /// Comments (for rules that inspect them).
     pub comments: Vec<Comment>,
     /// Inclusive line ranges covered by `#[cfg(test)]` items or `#[test]`
@@ -50,14 +46,12 @@ impl SourceFile {
     /// Lexes and analyzes `src`.
     pub fn analyze(path: PathBuf, class: &str, src: &str) -> SourceFile {
         let Lexed { toks, comments } = lexer::lex(src);
-        let ast = parser::parse(&toks);
         let test_regions = find_test_regions(&toks);
         let (suppressions, bad_suppressions) = find_suppressions(&comments, &toks);
         SourceFile {
             path,
             class: class.to_string(),
             toks,
-            ast,
             comments,
             test_regions,
             suppressions,

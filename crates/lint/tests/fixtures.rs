@@ -4,7 +4,7 @@
 //! justified `allow(...)` silences a finding while an unjustified one is
 //! itself a build-failing error.
 
-use nocstar_lint::policy::Policy;
+use nocstar_lint::policy::{Policy, Severity};
 use nocstar_lint::{lint_source, Report};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -20,7 +20,6 @@ const RULES: &[(&str, &str)] = &[
     ("sim_unwrap", "sim-unwrap"),
     ("event_time_regression", "event-time-regression"),
     ("float_accumulation", "float-accumulation"),
-    ("tainted_event_time", "tainted-event-time"),
 ];
 
 fn workspace_root() -> PathBuf {
@@ -147,6 +146,53 @@ fn stale_suppression_is_an_error() {
         stale[0].message
     );
     assert!(report.suppressed.is_empty(), "nothing was actually waived");
+}
+
+#[test]
+fn suppression_in_test_code_is_stale() {
+    let report = lint_fixture("suppression", "in_test_code.rs");
+    assert_eq!(
+        report.findings.len(),
+        1,
+        "only the dead suppression is a finding: {:?}",
+        report.findings
+    );
+    let f = &report.findings[0];
+    assert_eq!(f.rule, "invalid-suppression");
+    assert!(
+        f.message.contains("stale") && f.message.contains("does not run"),
+        "the finding must say the rule does not run in test code: {}",
+        f.message
+    );
+    assert!(report.suppressed.is_empty(), "nothing was actually waived");
+}
+
+#[test]
+fn laundered_nondeterminism_fails_at_its_source() {
+    // A sim crate cannot stamp `.at`, `at:` or a `SimReport` from host
+    // time, entropy or hash order without the read itself being an
+    // error-severity finding.
+    let report = lint_fixture("laundered_nondeterminism", "bad.rs");
+    let text = std::fs::read_to_string(fixture("laundered_nondeterminism", "bad.rs")).unwrap();
+    for (source, rule) in [
+        ("Instant::now", "wall-clock"),
+        ("HashMap<", "unordered-iteration"),
+        ("rand::random", "entropy-rng"),
+    ] {
+        let line = text
+            .lines()
+            .position(|l| l.contains(source))
+            .unwrap_or_else(|| panic!("fixture reads `{source}`")) as u32
+            + 1;
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.line == line && f.rule == rule && f.severity == Severity::Error),
+            "line {line} (`{source}`) must carry an error-severity `{rule}` finding: {:?}",
+            report.findings
+        );
+    }
 }
 
 #[test]

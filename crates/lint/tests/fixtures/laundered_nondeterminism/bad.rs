@@ -1,7 +1,7 @@
-//! Fixture: nondeterminism reaching event-time sinks through dataflow —
-//! a wall-clock read laundered through a `let` chain into `.at`, a
-//! hash-iteration binding stamping `at:` in a struct literal, and
-//! entropy folded into a SimReport.
+//! Fixture: host nondeterminism laundered toward event-time and report
+//! sinks — a clock read through a `let` chain into `.at`, a hash-map
+//! iteration stamping `at:`, entropy folded into a SimReport. Each source
+//! read is itself an error in a sim crate, so no such flow goes unflagged.
 
 use std::collections::HashMap;
 use std::time::Instant;

@@ -96,7 +96,6 @@ const SIM_SEVERITIES: &[(&str, Severity)] = &[
     ("sim-unwrap", Severity::Error),
     ("event-time-regression", Severity::Error),
     ("float-accumulation", Severity::Error),
-    ("tainted-event-time", Severity::Error),
 ];
 
 #[test]

@@ -26,7 +26,7 @@ fn finding_order_is_pinned_across_all_emitters() {
     // a multi-finding fixture in the middle.
     let args = [
         fixture("wall_clock", "bad.rs"),
-        fixture("tainted_event_time", "bad.rs"),
+        fixture("unordered_resolved", "bad.rs"),
         fixture("sim_unwrap", "bad.rs"),
         fixture("float_accumulation", "bad.rs"),
     ];

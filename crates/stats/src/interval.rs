@@ -243,7 +243,6 @@ mod tests {
     fn approx_normal(state: &mut u64, mean: f64, sd: f64) -> f64 {
         let mut s = 0.0;
         for _ in 0..12 {
-            // nocstar-lint: allow(float-accumulation): fixed 12-term test-only sum
             s += (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
         }
         mean + sd * (s - 6.0)

@@ -87,7 +87,10 @@ impl SampleSpec {
                 "warmup must be >= 1 (the warmup-boundary statistics reset must fire)".into(),
             ));
         }
-        if period < window + warmup {
+        let leg = window.checked_add(warmup).ok_or_else(|| {
+            SampleSpecError::Constraint(format!("window {window} + warmup {warmup} overflows u64"))
+        })?;
+        if period < leg {
             return Err(SampleSpecError::Constraint(format!(
                 "period {period} < window {window} + warmup {warmup}"
             )));
@@ -220,6 +223,10 @@ mod tests {
             "1000:60:30:5",
             "a:b:c",
             "1000:60:30@x",
+            // window + warmup overflows u64: must not wrap past the
+            // period check into a zero-divisor offset.
+            "18446744073709551615:18446744073709551615:1",
+            "18446744073709551615:1:18446744073709551615",
         ] {
             assert!(
                 bad.parse::<SampleSpec>().is_err(),
