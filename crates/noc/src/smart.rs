@@ -50,6 +50,20 @@ mod tests {
     }
 
     #[test]
+    fn same_cycle_deliveries_come_in_push_order() {
+        // SA-G at cycle 0, the bypass run at 1 schedules the remote flit
+        // for cycle 2; the local message is pushed at cycle 2, after it.
+        let mut noc = SmartNoc::new(MeshShape::new(4, 1), 8);
+        noc.submit(Cycle::ZERO, msg(1, 0, 3));
+        assert!(noc.advance(Cycle::ZERO).is_empty());
+        assert!(noc.advance(Cycle::new(1)).is_empty());
+        noc.submit(Cycle::new(2), msg(2, 1, 1));
+        let d = noc.advance(Cycle::new(2));
+        let order: Vec<(u64, u64)> = d.iter().map(|d| (d.msg.id, d.at.value())).collect();
+        assert_eq!(order, [(1, 2), (2, 2)]);
+    }
+
+    #[test]
     fn outage_blocks_then_recovers_without_losing_the_flit() {
         let mut noc = SmartNoc::new(MeshShape::new(4, 1), 8);
         noc.install_faults("link:*@0-50=off".parse().unwrap());

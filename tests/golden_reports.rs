@@ -153,6 +153,34 @@ fn golden_smart() {
     check_report("smart", &report);
 }
 
+#[test]
+fn golden_nocstar_ideal() {
+    // The contention-free circuit (Fig 15's `NOCSTAR (ideal)`): every
+    // setup is granted, so only setup and traversal cycles remain.
+    let org = TlbOrg::Nocstar {
+        slice_entries: 920,
+        hpc_max: 16,
+        acquire: AcquireMode::OneWay,
+        ideal_fabric: true,
+    };
+    let report = build(golden_config_at(CIRCUIT_CORES, org)).run_measured(WARMUP, MEASURE);
+    check_report("nocstar_ideal", &report);
+}
+
+#[test]
+fn golden_hier_xbar() {
+    // Four clusters of four tiles behind crossbars: pins per-output-port
+    // arbitration and the crossbar's local lane.
+    let org = TlbOrg::Hier {
+        slice_entries: 1024,
+        cluster_size: 4,
+        intra: IntraKind::Xbar,
+        inter: InterKind::Mesh,
+    };
+    let report = build(golden_config_at(CIRCUIT_CORES, org)).run_measured(WARMUP, MEASURE);
+    check_report("hier_xbar", &report);
+}
+
 /// A 16-core hier storm over `inter` with one overlay link dead for the
 /// whole run, another degraded, and a brief whole-overlay outage, under
 /// the full recovery policy: the shootdown relays that cross clusters
