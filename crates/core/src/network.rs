@@ -2,8 +2,10 @@
 //!
 //! Wraps the network models behind one enum (plus `None` for the
 //! private and zero-latency-ideal organizations) so the simulation loop is
-//! organization-agnostic.
+//! organization-agnostic. Every call except the round-trip ones goes to
+//! the fabric that [`as_dyn`](NetworkModel::as_dyn) picks.
 
+use crate::config::{MonolithicNet, SystemConfig, TlbOrg};
 use nocstar_faults::{
     DiagSnapshot, FaultPlan, FaultStats, RecoveryPolicy, RecoveryStats, SimError,
 };
@@ -36,12 +38,58 @@ pub enum NetworkModel {
 }
 
 impl NetworkModel {
+    /// The fabric `config`'s organization runs over.
+    pub fn for_config(config: &SystemConfig) -> Self {
+        let mesh = config.mesh();
+        match config.org {
+            TlbOrg::Private { .. } | TlbOrg::IdealShared { .. } => NetworkModel::None,
+            TlbOrg::Distributed { .. } => NetworkModel::Mesh(MeshNoc::contention_free(mesh)),
+            TlbOrg::Monolithic { net, .. } => match net {
+                MonolithicNet::Mesh => NetworkModel::Mesh(MeshNoc::contention_free(mesh)),
+                MonolithicNet::Smart(hpc) => NetworkModel::Smart(SmartNoc::new(mesh, hpc)),
+                MonolithicNet::Ideal => NetworkModel::None,
+            },
+            TlbOrg::Nocstar {
+                hpc_max,
+                acquire,
+                ideal_fabric,
+                ..
+            } => NetworkModel::nocstar(mesh, hpc_max, acquire, ideal_fabric),
+            TlbOrg::Hier {
+                cluster_size,
+                intra,
+                inter,
+                ..
+            } => NetworkModel::Hier(HierNoc::new(config.cores, cluster_size, intra, inter)),
+        }
+    }
+
     /// Builds the NOCSTAR fabric (optionally the contention-free ideal).
     pub fn nocstar(mesh: MeshShape, hpc_max: usize, acquire: AcquireMode, ideal: bool) -> Self {
         if ideal {
             NetworkModel::Circuit(CircuitFabric::ideal(mesh, hpc_max))
         } else {
             NetworkModel::Circuit(CircuitFabric::new(mesh, hpc_max, acquire))
+        }
+    }
+
+    /// The fabric, if there is one.
+    pub fn as_dyn(&self) -> Option<&dyn Interconnect> {
+        match self {
+            NetworkModel::None => None,
+            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => Some(n),
+            NetworkModel::Circuit(n) => Some(n),
+            NetworkModel::Hier(n) => Some(n),
+        }
+    }
+
+    /// The fabric, mutably, if there is one.
+    pub fn as_dyn_mut(&mut self) -> Option<&mut dyn Interconnect> {
+        match self {
+            NetworkModel::None => None,
+            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => Some(n),
+            NetworkModel::Circuit(n) => Some(n),
+            NetworkModel::Hier(n) => Some(n),
         }
     }
 
@@ -62,12 +110,10 @@ impl NetworkModel {
     ///
     /// Panics if called on [`NetworkModel::None`].
     pub fn submit(&mut self, now: Cycle, msg: Message) {
-        match self {
-            NetworkModel::None => panic!("no network in this organization"),
-            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.submit(now, msg),
-            NetworkModel::Circuit(n) => n.submit(now, msg),
-            NetworkModel::Hier(n) => n.submit(now, msg),
-        }
+        let Some(n) = self.as_dyn_mut() else {
+            panic!("no network in this organization");
+        };
+        n.submit(now, msg);
     }
 
     /// Sends a response over a held round-trip reservation, or as a plain
@@ -94,96 +140,60 @@ impl NetworkModel {
 
     /// Advances to `cycle`, returning deliveries.
     pub fn advance(&mut self, cycle: Cycle) -> Vec<Delivery> {
-        match self {
-            NetworkModel::None => Vec::new(),
-            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.advance(cycle),
-            NetworkModel::Circuit(n) => n.advance(cycle),
-            NetworkModel::Hier(n) => n.advance(cycle),
-        }
+        self.as_dyn_mut()
+            .map_or_else(Vec::new, |n| n.advance(cycle))
     }
 
     /// Earliest cycle with pending network work.
     pub fn next_activity(&self) -> Option<Cycle> {
-        match self {
-            NetworkModel::None => None,
-            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.next_activity(),
-            NetworkModel::Circuit(n) => n.next_activity(),
-            NetworkModel::Hier(n) => n.next_activity(),
-        }
+        self.as_dyn()?.next_activity()
     }
 
     /// Clears aggregate statistics (after warmup).
     pub fn reset_stats(&mut self) {
-        match self {
-            NetworkModel::None => {}
-            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.reset_stats(),
-            NetworkModel::Circuit(n) => n.reset_stats(),
-            NetworkModel::Hier(n) => n.reset_stats(),
+        if let Some(n) = self.as_dyn_mut() {
+            n.reset_stats();
         }
     }
 
     /// Aggregate statistics, if a network exists.
     pub fn stats(&self) -> Option<&NocStats> {
-        match self {
-            NetworkModel::None => None,
-            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => Some(n.stats()),
-            NetworkModel::Circuit(n) => Some(n.stats()),
-            NetworkModel::Hier(n) => Some(n.stats()),
-        }
+        self.as_dyn().map(|n| n.stats())
     }
 
     /// Installs a fault plan into the underlying model (no-op for `None`).
     pub fn install_faults(&mut self, plan: FaultPlan) {
-        match self {
-            NetworkModel::None => {}
-            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.install_faults(plan),
-            NetworkModel::Circuit(n) => n.install_faults(plan),
-            NetworkModel::Hier(n) => n.install_faults(plan),
+        if let Some(n) = self.as_dyn_mut() {
+            n.install_faults(plan);
         }
     }
 
     /// Fault-action statistics, if a network exists.
     pub fn fault_stats(&self) -> Option<&FaultStats> {
-        match self {
-            NetworkModel::None => None,
-            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.fault_stats(),
-            NetworkModel::Circuit(n) => n.fault_stats(),
-            NetworkModel::Hier(n) => n.fault_stats(),
-        }
+        self.as_dyn()?.fault_stats()
     }
 
     /// Installs a closed-loop recovery policy (no-op for `None`).
     pub fn install_recovery(&mut self, policy: RecoveryPolicy) {
-        match self {
-            NetworkModel::None => {}
-            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.install_recovery(policy),
-            NetworkModel::Circuit(n) => n.install_recovery(policy),
-            NetworkModel::Hier(n) => n.install_recovery(policy),
+        if let Some(n) = self.as_dyn_mut() {
+            n.install_recovery(policy);
         }
     }
 
     /// Recovery-action statistics, if a network tracks them. The
-    /// hierarchical fabric merges gateway-failover counts with its
-    /// overlay's re-routing stats, so this returns an owned aggregate.
-    pub fn recovery_stats(&self) -> Option<RecoveryStats> {
-        match self {
-            NetworkModel::None => None,
-            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.recovery_stats().cloned(),
-            NetworkModel::Circuit(n) => n.recovery_stats().cloned(),
-            NetworkModel::Hier(n) => Some(n.recovery_stats_merged()),
-        }
+    /// hierarchical fabric's include its gateway failovers.
+    pub fn recovery_stats(&self) -> Option<&RecoveryStats> {
+        self.as_dyn()?.recovery_stats()
     }
 
     /// A diagnostic snapshot of the network's in-flight state at `cycle`.
     pub fn diagnostics(&self, cycle: Cycle) -> DiagSnapshot {
-        match self {
-            NetworkModel::None => DiagSnapshot {
+        match self.as_dyn() {
+            Some(n) => n.diagnostics(cycle),
+            None => DiagSnapshot {
                 cycle: cycle.value(),
                 ..DiagSnapshot::default()
             },
-            NetworkModel::Mesh(n) | NetworkModel::Smart(n) => n.diagnostics(cycle),
-            NetworkModel::Circuit(n) => n.diagnostics(cycle),
-            NetworkModel::Hier(n) => n.diagnostics(cycle),
         }
     }
 }
@@ -192,6 +202,57 @@ impl NetworkModel {
 mod tests {
     use super::*;
     use nocstar_types::CoreId;
+
+    #[test]
+    fn for_config_maps_every_organization_to_its_fabric() {
+        use nocstar_noc::hier::{InterKind, IntraKind};
+        let monolithic = |net| TlbOrg::Monolithic {
+            entries_per_core: 1024,
+            banks: 4,
+            net,
+            latency_override: None,
+        };
+        let nocstar = |acquire, ideal_fabric| TlbOrg::Nocstar {
+            slice_entries: 920,
+            hpc_max: 16,
+            acquire,
+            ideal_fabric,
+        };
+        let cases = [
+            (TlbOrg::paper_private(), "None"),
+            (TlbOrg::paper_ideal(), "None"),
+            (monolithic(MonolithicNet::Ideal), "None"),
+            (TlbOrg::paper_distributed(), "Mesh"),
+            (monolithic(MonolithicNet::Mesh), "Mesh"),
+            (monolithic(MonolithicNet::Smart(4)), "Smart"),
+            (nocstar(AcquireMode::OneWay, false), "Circuit"),
+            (nocstar(AcquireMode::RoundTrip, false), "Circuit"),
+            (nocstar(AcquireMode::OneWay, true), "Circuit"),
+            (TlbOrg::paper_hier(4), "Hier"),
+            (
+                TlbOrg::Hier {
+                    slice_entries: 1024,
+                    cluster_size: 4,
+                    intra: IntraKind::Xbar,
+                    inter: InterKind::Smart(8),
+                },
+                "Hier",
+            ),
+        ];
+        for (org, expected) in cases {
+            let net = NetworkModel::for_config(&SystemConfig::new(16, org));
+            let variant = match &net {
+                NetworkModel::None => "None",
+                NetworkModel::Mesh(_) => "Mesh",
+                NetworkModel::Smart(_) => "Smart",
+                NetworkModel::Circuit(_) => "Circuit",
+                NetworkModel::Hier(_) => "Hier",
+            };
+            assert_eq!(variant, expected, "{}", org.label());
+        }
+        let round_trip = nocstar(AcquireMode::RoundTrip, false);
+        assert!(NetworkModel::for_config(&SystemConfig::new(16, round_trip)).is_round_trip());
+    }
 
     #[test]
     fn round_trip_detection() {

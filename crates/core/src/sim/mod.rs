@@ -19,7 +19,7 @@ mod translate;
 mod tx_table;
 
 use crate::assignment::WorkloadAssignment;
-use crate::config::{MonolithicNet, SystemConfig, TlbOrg};
+use crate::config::{SystemConfig, TlbOrg};
 use crate::event::{Event, EventQueue};
 use crate::network::NetworkModel;
 use crate::org::OrgState;
@@ -28,9 +28,6 @@ use crate::sampling::WindowSample;
 use nocstar_energy::model::NocDesign;
 use nocstar_faults::{DiagSnapshot, FaultPlan, RecoveryPolicy, SimError};
 use nocstar_mem::hierarchy::{MemoryConfig, MemorySystem};
-use nocstar_noc::hier::HierNoc;
-use nocstar_noc::mesh::MeshNoc;
-use nocstar_noc::smart::SmartNoc;
 use nocstar_stats::metrics::{CounterId, MetricsRegistry};
 use nocstar_stats::tracing::TraceSink;
 use nocstar_tlb::l1::L1Tlb;
@@ -197,27 +194,7 @@ impl Simulation {
         );
         let mesh = config.mesh();
         let org = OrgState::new(&config);
-        let net = match config.org {
-            TlbOrg::Private { .. } | TlbOrg::IdealShared { .. } => NetworkModel::None,
-            TlbOrg::Distributed { .. } => NetworkModel::Mesh(MeshNoc::contention_free(mesh)),
-            TlbOrg::Monolithic { net, .. } => match net {
-                MonolithicNet::Mesh => NetworkModel::Mesh(MeshNoc::contention_free(mesh)),
-                MonolithicNet::Smart(hpc) => NetworkModel::Smart(SmartNoc::new(mesh, hpc)),
-                MonolithicNet::Ideal => NetworkModel::None,
-            },
-            TlbOrg::Nocstar {
-                hpc_max,
-                acquire,
-                ideal_fabric,
-                ..
-            } => NetworkModel::nocstar(mesh, hpc_max, acquire, ideal_fabric),
-            TlbOrg::Hier {
-                cluster_size,
-                intra,
-                inter,
-                ..
-            } => NetworkModel::Hier(HierNoc::new(config.cores, cluster_size, intra, inter)),
-        };
+        let net = NetworkModel::for_config(&config);
         let energy_design = match config.org {
             TlbOrg::Monolithic {
                 entries_per_core, ..

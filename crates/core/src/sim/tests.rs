@@ -3,7 +3,7 @@
 #![cfg(test)]
 
 use super::*;
-use crate::config::WalkPolicy;
+use crate::config::{MonolithicNet, WalkPolicy};
 use nocstar_workloads::preset::Preset;
 
 fn run(cores: usize, org: TlbOrg, accesses: u64) -> SimReport {

@@ -190,17 +190,6 @@ impl RecoveryStats {
     pub fn reset(&mut self) {
         *self = Self::default();
     }
-
-    /// Folds another stats block into this one (hierarchical fabrics
-    /// aggregate their overlay's stats with their own).
-    pub fn merge(&mut self, other: &RecoveryStats) {
-        self.reroutes += other.reroutes;
-        self.detour_extra_hops += other.detour_extra_hops;
-        self.reroute_failed += other.reroute_failed;
-        self.escalations += other.escalations;
-        self.gateway_failovers += other.gateway_failovers;
-        self.detect_to_reroute.merge(&other.detect_to_reroute);
-    }
 }
 
 #[cfg(test)]
@@ -268,24 +257,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_quiet_reset_and_merge() {
+    fn stats_quiet_and_reset() {
         let mut a = RecoveryStats::default();
         assert!(a.is_quiet());
         a.reroutes = 2;
-        a.detour_extra_hops = 4;
         a.detect_to_reroute.record(7);
-        let mut b = RecoveryStats {
-            escalations: 1,
-            gateway_failovers: 3,
-            ..Default::default()
-        };
-        b.merge(&a);
-        assert_eq!(b.reroutes, 2);
-        assert_eq!(b.escalations, 1);
-        assert_eq!(b.gateway_failovers, 3);
-        assert_eq!(b.detect_to_reroute.count(), 1);
-        assert!(!b.is_quiet());
-        b.reset();
-        assert!(b.is_quiet());
+        assert!(!a.is_quiet());
+        a.reset();
+        assert!(a.is_quiet());
     }
 }

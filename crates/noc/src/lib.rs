@@ -30,6 +30,14 @@
 //! all competing messages together, which is what makes NOCSTAR's
 //! "all links in one cycle or retry" semantics exact.
 //!
+//! The plumbing around arbitration exists once. A private `arrivals`
+//! module holds the two delivery disciplines: circuit, mesh and SMART pop
+//! one arrival queue in `(arrival cycle, push order)` order, while bus and
+//! crossbar land their local lane before the medium's same-cycle arrival.
+//! Mesh, SMART, circuit and bus keep their fault plan, recovery policy and
+//! the counters of both in one [`FaultState`]; the hierarchical fabric
+//! uses its overlay's block and counts its gateway failovers there.
+//!
 //! # Examples
 //!
 //! ```
@@ -51,6 +59,7 @@
 #![warn(missing_docs)]
 
 pub mod arbiter;
+mod arrivals;
 pub mod bus;
 pub mod circuit;
 pub mod hier;
@@ -69,7 +78,8 @@ pub use message::{Delivery, Message, MsgKind};
 pub use smart::SmartNoc;
 
 use nocstar_faults::{
-    DiagSnapshot, FaultPlan, FaultStats, RecoveryPolicy, RecoveryStats, SimError,
+    DiagSnapshot, FaultPlan, FaultStats, LinkState, PendingMessage, RecoveryPolicy, RecoveryStats,
+    SimError,
 };
 use nocstar_stats::latency::LatencyRecorder;
 use nocstar_types::time::{Cycle, Cycles};
@@ -81,7 +91,7 @@ use nocstar_types::time::{Cycle, Cycles};
 /// cycle. `next_activity` tells the event-driven simulator the earliest
 /// cycle at which calling `advance` can make progress, so idle stretches
 /// are skipped.
-pub trait Interconnect {
+pub trait Interconnect: std::fmt::Debug {
     /// Submits a message that wants to depart at `now` (or as soon after
     /// as arbitration allows).
     fn submit(&mut self, now: Cycle, msg: Message);
@@ -99,24 +109,43 @@ pub trait Interconnect {
     /// Clears aggregate statistics (e.g. after simulation warmup).
     fn reset_stats(&mut self);
 
-    /// Installs a deterministic fault plan. Models that do not support
-    /// injection silently ignore the plan (the default).
-    fn install_faults(&mut self, _plan: FaultPlan) {}
-
-    /// Fault/recovery statistics, if this model tracks them.
-    fn fault_stats(&self) -> Option<&FaultStats> {
+    /// The model's fault block, if it models injected faults (the
+    /// default has none).
+    fn fault_state(&self) -> Option<&FaultState> {
         None
+    }
+
+    /// Mutable access to [`fault_state`](Self::fault_state).
+    fn fault_state_mut(&mut self) -> Option<&mut FaultState> {
+        None
+    }
+
+    /// Installs a deterministic fault plan. Models without a fault block
+    /// ignore it.
+    fn install_faults(&mut self, plan: FaultPlan) {
+        if let Some(f) = self.fault_state_mut() {
+            f.plan = plan;
+        }
+    }
+
+    /// Fault-action statistics, if this model tracks them.
+    fn fault_stats(&self) -> Option<&FaultStats> {
+        self.fault_state().map(|f| &f.stats)
     }
 
     /// Installs a closed-loop recovery policy to act on the installed
     /// fault plan (detour re-routing, escalating retry, gateway
-    /// failover). Models with no recovery hooks ignore it (the default) —
-    /// a policy without a non-empty plan never changes behaviour.
-    fn install_recovery(&mut self, _policy: RecoveryPolicy) {}
+    /// failover). Models without a fault block ignore it, and a policy
+    /// without a non-empty plan never changes behaviour.
+    fn install_recovery(&mut self, policy: RecoveryPolicy) {
+        if let Some(f) = self.fault_state_mut() {
+            f.policy = policy;
+        }
+    }
 
     /// Recovery-action statistics, if this model tracks them.
     fn recovery_stats(&self) -> Option<&RecoveryStats> {
-        None
+        self.fault_state().map(|f| &f.recovery)
     }
 
     /// A diagnostic snapshot of the network's internal state at `cycle`
@@ -162,6 +191,83 @@ pub fn drain_until_idle<N: Interconnect + ?Sized>(
         stalled_for: cycle.value().saturating_sub(from.value()),
         snapshot,
     }))
+}
+
+/// A fabric's fault block: the installed plan and recovery policy, and
+/// the actions each caused since the last reset.
+#[derive(Debug, Clone, Default)]
+pub struct FaultState {
+    /// Injected fault schedule (empty by default: zero perturbation).
+    pub(crate) plan: FaultPlan,
+    /// Closed-loop recovery policy (disabled by default).
+    pub(crate) policy: RecoveryPolicy,
+    /// Fault actions taken so far.
+    pub(crate) stats: FaultStats,
+    /// Recovery actions taken so far.
+    pub(crate) recovery: RecoveryStats,
+}
+
+impl FaultState {
+    /// Zeroes both counter blocks (warmup boundary); plan and policy stay.
+    pub(crate) fn reset_stats(&mut self) {
+        self.stats.reset();
+        self.recovery.reset();
+    }
+
+    /// Books a message's `attempts`-th fault-blocked try. Returns the
+    /// backoff to wait before the next one, or `None` once the retry
+    /// budget is spent and the message must escape. The budget is the
+    /// plan's, clamped by the policy's escalation threshold; an escape
+    /// the threshold caused counts as an escalation.
+    pub(crate) fn backoff_or_escape(&mut self, attempts: u64, id: u64) -> Option<u64> {
+        let budget = self.plan.retry.max_attempts;
+        if self
+            .policy
+            .effective_max_attempts(self.plan.retry)
+            .is_some_and(|m| attempts >= m)
+        {
+            if budget.is_none_or(|b| attempts < u64::from(b)) {
+                self.recovery.escalations += 1;
+            }
+            self.stats.fallbacks += 1;
+            self.stats.retries_per_fallback.record(attempts);
+            return None;
+        }
+        let wait = self.plan.backoff(attempts, id);
+        self.stats.backoff_cycles += wait;
+        Some(wait)
+    }
+
+    /// A snapshot at `cycle` of `pending_messages` and `links` directed
+    /// links, where `link(l)` gives link `l`'s `(busy_until, reserved_by)`
+    /// and the plan gives its outage flag and the active clauses.
+    pub(crate) fn snapshot(
+        &self,
+        cycle: Cycle,
+        pending_messages: Vec<PendingMessage>,
+        links: usize,
+        link: impl Fn(usize) -> (u64, Option<u64>),
+    ) -> DiagSnapshot {
+        let now = cycle.value();
+        let links = (0..links)
+            .map(|l| {
+                let (busy_until, reserved_by) = link(l);
+                LinkState {
+                    link: l,
+                    busy_until,
+                    reserved_by,
+                    faulted: self.plan.link_outage(l, now),
+                }
+            })
+            .collect();
+        DiagSnapshot {
+            cycle: now,
+            pending_messages,
+            links,
+            active_faults: self.plan.active_at(now),
+            ..DiagSnapshot::default()
+        }
+    }
 }
 
 /// Statistics common to all network models.

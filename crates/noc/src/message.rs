@@ -6,6 +6,7 @@
 //! flit (no serialization delay; the paper's narrow-FBFly serialization
 //! penalty is modelled analytically in [`crate::latency`]).
 
+use nocstar_faults::PendingMessage;
 use nocstar_types::time::Cycle;
 use nocstar_types::CoreId;
 use std::fmt;
@@ -58,6 +59,18 @@ impl Message {
     /// True when source and destination share a tile (no network traversal).
     pub fn is_local(&self) -> bool {
         self.src == self.dst
+    }
+
+    /// This message as a diagnostic-snapshot entry.
+    pub fn pending(&self, submitted_at: Cycle, attempts: u64) -> PendingMessage {
+        PendingMessage {
+            id: self.id,
+            src: self.src.index(),
+            dst: self.dst.index(),
+            kind: format!("{:?}", self.kind),
+            submitted_at: submitted_at.value(),
+            attempts,
+        }
     }
 }
 

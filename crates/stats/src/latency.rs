@@ -42,7 +42,7 @@ impl LatencyRecorder {
             self.max = self.max.max(v);
         }
         self.count += 1;
-        self.sum += v;
+        self.sum = self.sum.saturating_add(v);
     }
 
     /// Number of samples.
@@ -84,7 +84,7 @@ impl LatencyRecorder {
             return;
         }
         self.count += other.count;
-        self.sum += other.sum;
+        self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }

@@ -52,6 +52,12 @@ impl Cycle {
         debug_assert!(earlier <= self, "since() called with a later cycle");
         Cycles(self.0 - earlier.0)
     }
+
+    /// `self + d`, clamped at the last representable cycle.
+    #[inline]
+    pub const fn saturating_add(self, d: Cycles) -> Cycle {
+        Cycle(self.0.saturating_add(d.0))
+    }
 }
 
 impl Cycles {

@@ -61,6 +61,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== cargo build --release =="
 cargo build --workspace --release
 
+echo "== non-test lines under crates/ (information only, not a gate) =="
+scripts/loc.sh --total crates
+
 echo "== tier-1 tests =="
 cargo test -q --workspace
 

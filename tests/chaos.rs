@@ -428,3 +428,59 @@ mod property {
         }
     }
 }
+
+#[test]
+fn extreme_link_plans_end_in_a_report_or_a_structured_abort() {
+    // Parse-valid plans whose penalty or outage end is u64::MAX: every
+    // fabric must saturate its cycle arithmetic instead of overflowing,
+    // so each run completes or aborts with a typed error, never a panic.
+    const WIDE: usize = 16;
+    const QUOTA: u64 = 150;
+    let orgs = [
+        TlbOrg::paper_distributed(),
+        TlbOrg::paper_monolithic(WIDE),
+        TlbOrg::Monolithic {
+            entries_per_core: 1024,
+            banks: 4,
+            net: MonolithicNet::Smart(8),
+            latency_override: None,
+        },
+        TlbOrg::paper_nocstar(),
+        TlbOrg::Nocstar {
+            slice_entries: 920,
+            hpc_max: 16,
+            acquire: AcquireMode::RoundTrip,
+            ideal_fabric: false,
+        },
+        TlbOrg::paper_hier(4),
+        TlbOrg::Hier {
+            slice_entries: 1024,
+            cluster_size: 4,
+            intra: IntraKind::Xbar,
+            inter: InterKind::Smart(8),
+        },
+    ];
+    let plans = [
+        "link:0@0-100=+18446744073709551615",
+        "link:*@0-18446744073709551615=off",
+    ];
+    for org in orgs {
+        for plan in plans {
+            for policy in [RecoveryPolicy::default(), RecoveryPolicy::all()] {
+                let config = SystemConfig::new(WIDE, org);
+                let workload = WorkloadAssignment::preset(&config, Preset::Redis);
+                let result = Simulation::new(config, workload)
+                    .with_faults(plan.parse().expect("spec"))
+                    .with_recovery(policy)
+                    .try_run(QUOTA);
+                if let Err(abort) = result {
+                    assert!(
+                        !abort.error.kind().is_empty(),
+                        "{} under `{plan}`: untyped abort",
+                        org.label()
+                    );
+                }
+            }
+        }
+    }
+}
