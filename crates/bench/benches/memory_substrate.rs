@@ -5,9 +5,12 @@
 //! `hierarchy_access_stream` (4 cores, strided) fits in host caches;
 //! `hierarchy_access_random_1024` spreads accesses over a 1024-core
 //! hierarchy and its 64 GiB physical space, so it measures the host-memory
-//! footprint of the cache model's tag arrays.
+//! footprint of the cache model's tag arrays once every set is touched.
+//! `hierarchy_first_touch_256` measures the regime a simulation run is
+//! in instead: a fresh 256-core hierarchy whose LLC sees only a few
+//! percent of its sets.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use nocstar::mem::{MemoryConfig, MemorySystem};
 use nocstar::prelude::*;
 
@@ -54,6 +57,56 @@ fn bench_cache_access_random(c: &mut Criterion) {
             black_box(access());
         }
         b.iter(|| black_box(access()))
+    });
+    group.finish();
+}
+
+fn bench_first_touch(c: &mut Criterion) {
+    // One iteration is one batch: a fresh 256-core hierarchy (built
+    // untimed) takes 75k accesses over 40k distinct random lines, each
+    // line once and then 35k random repeats, by LCG-random cores. That is
+    // about the LLC footprint of a 256-core Redis run: 40k of the LLC's
+    // 655,360 sets, so the timed loop includes the host's first touch of
+    // whatever tag storage those sets need.
+    const LINES: usize = 40_000;
+    const REPEATS: usize = 35_000;
+    let cfg = MemoryConfig::haswell(256);
+    let mut x = 1u64;
+    let mut next = move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        x >> 16
+    };
+    let lines: Vec<u64> = (0..LINES)
+        .map(|_| next() % (cfg.phys_capacity / 64) * 64)
+        .collect();
+    let mut accesses: Vec<(usize, u64)> = Vec::with_capacity(LINES + REPEATS);
+    for i in 0..LINES + REPEATS {
+        let pa = if i < LINES {
+            lines[i]
+        } else {
+            lines[next() as usize % LINES]
+        };
+        accesses.push(((next() % 256) as usize, pa));
+    }
+    let mut group = c.benchmark_group("hierarchy_first_touch_256");
+    group.sample_size(20);
+    group.bench_function("75k_accesses", |b| {
+        b.iter_batched(
+            || MemorySystem::new(cfg),
+            |mut mem| {
+                for &(core, pa) in &accesses {
+                    black_box(mem.access(
+                        CoreId::new(core),
+                        nocstar::types::PhysAddr::new(pa),
+                        false,
+                    ));
+                }
+                mem
+            },
+            BatchSize::LargeInput,
+        )
     });
     group.finish();
 }
@@ -132,6 +185,7 @@ criterion_group!(
     benches,
     bench_cache_access,
     bench_cache_access_random,
+    bench_first_touch,
     bench_walks,
     bench_demand_map,
     bench_promote_demote

@@ -299,11 +299,13 @@ impl Simulation {
                 ServicedBy::Dram => model::DRAM_PJ,
             });
         }
-        let done = start + result.latency + WALK_REPLAY_PENALTY;
-        self.walker_free[walk_core.index()] = start + result.latency;
+        // Saturating: a `walk=xN` spike may stretch the walk to u64::MAX.
+        let walker_free = start.saturating_add(result.latency);
+        let done = walker_free.saturating_add(WALK_REPLAY_PENALTY);
+        self.walker_free[walk_core.index()] = walker_free;
         debug_assert_eq!(result.vpn, lookup.vpn, "walk resolved a different page");
         lookup.entry = Some(TlbEntry::new(lookup.asid, result.vpn, result.ppn));
-        lookup.walk_cycles += (done - self.now).value();
+        lookup.walk_cycles = lookup.walk_cycles.saturating_add((done - self.now).value());
         self.txs.insert(id, TxState::Lookup(lookup));
         self.events.push(done, Event::WalkDone(id));
         Ok(())
@@ -407,7 +409,7 @@ impl Simulation {
         let slice_stall = (lookup.slice_done_at - lookup.issued_at).value();
         let response_stall = total
             .value()
-            .saturating_sub(slice_stall + lookup.walk_cycles);
+            .saturating_sub(slice_stall.saturating_add(lookup.walk_cycles));
         self.metrics.add(self.stall_slice[core], slice_stall);
         self.metrics.add(self.stall_walk[core], lookup.walk_cycles);
         self.metrics.add(self.stall_response[core], response_stall);

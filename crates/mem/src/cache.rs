@@ -61,10 +61,16 @@ impl CacheConfig {
 ///
 /// Each set is `ways` contiguous `u32` tags, most recently used first. A
 /// tag is `line / num_sets + 1`, so 0 marks an invalid way and a fresh
-/// cache is all zeros (which the host allocator maps lazily). A hit
-/// rotates its tag to the front; a miss shifts the set right by one and
-/// writes the new tag at the front, dropping the LRU tag or a trailing
-/// invalid way. One access thus touches one host cache line per level.
+/// set is all zeros. A hit rotates its tag to the front; a miss shifts
+/// the set right by one and writes the new tag at the front, dropping the
+/// LRU tag or a trailing invalid way.
+///
+/// [`new`](Self::new) keeps every set in one flat array, for densely
+/// touched levels (the private L1D and L2).
+/// [`first_touch`](Self::first_touch) gives a set its block only when it
+/// is first filled, for a large, sparsely touched level (the shared LLC):
+/// the host then faults in pages for touched sets only, not for a
+/// tens-of-MiB array in random order while the run is timed.
 ///
 /// # Examples
 ///
@@ -82,13 +88,23 @@ impl CacheConfig {
 pub struct Cache {
     config: CacheConfig,
     num_sets: u64,
-    /// Per set, `ways` tags, most recently used first; 0 is invalid.
-    tags: Vec<u32>,
+    sets: Sets,
     stats: HitMiss,
 }
 
+/// Where a cache's sets live.
+#[derive(Debug, Clone)]
+enum Sets {
+    /// Set `s` is `tags[s * ways..][..ways]`.
+    Flat(Vec<u32>),
+    /// `dir[s]` is 0 while set `s` was never filled, else 1 + the index
+    /// of its block in `pool`; a block is `ways` tags, appended zeroed on
+    /// the set's first fill.
+    FirstTouch { dir: Vec<u32>, pool: Vec<u32> },
+}
+
 impl Cache {
-    /// Builds a cache level.
+    /// Builds a cache level that stores all its sets in one flat array.
     ///
     /// # Panics
     ///
@@ -96,6 +112,40 @@ impl Cache {
     /// than one way of lines, or capacity not a multiple of `ways *
     /// LINE_BYTES`).
     pub fn new(config: CacheConfig) -> Self {
+        let num_sets = Self::num_sets(config);
+        Self {
+            config,
+            num_sets,
+            sets: Sets::Flat(vec![0; num_sets as usize * config.ways]),
+            stats: HitMiss::new(),
+        }
+    }
+
+    /// Builds a cache level that allocates a set's tags on its first fill.
+    /// Hits, misses, recency and statistics are those of [`new`](Self::new).
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`new`](Self::new), or if the level has `u32::MAX` sets
+    /// or more.
+    pub fn first_touch(config: CacheConfig) -> Self {
+        let num_sets = Self::num_sets(config);
+        assert!(
+            num_sets < u64::from(u32::MAX),
+            "a first-touch cache indexes its sets' blocks with u32"
+        );
+        Self {
+            config,
+            num_sets,
+            sets: Sets::FirstTouch {
+                dir: vec![0; num_sets as usize],
+                pool: Vec::new(),
+            },
+            stats: HitMiss::new(),
+        }
+    }
+
+    fn num_sets(config: CacheConfig) -> u64 {
         assert!(config.ways > 0, "cache needs at least one way");
         let lines = config.capacity / LINE_BYTES;
         assert!(
@@ -103,12 +153,7 @@ impl Cache {
             "capacity must be a whole number of {}-way sets of {LINE_BYTES}B lines",
             config.ways
         );
-        Self {
-            config,
-            num_sets: lines / config.ways as u64,
-            tags: vec![0; lines as usize],
-            stats: HitMiss::new(),
-        }
+        lines / config.ways as u64
     }
 
     /// Hit latency of this level.
@@ -137,8 +182,20 @@ impl Cache {
     ///
     /// Panics if `pa` is beyond the tag range, as [`probe`](Self::probe).
     pub fn touch(&mut self, pa: PhysAddr) -> bool {
-        let (base, tag) = self.locate(pa);
-        let set = &mut self.tags[base..base + self.config.ways];
+        let (index, tag) = self.locate(pa);
+        let ways = self.config.ways;
+        let set = match &mut self.sets {
+            Sets::Flat(tags) => &mut tags[index * ways..][..ways],
+            Sets::FirstTouch { dir, pool } => {
+                if dir[index] == 0 {
+                    pool.resize(pool.len() + ways, 0);
+                    // Fits: the constructor bounds the set count, and
+                    // with it the block count, below `u32::MAX`.
+                    dir[index] = (pool.len() / ways) as u32;
+                }
+                &mut pool[(dir[index] - 1) as usize * ways..][..ways]
+            }
+        };
         let found = set.iter().position(|&t| t == tag);
         // A hit moves its tag to the front; a miss shifts the whole set
         // right, dropping the last (LRU or invalid) way.
@@ -148,7 +205,7 @@ impl Cache {
         found.is_some()
     }
 
-    /// The first way of `pa`'s set and its tag.
+    /// The index of `pa`'s set and its tag.
     fn locate(&self, pa: PhysAddr) -> (usize, u32) {
         let line = pa.value() / LINE_BYTES;
         let tag = line / self.num_sets + 1;
@@ -157,10 +214,7 @@ impl Cache {
             "{pa} is beyond the {}-set cache's 32-bit tag range",
             self.num_sets
         );
-        (
-            (line % self.num_sets) as usize * self.config.ways,
-            tag as u32,
-        )
+        ((line % self.num_sets) as usize, tag as u32)
     }
 
     /// Checks for presence without filling or updating recency.
@@ -171,8 +225,14 @@ impl Cache {
     /// in 32 bits: at or beyond 16 TiB for the 64-set Haswell L1D, further
     /// out for levels with more sets.
     pub fn probe(&self, pa: PhysAddr) -> bool {
-        let (base, tag) = self.locate(pa);
-        self.tags[base..base + self.config.ways].contains(&tag)
+        let (index, tag) = self.locate(pa);
+        let ways = self.config.ways;
+        match &self.sets {
+            Sets::Flat(tags) => tags[index * ways..][..ways].contains(&tag),
+            Sets::FirstTouch { dir, pool } => {
+                dir[index] != 0 && pool[(dir[index] - 1) as usize * ways..][..ways].contains(&tag)
+            }
+        }
     }
 
     /// Hit/miss statistics.
@@ -187,7 +247,18 @@ impl Cache {
 
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != 0).count()
+        let (Sets::Flat(tags) | Sets::FirstTouch { pool: tags, .. }) = &self.sets;
+        tags.iter().filter(|&&t| t != 0).count()
+    }
+
+    /// Number of sets holding tag storage: every set of a flat cache, the
+    /// sets filled so far of a first-touch one.
+    #[cfg(test)]
+    pub(crate) fn blocks(&self) -> usize {
+        match &self.sets {
+            Sets::Flat(_) => self.num_sets as usize,
+            Sets::FirstTouch { pool, .. } => pool.len() / self.config.ways,
+        }
     }
 }
 
@@ -195,6 +266,7 @@ impl Cache {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// The stamp-based LRU this module used to implement, kept as the
     /// reference the recency-ordered sets must agree with: a global clock
@@ -354,6 +426,27 @@ mod tests {
     }
 
     #[test]
+    fn first_touch_allocates_one_zeroed_block_per_filled_set() {
+        let config = CacheConfig {
+            capacity: 1024 * 4 * LINE_BYTES, // 1024 sets, 4 ways
+            ways: 4,
+            latency: Cycles::new(1),
+        };
+        let mut c = Cache::first_touch(config);
+        let line = |set: u64, tag: u64| PhysAddr::new((tag * 1024 + set) * LINE_BYTES);
+        assert!(!c.probe(line(7, 0)));
+        assert_eq!(c.blocks(), 0, "a probe allocates nothing");
+        assert!(!c.access(line(7, 0)));
+        assert!(!c.touch(line(900, 2)));
+        assert!(c.access(line(7, 0)));
+        assert_eq!(c.blocks(), 2);
+        // Each block starts empty: a second set holds only its own line.
+        assert!(!c.probe(line(900, 0)));
+        assert_eq!(c.occupancy(), 2);
+        assert_eq!(Cache::new(config).blocks(), 1024);
+    }
+
+    #[test]
     #[should_panic(expected = "32-bit tag range")]
     fn address_beyond_tag_range_rejected() {
         // One set: the tag is the line number plus one, so the line at
@@ -431,6 +524,80 @@ mod tests {
             }
         }
 
+        /// The first-touch layout agrees with the flat one on a sparse
+        /// footprint: most sets stay untouched, a probe of one allocates
+        /// nothing, and each filled set holds exactly one block.
+        #[test]
+        fn prop_first_touch_matches_flat(case in sparse_cases()) {
+            check_first_touch_against_flat(case)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        #[ignore = "nightly: 2,048 differential cases (ci.sh --nightly)"]
+        fn prop_first_touch_matches_flat_nightly(case in sparse_cases()) {
+            check_first_touch_against_flat(case)?;
+        }
+    }
+
+    /// `(ways, sets, hot sets, ops)`: each op is `(kind, hot-set slot,
+    /// tag, offset)`. Kinds 0–2 are `access`, `touch` and `probe` of a
+    /// line in a hot set; kind 3 probes a line anywhere in the cache.
+    type SparseCase = (usize, u64, Vec<u64>, Vec<(u8, usize, u64, u64)>);
+
+    fn sparse_cases() -> impl Strategy<Value = SparseCase> {
+        (
+            prop::sample::select(vec![1usize, 2, 8, 16]),
+            prop::sample::select(vec![7u64, 64, 1000, 4099]),
+            prop::collection::vec(0u64..1 << 16, 1..6),
+            prop::collection::vec((0u8..4, 0usize..6, 0u64..1 << 16, 0u64..LINE_BYTES), 1..400),
+        )
+    }
+
+    fn check_first_touch_against_flat(
+        (ways, sets, hot, ops): SparseCase,
+    ) -> Result<(), TestCaseError> {
+        let config = CacheConfig {
+            capacity: sets * ways as u64 * LINE_BYTES,
+            ways,
+            latency: Cycles::new(1),
+        };
+        let (mut sparse, mut flat) = (Cache::first_touch(config), Cache::new(config));
+        let mut filled = BTreeSet::new();
+        // Three tags per way: enough reuse to hit, enough conflict to evict.
+        let tags = 3 * ways as u64;
+        for (kind, slot, tag, offset) in ops {
+            let set = hot[slot % hot.len()] % sets;
+            let pa = PhysAddr::new(((tag % tags) * sets + set) * LINE_BYTES + offset);
+            match kind {
+                0 => prop_assert_eq!(sparse.access(pa), flat.access(pa)),
+                1 => prop_assert_eq!(sparse.touch(pa), flat.touch(pa)),
+                2 => prop_assert_eq!(sparse.probe(pa), flat.probe(pa)),
+                _ => {
+                    let anywhere = PhysAddr::new(tag % (sets * tags) * LINE_BYTES);
+                    prop_assert_eq!(sparse.probe(anywhere), flat.probe(anywhere));
+                }
+            }
+            if kind < 2 {
+                filled.insert(set);
+            }
+            prop_assert_eq!(sparse.occupancy(), flat.occupancy());
+            prop_assert_eq!(sparse.blocks(), filled.len());
+        }
+        prop_assert_eq!(sparse.stats(), flat.stats());
+        for &set in &hot {
+            for tag in 0..tags {
+                let pa = PhysAddr::new((tag * sets + set % sets) * LINE_BYTES);
+                prop_assert_eq!(sparse.probe(pa), flat.probe(pa));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
         /// A working set that fits in one set's ways never misses after warmup.
         #[test]
         fn prop_resident_set_never_misses(seed in 0u64..1000) {

@@ -128,7 +128,9 @@ impl MemorySystem {
             config,
             l1s: (0..config.cores).map(|_| Cache::new(config.l1d)).collect(),
             l2s: (0..config.cores).map(|_| Cache::new(config.l2)).collect(),
-            llc: Cache::new(config.llc),
+            // The private levels are touched densely, the LLC sparsely:
+            // a run fills a few percent of its 2.5 MiB-per-core sets.
+            llc: Cache::first_touch(config.llc),
             phys: PhysMemory::new(config.phys_capacity),
             tables: BTreeMap::new(),
             pwcs: (0..config.cores)
@@ -333,6 +335,26 @@ mod tests {
             mem.access(CoreId::new(0), pa, false).serviced_by,
             ServicedBy::L1
         );
+    }
+
+    #[test]
+    fn llc_allocates_a_set_on_its_first_fill_only() {
+        let mut mem = MemorySystem::new(MemoryConfig::haswell(256));
+        assert_eq!(mem.llc.blocks(), 0);
+        let sets = mem.config.llc.capacity / 64 / mem.config.llc.ways as u64;
+        let line = |set: u64, tag: u64| PhysAddr::new((tag * sets + set) * 64);
+        for k in 0..40 {
+            let core = CoreId::new(k as usize);
+            // Two lines of one set, by access and by functional warming,
+            // and a repeat that hits in L1 and never reaches the LLC.
+            mem.access(core, line(k * 1000, 0), false);
+            mem.warm_access(core, line(k * 1000, 1), false);
+            mem.access(core, line(k * 1000, 0), false);
+        }
+        assert_eq!(mem.llc.blocks(), 40);
+        assert_eq!(mem.llc.occupancy(), 80);
+        // The private levels keep the flat layout.
+        assert_eq!(mem.l2s[0].blocks(), 512); // 256 KiB of 8-way sets
     }
 
     #[test]

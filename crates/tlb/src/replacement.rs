@@ -44,13 +44,13 @@ impl ReplacementState {
     }
 
     /// Picks the victim way given each way's `(inserted_at, last_used_at)`
-    /// stamps. All ways must be occupied.
-    pub(crate) fn victim(&mut self, stamps: &[(u64, u64)]) -> usize {
-        debug_assert!(!stamps.is_empty());
+    /// stamps, in way order. All ways must be occupied. Ties go to the
+    /// lowest way.
+    pub(crate) fn victim(&mut self, stamps: impl ExactSizeIterator<Item = (u64, u64)>) -> usize {
+        debug_assert!(stamps.len() > 0);
         match self.policy {
             ReplacementPolicy::Lru => {
                 stamps
-                    .iter()
                     .enumerate()
                     .min_by_key(|(_, (_, used))| *used)
                     // nocstar-lint: allow(sim-unwrap): stamps is non-empty, a caller invariant (debug_assert above)
@@ -59,7 +59,6 @@ impl ReplacementState {
             }
             ReplacementPolicy::Fifo => {
                 stamps
-                    .iter()
                     .enumerate()
                     .min_by_key(|(_, (inserted, _))| *inserted)
                     // nocstar-lint: allow(sim-unwrap): stamps is non-empty, a caller invariant (debug_assert above)
@@ -86,14 +85,14 @@ mod tests {
         let mut st = ReplacementState::new(ReplacementPolicy::Lru);
         // way 1 used longest ago
         let stamps = [(1, 10), (2, 3), (3, 7)];
-        assert_eq!(st.victim(&stamps), 1);
+        assert_eq!(st.victim(stamps.into_iter()), 1);
     }
 
     #[test]
     fn fifo_picks_oldest_insert_even_if_recently_used() {
         let mut st = ReplacementState::new(ReplacementPolicy::Fifo);
         let stamps = [(5, 100), (1, 200), (9, 50)];
-        assert_eq!(st.victim(&stamps), 1);
+        assert_eq!(st.victim(stamps.into_iter()), 1);
     }
 
     #[test]
@@ -102,8 +101,8 @@ mod tests {
         let mut b = ReplacementState::new(ReplacementPolicy::Random);
         let stamps = [(0, 0); 8];
         for _ in 0..100 {
-            let va = a.victim(&stamps);
-            assert_eq!(va, b.victim(&stamps));
+            let va = a.victim(stamps.into_iter());
+            assert_eq!(va, b.victim(stamps.into_iter()));
             assert!(va < 8);
         }
     }

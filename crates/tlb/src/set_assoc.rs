@@ -40,6 +40,8 @@ struct Way {
 pub struct SetAssocTlb {
     sets: Vec<Vec<Way>>,
     ways: usize,
+    /// Valid entries over all sets, so a flush of an empty array is free.
+    valid: usize,
     state: ReplacementState,
     stats: HitMiss,
     index_divisor: u64,
@@ -65,6 +67,7 @@ impl SetAssocTlb {
         Self {
             sets: (0..num_sets).map(|_| Vec::with_capacity(ways)).collect(),
             ways,
+            valid: 0,
             state: ReplacementState::new(policy),
             stats: HitMiss::new(),
             index_divisor: 1,
@@ -177,13 +180,12 @@ impl SetAssocTlb {
                 inserted: stamp,
                 used: stamp,
             });
+            self.valid += 1;
             return None;
         }
-        let stamps: Vec<(u64, u64)> = self.sets[set]
-            .iter()
-            .map(|w| (w.inserted, w.used))
-            .collect();
-        let victim = self.state.victim(&stamps);
+        let victim = self
+            .state
+            .victim(self.sets[set].iter().map(|w| (w.inserted, w.used)));
         let evicted = std::mem::replace(
             &mut self.sets[set][victim],
             Way {
@@ -200,40 +202,41 @@ impl SetAssocTlb {
         let set = self.set_index(vpn);
         let before = self.sets[set].len();
         self.sets[set].retain(|w| !w.entry.matches(asid, vpn));
-        self.sets[set].len() != before
+        let dropped = before - self.sets[set].len();
+        self.valid -= dropped;
+        dropped != 0
     }
 
     /// Invalidates all non-global translations of an address space;
     /// returns how many were dropped.
     pub fn invalidate_asid(&mut self, asid: Asid) -> usize {
-        let mut dropped = 0;
-        for set in &mut self.sets {
-            let before = set.len();
-            set.retain(|w| w.entry.is_global() || w.entry.asid() != asid);
-            dropped += before - set.len();
-        }
-        dropped
+        self.drop_where(|w| !w.entry.is_global() && w.entry.asid() == asid)
     }
 
     /// Flushes all non-global translations (an x86 CR3 write); returns how
     /// many were dropped.
     pub fn flush_non_global(&mut self) -> usize {
-        let mut dropped = 0;
-        for set in &mut self.sets {
-            let before = set.len();
-            set.retain(|w| w.entry.is_global());
-            dropped += before - set.len();
-        }
-        dropped
+        self.drop_where(|w| !w.entry.is_global())
     }
 
     /// Flushes everything, including global translations.
     pub fn flush_all(&mut self) -> usize {
+        self.drop_where(|_| true)
+    }
+
+    /// Drops every entry `doomed` selects; returns how many. An empty
+    /// array returns at once instead of scanning every set.
+    fn drop_where(&mut self, doomed: impl Fn(&Way) -> bool) -> usize {
+        if self.valid == 0 {
+            return 0;
+        }
         let mut dropped = 0;
         for set in &mut self.sets {
-            dropped += set.len();
-            set.clear();
+            let before = set.len();
+            set.retain(|w| !doomed(w));
+            dropped += before - set.len();
         }
+        self.valid -= dropped;
         dropped
     }
 
@@ -452,6 +455,49 @@ mod tests {
                 }
             }
             prop_assert_eq!(tlb.occupancy() as u64, inserted - evicted);
+        }
+
+        /// The valid-entry count that lets a flush skip an empty array
+        /// equals `occupancy()` after any sequence of inserts (global or
+        /// not, refreshing or evicting), invalidations and flushes, under
+        /// every policy.
+        #[test]
+        fn prop_valid_count_tracks_occupancy(
+            policy_idx in 0usize..3,
+            ops in prop::collection::vec((0u8..6, 1u16..4, 0u64..48), 1..300),
+        ) {
+            let policy = [
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::Fifo,
+                ReplacementPolicy::Random,
+            ][policy_idx];
+            let mut tlb = SetAssocTlb::new(16, 4, policy);
+            for (op, asid, vpn) in ops {
+                match op {
+                    0 | 1 => {
+                        tlb.insert(e4k(asid, vpn));
+                    }
+                    2 => {
+                        tlb.insert(TlbEntry::new_global(
+                            v4k(vpn),
+                            PhysPageNum::new(vpn, PageSize::Size4K),
+                        ));
+                    }
+                    3 => {
+                        tlb.invalidate(Asid::new(asid), v4k(vpn));
+                    }
+                    4 => {
+                        tlb.invalidate_asid(Asid::new(asid));
+                    }
+                    _ if vpn % 2 == 0 => {
+                        tlb.flush_non_global();
+                    }
+                    _ => {
+                        tlb.flush_all();
+                    }
+                }
+                prop_assert_eq!(tlb.valid, tlb.occupancy());
+            }
         }
 
         /// Working sets no larger than one set's associativity never evict.

@@ -15,6 +15,8 @@
 #                     (ignored in tier-1), the 2,048-case differential
 #                     check of the flit-mesh engine (contended mesh and
 #                     SMART) against its test-only reference, the
+#                     2,048-case differential check of the LLC's
+#                     first-touch sets against the flat layout, the
 #                     closed-loop recovery-latency study (the closed loop
 #                     must never lose to the open loop), the 512/1024-core
 #                     hier-vs-mesh scale-up claim and smoke, fault-sweep
@@ -79,6 +81,9 @@ if [[ "$NIGHTLY" == "1" ]]; then
 
   echo "== nightly: flit-mesh engine vs its two-stepper reference (2,048 cases) =="
   cargo test -q --release -p nocstar-noc --lib prop_engine_matches_reference_nightly -- --ignored
+
+  echo "== nightly: first-touch cache sets vs the flat layout (2,048 cases) =="
+  cargo test -q --release -p nocstar-mem --lib prop_first_touch_matches_flat_nightly -- --ignored
 
   echo "== nightly: recovery-latency study =="
   cargo run --release -q -p nocstar-bench --bin recovery -- --quick

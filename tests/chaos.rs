@@ -430,10 +430,11 @@ mod property {
 }
 
 #[test]
-fn extreme_link_plans_end_in_a_report_or_a_structured_abort() {
-    // Parse-valid plans whose penalty or outage end is u64::MAX: every
-    // fabric must saturate its cycle arithmetic instead of overflowing,
-    // so each run completes or aborts with a typed error, never a panic.
+fn extreme_fault_plans_end_in_a_report_or_a_structured_abort() {
+    // Parse-valid plans whose link penalty, outage end or walk-spike
+    // multiplier is u64::MAX: every fabric and the walker must saturate
+    // their cycle arithmetic instead of overflowing, so each run
+    // completes or aborts with a typed error, never a panic.
     const WIDE: usize = 16;
     const QUOTA: u64 = 150;
     let orgs = [
@@ -463,6 +464,7 @@ fn extreme_link_plans_end_in_a_report_or_a_structured_abort() {
     let plans = [
         "link:0@0-100=+18446744073709551615",
         "link:*@0-18446744073709551615=off",
+        "walk@0-1000=x18446744073709551615",
     ];
     for org in orgs {
         for plan in plans {
