@@ -1,8 +1,9 @@
 //! Criterion end-to-end benchmarks: full-system simulation throughput
-//! (the cost of one simulated access) for the main organizations, and
-//! workload-generation throughput.
+//! (the cost of one simulated access) for the main organizations,
+//! workload-generation throughput, and the set-up of a 1024-core NCT
+//! trace replay.
 
-use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use nocstar::prelude::*;
 use nocstar::workloads::trace::TraceSource;
 use nocstar::workloads::zipf::Zipf;
@@ -45,5 +46,36 @@ fn bench_workload_gen(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_sim, bench_workload_gen);
+fn bench_nct_open(c: &mut Criterion) {
+    // A 1024-stream capture of Redis, as large per stream as the
+    // 1024-core sampled replay reads, encoded untimed; one iteration
+    // builds the replay assignment: open, validate every stream once.
+    const STREAMS: usize = 1024;
+    const EVENTS: usize = 1_464;
+    let spec = Preset::Redis.spec();
+    let traces: Vec<RecordedTrace> = (0..STREAMS)
+        .map(|t| {
+            RecordedTrace::capture(
+                &mut spec.trace(Asid::new(1), ThreadId::new(t), 1, true),
+                EVENTS,
+            )
+        })
+        .collect();
+    let path =
+        std::env::temp_dir().join(format!("nocstar_bench_nct_open_{}.nct", std::process::id()));
+    NctFile::from_recorded(&traces, spec.name)
+        .and_then(|file| file.save(&path))
+        .expect("encode the capture");
+    let config = SystemConfig::new(STREAMS, TlbOrg::paper_hier(16));
+    let mut group = c.benchmark_group("nct_open_1024");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements((STREAMS * EVENTS) as u64));
+    group.bench_function("from_trace_file", |b| {
+        b.iter(|| WorkloadAssignment::from_trace_file(&config, &path).expect("open"))
+    });
+    group.finish();
+    let _ = std::fs::remove_file(&path);
+}
+
+criterion_group!(benches, bench_sim, bench_workload_gen, bench_nct_open);
 criterion_main!(benches);

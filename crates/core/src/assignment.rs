@@ -2,10 +2,10 @@
 
 use crate::config::SystemConfig;
 use nocstar_types::{Asid, ThreadId};
-use nocstar_workloads::file_trace::FileTrace;
+use nocstar_workloads::file_trace::NctReader;
 use nocstar_workloads::microbench::{SliceHammerTrace, StormTrace};
 use nocstar_workloads::multiprog::Mix;
-use nocstar_workloads::nct::{self, NctError};
+use nocstar_workloads::nct::NctError;
 use nocstar_workloads::preset::Preset;
 use nocstar_workloads::spec::WorkloadSpec;
 use nocstar_workloads::trace::TraceSource;
@@ -136,27 +136,31 @@ impl WorkloadAssignment {
     /// chip size by reuse. The report label is the label stored in the
     /// file header.
     ///
+    /// The file is opened once and each stream section the run uses is
+    /// validated once, however many hardware threads replay it (see
+    /// [`NctReader`]).
+    ///
     /// # Errors
     ///
     /// Any [`NctError`] from opening or validating the file; every
-    /// thread's section is fully validated (checksums included) before
-    /// the simulation starts.
+    /// used stream's section is fully validated (checksums included)
+    /// before the simulation starts.
     pub fn from_trace_file(
         config: &SystemConfig,
         path: impl AsRef<Path>,
     ) -> Result<Self, NctError> {
-        let path = path.as_ref();
-        let header = nct::peek_header(path)?;
-        let traces = (0..config.threads())
-            .map(|t| {
-                let stream = (t % usize::from(header.thread_count)) as u16;
-                FileTrace::open(path, stream).map(|ft| Box::new(ft) as Box<dyn TraceSource>)
-            })
-            .collect::<Result<Vec<_>, NctError>>()?;
-        Ok(Self {
-            traces,
-            label: header.label,
-        })
+        let reader = NctReader::open(path)?;
+        let label = reader.header().label.clone();
+        let file_threads = usize::from(reader.header().thread_count);
+        let streams: Vec<u16> = (0..config.threads())
+            .map(|t| (t % file_threads) as u16)
+            .collect();
+        let traces = reader
+            .streams(&streams)?
+            .into_iter()
+            .map(|ft| Box::new(ft) as Box<dyn TraceSource>)
+            .collect();
+        Ok(Self { traces, label })
     }
 
     /// A caller-assembled assignment (one trace per hardware thread).
@@ -292,6 +296,47 @@ mod tests {
         let wa = WorkloadAssignment::from_trace_file(&cfg, &path).unwrap();
         assert_eq!(wa.label(), "redis");
         assert_eq!(wa.len(), 4); // 4 hw threads reuse the 2 file streams
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn trace_file_assignment_replays_each_stream_like_file_trace() {
+        use nocstar_workloads::file_trace::FileTrace;
+        // Three streams, one of more than one block, over seven hardware
+        // threads: threads 0, 3 and 6 share stream 0.
+        let spec = Preset::Gups.spec();
+        let traces: Vec<_> = [5000, 40, 1]
+            .iter()
+            .enumerate()
+            .map(|(t, &n)| {
+                let mut src = spec.trace(Asid::new(1), ThreadId::new(t), 3, true);
+                nocstar_workloads::recorded::RecordedTrace::capture(&mut src, n)
+            })
+            .collect();
+        let path = std::env::temp_dir().join(format!(
+            "nocstar_assignment_{}_streams.nct",
+            std::process::id()
+        ));
+        nocstar_workloads::nct::NctFile::from_recorded(&traces, "gups")
+            .unwrap()
+            .save(&path)
+            .unwrap();
+        let cfg = SystemConfig::new(7, TlbOrg::paper_nocstar());
+        let replays = WorkloadAssignment::from_trace_file(&cfg, &path)
+            .unwrap()
+            .into_traces();
+        assert_eq!(replays.len(), 7);
+        for (t, mut replay) in replays.into_iter().enumerate() {
+            let mut want = FileTrace::open(&path, (t % 3) as u16).unwrap();
+            // Past the end of the longest stream, so every stream wraps.
+            for i in 0..10_050 {
+                let event = replay.next_event();
+                assert_eq!(event, want.next_event(), "thread {t}, event {i}");
+                if let nocstar_workloads::trace::TraceEvent::Access(a) = event {
+                    assert_eq!(replay.backing(a.va), want.backing(a.va));
+                }
+            }
+        }
         std::fs::remove_file(path).unwrap();
     }
 

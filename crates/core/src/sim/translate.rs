@@ -81,14 +81,11 @@ impl Simulation {
         let asid = pending.asid;
         let access = pending.access;
         let va = access.va;
-        // Demand-map on first touch at the workload's chosen page size.
-        if self.mem.translate(asid, va).is_none() {
-            let size = self.traces[t].backing(va);
-            self.mem.ensure_mapped(asid, va, size);
-        }
         self.stats.energy.add_l1_lookup();
         if let Some(entry) = self.l1s[core.index()].lookup(asid, va) {
-            // L1 TLB hit: translation overlaps the L1-cache access.
+            // L1 TLB hit: translation overlaps the L1-cache access. An L1
+            // entry exists only for a mapped page, and mapped-ness is
+            // monotone, so there is nothing to demand-map.
             let pa = entry.translate(va);
             let data = self.mem.access(core, pa, access.is_write);
             self.complete_access(t, self.now + data_cost(data.latency));
@@ -96,8 +93,12 @@ impl Simulation {
         }
         // L1 miss: go to the L2 organization. Miss detection costs the
         // one-cycle L1 lookup.
-        let t_req = self.now + Cycles::ONE;
         let size = self.traces[t].backing(va);
+        // Demand-map on first touch at the workload's chosen page size.
+        if self.mem.translate(asid, va).is_none() {
+            self.mem.ensure_mapped(asid, va, size);
+        }
+        let t_req = self.now + Cycles::ONE;
         let vpn = va.page_number(size);
         let home = self.resolve_home(vpn, core);
         let id = self.alloc_tx();

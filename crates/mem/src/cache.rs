@@ -70,7 +70,10 @@ impl CacheConfig {
 /// [`first_touch`](Self::first_touch) gives a set its block only when it
 /// is first filled, for a large, sparsely touched level (the shared LLC):
 /// the host then faults in pages for touched sets only, not for a
-/// tens-of-MiB array in random order while the run is timed.
+/// tens-of-MiB array in random order while the run is timed. Its
+/// directory is filled in the same way, 1,024 sets' worth at a time, in
+/// space reserved but not zeroed when the level is built, so building it
+/// costs one small table whatever its size.
 ///
 /// # Examples
 ///
@@ -92,15 +95,27 @@ pub struct Cache {
     stats: HitMiss,
 }
 
+/// Sets per directory group of a [`first_touch`](Cache::first_touch)
+/// cache: a group's 4 KiB of directory is zeroed on the first fill of any
+/// of its sets.
+const DIR_GROUP_SETS: usize = 1024;
+
 /// Where a cache's sets live.
 #[derive(Debug, Clone)]
 enum Sets {
     /// Set `s` is `tags[s * ways..][..ways]`.
     Flat(Vec<u32>),
-    /// `dir[s]` is 0 while set `s` was never filled, else 1 + the index
-    /// of its block in `pool`; a block is `ways` tags, appended zeroed on
-    /// the set's first fill.
-    FirstTouch { dir: Vec<u32>, pool: Vec<u32> },
+    /// `groups[s / DIR_GROUP_SETS]` is 0 while no set of set `s`'s group
+    /// was filled, else 1 + the index of the group's `DIR_GROUP_SETS`
+    /// directory entries in `dir`, appended zeroed on the group's first
+    /// fill. Set `s`'s entry there is 0 while the set was never filled,
+    /// else 1 + the index of its block in `pool`; a block is `ways` tags,
+    /// appended zeroed on the set's first fill.
+    FirstTouch {
+        groups: Vec<u32>,
+        dir: Vec<u32>,
+        pool: Vec<u32>,
+    },
 }
 
 impl Cache {
@@ -134,11 +149,15 @@ impl Cache {
             num_sets < u64::from(u32::MAX),
             "a first-touch cache indexes its sets' blocks with u32"
         );
+        let groups = (num_sets as usize).div_ceil(DIR_GROUP_SETS);
         Self {
             config,
             num_sets,
             sets: Sets::FirstTouch {
-                dir: vec![0; num_sets as usize],
+                groups: vec![0; groups],
+                // Reserved, not zeroed: a group is zeroed on its first
+                // fill, and never moves.
+                dir: Vec::with_capacity(groups * DIR_GROUP_SETS),
                 pool: Vec::new(),
             },
             stats: HitMiss::new(),
@@ -186,14 +205,21 @@ impl Cache {
         let ways = self.config.ways;
         let set = match &mut self.sets {
             Sets::Flat(tags) => &mut tags[index * ways..][..ways],
-            Sets::FirstTouch { dir, pool } => {
-                if dir[index] == 0 {
+            Sets::FirstTouch { groups, dir, pool } => {
+                let group = &mut groups[index / DIR_GROUP_SETS];
+                if *group == 0 {
+                    dir.resize(dir.len() + DIR_GROUP_SETS, 0);
+                    *group = (dir.len() / DIR_GROUP_SETS) as u32;
+                }
+                let entry =
+                    &mut dir[(*group - 1) as usize * DIR_GROUP_SETS + index % DIR_GROUP_SETS];
+                if *entry == 0 {
                     pool.resize(pool.len() + ways, 0);
                     // Fits: the constructor bounds the set count, and
                     // with it the block count, below `u32::MAX`.
-                    dir[index] = (pool.len() / ways) as u32;
+                    *entry = (pool.len() / ways) as u32;
                 }
-                &mut pool[(dir[index] - 1) as usize * ways..][..ways]
+                &mut pool[(*entry - 1) as usize * ways..][..ways]
             }
         };
         let found = set.iter().position(|&t| t == tag);
@@ -229,8 +255,13 @@ impl Cache {
         let ways = self.config.ways;
         match &self.sets {
             Sets::Flat(tags) => tags[index * ways..][..ways].contains(&tag),
-            Sets::FirstTouch { dir, pool } => {
-                dir[index] != 0 && pool[(dir[index] - 1) as usize * ways..][..ways].contains(&tag)
+            Sets::FirstTouch { groups, dir, pool } => {
+                let group = groups[index / DIR_GROUP_SETS] as usize;
+                let entry = match group {
+                    0 => 0,
+                    g => dir[(g - 1) * DIR_GROUP_SETS + index % DIR_GROUP_SETS],
+                };
+                entry != 0 && pool[(entry - 1) as usize * ways..][..ways].contains(&tag)
             }
         }
     }
@@ -258,6 +289,15 @@ impl Cache {
         match &self.sets {
             Sets::Flat(_) => self.num_sets as usize,
             Sets::FirstTouch { pool, .. } => pool.len() / self.config.ways,
+        }
+    }
+
+    /// Number of directory groups allocated: 0 for a flat cache.
+    #[cfg(test)]
+    pub(crate) fn dir_groups(&self) -> usize {
+        match &self.sets {
+            Sets::Flat(_) => 0,
+            Sets::FirstTouch { dir, .. } => dir.len() / DIR_GROUP_SETS,
         }
     }
 }
@@ -436,6 +476,7 @@ mod tests {
         let line = |set: u64, tag: u64| PhysAddr::new((tag * 1024 + set) * LINE_BYTES);
         assert!(!c.probe(line(7, 0)));
         assert_eq!(c.blocks(), 0, "a probe allocates nothing");
+        assert_eq!(c.dir_groups(), 0, "nor does building the level");
         assert!(!c.access(line(7, 0)));
         assert!(!c.touch(line(900, 2)));
         assert!(c.access(line(7, 0)));
@@ -444,6 +485,30 @@ mod tests {
         assert!(!c.probe(line(900, 0)));
         assert_eq!(c.occupancy(), 2);
         assert_eq!(Cache::new(config).blocks(), 1024);
+    }
+
+    #[test]
+    fn first_touch_allocates_directory_groups_on_first_fill() {
+        let sets = 3 * DIR_GROUP_SETS as u64 + 5;
+        let config = CacheConfig {
+            capacity: sets * 2 * LINE_BYTES,
+            ways: 2,
+            latency: Cycles::new(1),
+        };
+        let mut c = Cache::first_touch(config);
+        let line = |set: u64, tag: u64| PhysAddr::new((tag * sets + set) * LINE_BYTES);
+        // The last, partial group and the first: a probe allocates neither.
+        let last = sets - 1;
+        assert!(!c.probe(line(last, 0)));
+        assert!(!c.access(line(last, 0)));
+        assert_eq!(c.dir_groups(), 1);
+        assert!(!c.touch(line(0, 1)));
+        assert!(!c.access(line(DIR_GROUP_SETS as u64 - 1, 3)));
+        assert_eq!(c.dir_groups(), 2, "sets 0 and 1023 share a group");
+        // A group's other sets stay unfilled.
+        assert!(!c.probe(line(1, 1)));
+        assert!(c.probe(line(0, 1)) && c.probe(line(last, 0)));
+        assert_eq!((c.blocks(), c.occupancy()), (3, 3));
     }
 
     #[test]

@@ -150,12 +150,21 @@ pub fn write_uvarint(out: &mut Vec<u8>, mut v: u64) {
 /// Rejects truncation, encodings longer than 10 bytes, 10th bytes that
 /// overflow 64 bits, and non-shortest encodings (trailing zero bytes).
 pub fn read_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64, NctError> {
+    read_uvarint_with(|| {
+        let byte = buf.get(*pos).copied();
+        *pos += usize::from(byte.is_some());
+        Ok(byte)
+    })
+}
+
+/// [`read_uvarint`] over a byte source: `next` yields the next byte, or
+/// `None` where the enclosing structure ends.
+pub(crate) fn read_uvarint_with(
+    mut next: impl FnMut() -> Result<Option<u8>, NctError>,
+) -> Result<u64, NctError> {
     let mut v: u64 = 0;
     for i in 0..10 {
-        let byte = *buf
-            .get(*pos)
-            .ok_or_else(|| truncated("varint ends mid-value"))?;
-        *pos += 1;
+        let byte = next()?.ok_or_else(|| truncated("varint ends mid-value"))?;
         let payload = u64::from(byte & 0x7F);
         if i == 9 && payload > 1 {
             return Err(corrupt("varint overflows 64 bits"));
@@ -182,12 +191,36 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 /// FNV-1a 64-bit hash of `bytes` — the per-block checksum.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// [`fnv1a64`] of four byte strings, computed in lockstep over their
+/// common length: the four multiply chains overlap, so this takes about
+/// a third of the time of four calls.
+pub(crate) fn fnv1a64_x4(parts: [&[u8]; 4]) -> [u64; 4] {
+    let common = parts.iter().map(|p| p.len()).min().unwrap_or(0);
+    let [a, b, c, d] = parts.map(|p| &p[..common]);
+    let mut h = [FNV_OFFSET; 4];
+    for (((&w, &x), &y), &z) in a.iter().zip(b).zip(c).zip(d) {
+        h[0] = (h[0] ^ u64::from(w)).wrapping_mul(FNV_PRIME);
+        h[1] = (h[1] ^ u64::from(x)).wrapping_mul(FNV_PRIME);
+        h[2] = (h[2] ^ u64::from(y)).wrapping_mul(FNV_PRIME);
+        h[3] = (h[3] ^ u64::from(z)).wrapping_mul(FNV_PRIME);
+    }
+    for (h, part) in h.iter_mut().zip(parts) {
+        *h = fnv1a64_extend(*h, &part[common..]);
     }
     h
 }
@@ -254,7 +287,9 @@ fn encode_page_event(out: &mut Vec<u8>, tag: u8, vpn: VirtPageNum) {
 pub fn decode_block(payload: &[u8], block_events: usize) -> Result<Vec<TraceEvent>, NctError> {
     let mut pos = 0usize;
     let mut prev_va: u64 = 0;
-    let mut out = Vec::with_capacity(block_events);
+    // Every event takes at least one byte: a corrupt count must not
+    // reserve more than the payload can hold.
+    let mut out = Vec::with_capacity(block_events.min(payload.len()));
     for _ in 0..block_events {
         let tag = *payload
             .get(pos)
@@ -298,6 +333,175 @@ pub fn decode_block(payload: &[u8], block_events: usize) -> Result<Vec<TraceEven
         )));
     }
     Ok(out)
+}
+
+/// Checks that `payload` holds exactly `block_events` well-formed events
+/// without building them: a structural scan of tags, page-size indexes
+/// and varints. [`FileTrace`](crate::file_trace::FileTrace) then
+/// decodes the validated bytes one event at a time.
+///
+/// # Errors
+///
+/// Exactly the error [`decode_block`] returns for the same bytes.
+pub(crate) fn validate_block(payload: &[u8], block_events: usize) -> Result<(), NctError> {
+    if scan_block(payload, block_events) {
+        Ok(())
+    } else {
+        // The scan says whether the bytes are malformed; the decoder says why.
+        decode_block(payload, block_events).map(drop)
+    }
+}
+
+/// Whether `payload` holds exactly `events` events [`decode_block`]
+/// accepts.
+fn scan_block(payload: &[u8], events: usize) -> bool {
+    let mut pos = 0usize;
+    for _ in 0..events {
+        let Some(&tag) = payload.get(pos) else {
+            return false;
+        };
+        let next = match tag {
+            0x00 | 0x01 => skip_uvarint(payload, pos + 1).and_then(|p| skip_uvarint(payload, p)),
+            0x02 => Some(pos + 1),
+            0x03..=0x05 => match payload.get(pos + 1) {
+                Some(&index) if usize::from(index) < PAGE_SHIFTS.len() => {
+                    skip_uvarint(payload, pos + 2)
+                }
+                _ => None,
+            },
+            _ => None,
+        };
+        match next {
+            Some(p) => pos = p,
+            None => return false,
+        }
+    }
+    pos == payload.len()
+}
+
+/// The position just past the varint at `pos` if [`read_uvarint`]
+/// accepts it, else `None`.
+fn skip_uvarint(buf: &[u8], pos: usize) -> Option<usize> {
+    // Fast path: the varint ends within the next eight bytes, at the
+    // first clear continuation bit of one little-endian word.
+    if let Some(word) = buf
+        .get(pos..pos + 8)
+        .and_then(|w| <[u8; 8]>::try_from(w).ok())
+    {
+        let stops = !u64::from_le_bytes(word) & 0x8080_8080_8080_8080;
+        if stops != 0 {
+            let len = (stops.trailing_zeros() / 8 + 1) as usize;
+            // Shortest encoding: only a one-byte varint may end in 0x00.
+            return (len == 1 || word[len - 1] != 0).then_some(pos + len);
+        }
+    }
+    let mut end = pos;
+    read_uvarint(buf, &mut end).ok().map(|_| end)
+}
+
+/// Decodes the event at `*pos` of a payload that passed
+/// [`validate_block`], advancing `*pos` and the previous-VA register
+/// `*prev_va` (0 at the start of every block).
+///
+/// Bytes that did not pass validation decode to unspecified events, or
+/// panic on an out-of-range index; they never cause undefined behaviour.
+#[inline]
+pub(crate) fn decode_event(payload: &[u8], pos: &mut usize, prev_va: &mut u64) -> TraceEvent {
+    let tag = payload[*pos];
+    *pos += 1;
+    match tag {
+        0x00 | 0x01 => {
+            let va = prev_va.wrapping_add(unzigzag(uvarint_at(payload, pos)) as u64);
+            *prev_va = va;
+            TraceEvent::Access(MemAccess {
+                va: VirtAddr::new(va),
+                is_write: tag == 0x01,
+                gap: Cycles::new(uvarint_at(payload, pos)),
+            })
+        }
+        0x02 => TraceEvent::ContextSwitch,
+        _ => {
+            let size = match payload[*pos] {
+                0 => PageSize::Size4K,
+                1 => PageSize::Size2M,
+                _ => PageSize::Size1G,
+            };
+            *pos += 1;
+            let vpn = VirtPageNum::new(uvarint_at(payload, pos), size);
+            match tag {
+                0x03 => TraceEvent::Remap(vpn),
+                0x04 => TraceEvent::Promote(vpn),
+                _ => TraceEvent::Demote(vpn),
+            }
+        }
+    }
+}
+
+/// The validated varint at `*pos` (see [`decode_event`]).
+#[inline]
+fn uvarint_at(buf: &[u8], pos: &mut usize) -> u64 {
+    // Fast path: a varint of up to eight bytes, read as one little-endian
+    // word, cut at its first clear continuation bit, and its 7-bit groups
+    // packed together in three shift-and-mask steps.
+    if let Some(word) = buf
+        .get(*pos..*pos + 8)
+        .and_then(|w| <[u8; 8]>::try_from(w).ok())
+    {
+        let word = u64::from_le_bytes(word);
+        let stops = !word & 0x8080_8080_8080_8080;
+        if stops != 0 {
+            let bits = stops.trailing_zeros() + 1;
+            *pos += (bits / 8) as usize;
+            let x = word & (u64::MAX >> (64 - bits)) & 0x7F7F_7F7F_7F7F_7F7F;
+            let x = (x & 0x007F_007F_007F_007F) | ((x & 0x7F00_7F00_7F00_7F00) >> 1);
+            let x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x3FFF_0000_3FFF_0000) >> 2);
+            return (x & 0x0000_0000_0FFF_FFFF) | ((x & 0x0FFF_FFFF_0000_0000) >> 4);
+        }
+    }
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let byte = buf[*pos];
+        *pos += 1;
+        v |= u64::from(byte & 0x7F) << (shift & 63);
+        if byte < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+/// One block header (TRACE_FORMAT.md §3.5).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockHeader {
+    /// Payload byte length (≥ 1).
+    pub(crate) payload_len: u32,
+    /// Events encoded in the payload (≥ 1).
+    pub(crate) events: u32,
+    /// FNV-1a 64 of the payload.
+    pub(crate) checksum: u64,
+}
+
+impl BlockHeader {
+    /// Parses block `block` of stream `thread`'s header bytes.
+    pub(crate) fn parse(
+        bytes: &[u8; BLOCK_HEADER_LEN],
+        thread: u16,
+        block: usize,
+    ) -> Result<Self, NctError> {
+        let [l0, l1, l2, l3, e0, e1, e2, e3, sum @ ..] = *bytes;
+        let header = Self {
+            payload_len: u32::from_le_bytes([l0, l1, l2, l3]),
+            events: u32::from_le_bytes([e0, e1, e2, e3]),
+            checksum: u64::from_le_bytes(sum),
+        };
+        if header.payload_len == 0 || header.events == 0 {
+            return Err(corrupt(format!(
+                "thread {thread} block {block} declares an empty payload or zero events"
+            )));
+        }
+        Ok(header)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -394,19 +598,6 @@ pub(crate) fn read_exact(r: &mut impl Read, buf: &mut [u8], what: &str) -> Resul
             io_err(what, &e)
         }
     })
-}
-
-/// Reads only the header + label of the NCT file at `path` — how callers
-/// learn the thread count and label without touching the streams.
-///
-/// # Errors
-///
-/// Any [`NctError`] the header read can produce, plus I/O failures.
-pub fn peek_header(path: impl AsRef<Path>) -> Result<NctHeader, NctError> {
-    let path = path.as_ref();
-    let mut file =
-        std::fs::File::open(path).map_err(|e| io_err(&format!("open {}", path.display()), &e))?;
-    NctHeader::read_from(&mut file)
 }
 
 // ---------------------------------------------------------------------------
@@ -648,7 +839,7 @@ fn encode_section(out: &mut Vec<u8>, stream: &ThreadStream) {
 /// Decodes one complete thread section, validating checksums and counts.
 fn decode_section(section: &[u8], thread: u16) -> Result<ThreadStream, NctError> {
     let mut pos = 0usize;
-    let superpage_frames = decode_frame_table(section, &mut pos, thread)?;
+    let superpage_frames = decode_frame_table(thread, || read_uvarint(section, &mut pos))?;
     let event_count = read_uvarint(section, &mut pos)?;
     if event_count == 0 {
         return Err(corrupt(format!("thread {thread} has zero events")));
@@ -672,22 +863,22 @@ fn decode_section(section: &[u8], thread: u16) -> Result<ThreadStream, NctError>
         )));
     }
     Ok(ThreadStream {
-        superpage_frames,
+        superpage_frames: superpage_frames.into_iter().collect(),
         events,
     })
 }
 
-/// Decodes the delta-coded, strictly ascending superpage frame table.
+/// Decodes the delta-coded, strictly ascending superpage frame table,
+/// drawing its varints from `varint`. The frames come back ascending.
 pub(crate) fn decode_frame_table(
-    section: &[u8],
-    pos: &mut usize,
     thread: u16,
-) -> Result<BTreeSet<u64>, NctError> {
-    let frame_count = read_uvarint(section, pos)?;
-    let mut frames = BTreeSet::new();
+    mut varint: impl FnMut() -> Result<u64, NctError>,
+) -> Result<Vec<u64>, NctError> {
+    let frame_count = varint()?;
+    let mut frames = Vec::new();
     let mut prev = 0u64;
     for i in 0..frame_count {
-        let raw = read_uvarint(section, pos)?;
+        let raw = varint()?;
         let frame = if i == 0 {
             raw
         } else {
@@ -699,7 +890,7 @@ pub(crate) fn decode_frame_table(
             prev.checked_add(raw)
                 .ok_or_else(|| corrupt(format!("thread {thread} frame table overflows u64")))?
         };
-        frames.insert(frame);
+        frames.push(frame);
         prev = frame;
     }
     Ok(frames)
@@ -707,7 +898,7 @@ pub(crate) fn decode_frame_table(
 
 /// Reads the next block header + checksummed payload from a section
 /// slice, advancing `*pos` past it.
-pub(crate) fn next_block<'a>(
+fn next_block<'a>(
     section: &'a [u8],
     pos: &mut usize,
     thread: u16,
@@ -715,32 +906,25 @@ pub(crate) fn next_block<'a>(
 ) -> Result<(&'a [u8], usize), NctError> {
     let header = section
         .get(*pos..*pos + BLOCK_HEADER_LEN)
+        .and_then(|h| <&[u8; BLOCK_HEADER_LEN]>::try_from(h).ok())
         .ok_or_else(|| truncated(format!("thread {thread} block {block} header ends early")))?;
+    let header = BlockHeader::parse(header, thread, block)?;
     *pos += BLOCK_HEADER_LEN;
-    let payload_len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let block_events = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
-    let mut sum = [0u8; 8];
-    sum.copy_from_slice(&header[8..16]);
-    let checksum = u64::from_le_bytes(sum);
-    if payload_len == 0 || block_events == 0 {
-        return Err(corrupt(format!(
-            "thread {thread} block {block} declares an empty payload or zero events"
-        )));
-    }
     let payload = section
-        .get(*pos..*pos + payload_len)
+        .get(*pos..*pos + header.payload_len as usize)
         .ok_or_else(|| truncated(format!("thread {thread} block {block} payload ends early")))?;
-    *pos += payload_len;
-    if fnv1a64(payload) != checksum {
+    *pos += payload.len();
+    if fnv1a64(payload) != header.checksum {
         return Err(NctError::ChecksumMismatch { thread, block });
     }
-    Ok((payload, block_events))
+    Ok((payload, header.events as usize))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nocstar_types::ThreadId;
+    use proptest::prelude::*;
 
     fn access(va: u64, write: bool, gap: u64) -> TraceEvent {
         TraceEvent::Access(MemAccess {
@@ -988,6 +1172,110 @@ mod tests {
             NctFile::from_recorded(&[], "none"),
             Err(NctError::Corrupt(_))
         ));
+    }
+
+    /// Raw draws for [`event_mix`]: `(kind and page size, va, shift, gap)`.
+    type Draw = (u8, u64, u32, u64);
+
+    fn draws() -> impl Strategy<Value = Vec<Draw>> {
+        prop::collection::vec((0u8..18, any::<u64>(), 0u32..64, any::<u64>()), 1..80)
+    }
+
+    /// A random mix of every event kind, page size and varint length.
+    fn event_mix(draws: &[Draw]) -> Vec<TraceEvent> {
+        let sizes = [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G];
+        draws
+            .iter()
+            .map(|&(draw, va, shift, gap)| {
+                let (kind, size) = (draw % 6, usize::from(draw / 6));
+                let vpn = VirtPageNum::new(va >> shift, sizes[size]);
+                match kind {
+                    0 => TraceEvent::ContextSwitch,
+                    1 => TraceEvent::Remap(vpn),
+                    2 => TraceEvent::Promote(vpn),
+                    3 => TraceEvent::Demote(vpn),
+                    _ => access(va >> shift, kind == 5, gap >> shift),
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The cursor decodes a validated payload to `decode_block`'s
+        /// events, whatever bytes follow it.
+        #[test]
+        fn prop_decode_event_matches_decode_block(draws in draws(), pad in 0usize..9) {
+            let events = event_mix(&draws);
+            let mut payload = encode_block(&events);
+            prop_assert!(validate_block(&payload, events.len()).is_ok());
+            let want = decode_block(&payload, events.len()).unwrap();
+            payload.resize(payload.len() + pad, 0xFF);
+            let (mut pos, mut prev_va) = (0, 0);
+            let got: Vec<TraceEvent> = (0..events.len())
+                .map(|_| decode_event(&payload, &mut pos, &mut prev_va))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+
+        /// The scan accepts exactly what `decode_block` accepts and
+        /// reports its error, on damaged and on random payloads.
+        #[test]
+        fn prop_validate_block_agrees_with_decode_block(
+            draws in draws(),
+            flips in prop::collection::vec((any::<usize>(), 0u8..8), 0..3),
+            cut in any::<usize>(),
+            extra in 0usize..3,
+            // Tags, page-size indexes and the varint bytes 0x00, 0x80
+            // and 0xFF, so random strings often come close to valid.
+            noise in prop::collection::vec(
+                prop::sample::select(vec![0u8, 1, 2, 3, 4, 5, 6, 0x7F, 0x80, 0x81, 0xFF]),
+                0..40,
+            ),
+        ) {
+            let events = event_mix(&draws);
+            let mut payload = encode_block(&events);
+            for (at, bit) in flips {
+                let at = at % payload.len();
+                payload[at] ^= 1 << bit;
+            }
+            payload.truncate(payload.len() - cut % 2 * (cut % payload.len()));
+            for (bytes, n) in [(&payload, events.len() + extra), (&noise, 1 + extra)] {
+                prop_assert_eq!(validate_block(bytes, n), decode_block(bytes, n).map(drop));
+            }
+        }
+    }
+
+    proptest! {
+        /// Four hashes in lockstep are four single hashes.
+        #[test]
+        fn prop_fnv_x4_matches_single(
+            a in prop::collection::vec(any::<u8>(), 0..300),
+            b in prop::collection::vec(any::<u8>(), 0..300),
+            c in prop::collection::vec(any::<u8>(), 0..30),
+            d in prop::collection::vec(any::<u8>(), 0..300),
+        ) {
+            let parts = [&a[..], &b[..], &c[..], &d[..]];
+            prop_assert_eq!(fnv1a64_x4(parts), parts.map(fnv1a64));
+        }
+    }
+
+    #[test]
+    fn varint_scan_takes_the_fast_and_slow_paths() {
+        // One-byte zero, 8-byte and 10-byte varints (both paths), and the
+        // non-shortest and overlong forms each path must reject.
+        for value in [0u64, 1 << 55, u64::MAX] {
+            let mut buf = Vec::new();
+            write_uvarint(&mut buf, value);
+            let len = buf.len();
+            buf.extend_from_slice(&[0x7F; 8]);
+            assert_eq!(skip_uvarint(&buf, 0), Some(len), "{value:#x}");
+            let mut pos = 0;
+            assert_eq!(uvarint_at(&buf, &mut pos), value);
+            assert_eq!(pos, len);
+        }
+        assert_eq!(skip_uvarint(&[0x80, 0x00, 0, 0, 0, 0, 0, 0], 0), None);
+        assert_eq!(skip_uvarint(&[0x80, 0x00], 0), None);
+        assert_eq!(skip_uvarint(&[0xFF; 12], 0), None);
     }
 
     #[test]

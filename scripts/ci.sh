@@ -17,6 +17,9 @@
 #                     SMART) against its test-only reference, the
 #                     2,048-case differential check of the LLC's
 #                     first-touch sets against the flat layout, the
+#                     2,048-case check of the NCT replay reader on
+#                     bit-flipped, truncated and checksum-recomputed
+#                     files against the whole-file decoder, the
 #                     closed-loop recovery-latency study (the closed loop
 #                     must never lose to the open loop), the 512/1024-core
 #                     hier-vs-mesh scale-up claim and smoke, fault-sweep
@@ -84,6 +87,9 @@ if [[ "$NIGHTLY" == "1" ]]; then
 
   echo "== nightly: first-touch cache sets vs the flat layout (2,048 cases) =="
   cargo test -q --release -p nocstar-mem --lib prop_first_touch_matches_flat_nightly -- --ignored
+
+  echo "== nightly: NCT replay reader on damaged files vs the whole-file decoder (2,048 cases) =="
+  cargo test -q --release --test nct_reader prop_mutated_files_never_panic_nightly -- --ignored
 
   echo "== nightly: recovery-latency study =="
   cargo run --release -q -p nocstar-bench --bin recovery -- --quick
