@@ -7,11 +7,12 @@
 //! only mode, `--quick` for short runs.
 
 use nocstar::prelude::*;
-use nocstar_bench::{parallel_map, Effort};
+use nocstar_bench::{has_flag, parallel_map, Effort};
 
 fn main() {
     let effort = Effort::from_env();
-    let thp = !std::env::args().any(|a| a == "--no-thp");
+    let args: Vec<String> = std::env::args().collect();
+    let thp = !has_flag(&args, "--no-thp");
     println!(
         "calibration at {} accesses/thread (warmup {}), THP {}\n",
         effort.accesses,

@@ -1,7 +1,7 @@
 //! Regenerates every figure and table of the paper in sequence
 //! (`--quick` for an abbreviated pass); results land in `bench_results/`.
 use nocstar_bench::experiments as ex;
-use nocstar_bench::Effort;
+use nocstar_bench::{settings, Effort};
 
 type Step = (&'static str, fn(Effort));
 
@@ -37,6 +37,13 @@ fn main() {
         ("sampled", ex::sampled::run),
     ];
     for (name, step) in steps {
+        // The robustness studies set these flags per run themselves.
+        if let Some(flag) = settings().study_flag() {
+            if matches!(name, "faultsweep" | "recovery" | "sampled") {
+                eprintln!("[{name} skipped: it refuses {flag}]");
+                continue;
+            }
+        }
         let t = std::time::Instant::now();
         step(effort);
         eprintln!("[{name} done in {:.1}s]", t.elapsed().as_secs_f32());

@@ -3,8 +3,11 @@
 //! figure — a robustness study of the reproduction itself: every degraded
 //! run must complete the same work (no translation is ever lost), paying
 //! only cycles.
+//!
+//! The sweep sets each run's fault plan itself, so it exits with code 2
+//! when given `--faults`, `--recovery` or `--sample`.
 
-use crate::{collect_report, emit, parallel_map, Effort};
+use crate::{emit, parallel_map, refuse_study_flags, settings, Effort, Settings};
 use nocstar::prelude::*;
 
 /// The fault ladder: one spec per row, windows sized in cycles so even
@@ -21,20 +24,18 @@ const PLANS: [(&str, &str); 5] = [
 fn run_one(effort: Effort, cores: usize, spec: &str) -> SimReport {
     let config = SystemConfig::new(cores, TlbOrg::paper_nocstar());
     let workload = WorkloadAssignment::preset(&config, Preset::Redis);
-    let mut sim = Simulation::new(config, workload);
-    if !spec.is_empty() {
-        let plan: FaultPlan = spec.parse().expect("fault ladder spec");
-        sim = sim.with_faults(plan);
-    }
+    let settings = Settings {
+        faults: spec.parse().expect("fault ladder spec"),
+        ..settings().clone()
+    };
     // Fault windows act on absolute cycles, so warmup would eat them:
     // measure from cycle zero instead.
-    let report = sim.run(effort.accesses / 2);
-    collect_report(&report);
-    report
+    settings.simulate(config, workload, 0, effort.accesses / 2)
 }
 
 /// Regenerates the fault-degradation sweep.
 pub fn run(effort: Effort) {
+    refuse_study_flags("faultsweep");
     let mut table = Table::new(["fault plan", "spec", "cycles", "slowdown", "walks"]);
     for cores in [16usize] {
         let baseline = run_one(effort, cores, "");

@@ -11,7 +11,7 @@
 //! widening the non-memory gaps (`GAP_SCALE`); the distribution shape is
 //! what the paper's argument rests on.
 
-use crate::{emit, parallel_map, Effort};
+use crate::{emit, parallel_map, simulate, Effort};
 use nocstar::prelude::*;
 use nocstar::stats::histogram::ConcurrencyBins;
 
@@ -27,7 +27,7 @@ pub fn run(effort: Effort) {
         let mut spec = preset.spec();
         spec.mem_op_gap *= GAP_SCALE;
         let workload = WorkloadAssignment::homogeneous(&config, spec);
-        let report = Simulation::new(config, workload).run_measured(effort.warmup, effort.accesses);
+        let report = simulate(config, workload, effort.warmup, effort.accesses);
         (preset, report.chip_concurrency.clone())
     });
 

@@ -6,7 +6,7 @@
 //! Core counts of 256+ are large simulations; the access quota is reduced
 //! there (concurrency distributions converge quickly).
 
-use crate::{emit, parallel_map, Effort};
+use crate::{emit, parallel_map, simulate, Effort};
 use nocstar::prelude::*;
 use nocstar::stats::histogram::ConcurrencyBins;
 
@@ -45,8 +45,7 @@ where
         let mut spec = preset.spec();
         spec.mem_op_gap *= super::fig05::GAP_SCALE;
         let workload = WorkloadAssignment::homogeneous(&config, spec);
-        let report =
-            Simulation::new(config, workload).run_measured(effort.warmup / 2, quota(effort, cores));
+        let report = simulate(config, workload, effort.warmup / 2, quota(effort, cores));
         if chip {
             report.chip_concurrency
         } else {

@@ -8,7 +8,7 @@
 //! so the right panel raises each workload's remap rate (the paper's
 //! workloads run on an OS doing real page migration).
 
-use crate::{emit, parallel_map, Effort};
+use crate::{emit, parallel_map, simulate, Effort};
 use nocstar::prelude::*;
 
 const WORKLOADS: [Preset; 4] = [
@@ -37,16 +37,15 @@ fn run_nocstar(
     let mut spec = preset.spec();
     spec.remaps_per_million *= remap_boost;
     let workload = WorkloadAssignment::homogeneous(&config, spec);
-    Simulation::new(config, workload).run_measured(effort.warmup, effort.accesses)
+    simulate(config, workload, effort.warmup, effort.accesses)
 }
 
 fn baseline(effort: Effort, cores: usize, preset: Preset, remap_boost: f64) -> SimReport {
-    let mut config = SystemConfig::new(cores, TlbOrg::paper_private());
+    let config = SystemConfig::new(cores, TlbOrg::paper_private());
     let mut spec = preset.spec();
     spec.remaps_per_million *= remap_boost;
     let workload = WorkloadAssignment::homogeneous(&config, spec);
-    config.seed = 0xcafe;
-    Simulation::new(config, workload).run_measured(effort.warmup, effort.accesses)
+    simulate(config, workload, effort.warmup, effort.accesses)
 }
 
 /// Regenerates Fig 16 (both panels).

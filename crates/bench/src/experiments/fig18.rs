@@ -7,7 +7,7 @@
 //! contains every mix; the printed table summarizes the sorted curves at
 //! percentiles plus degradation counts.
 
-use crate::{emit, out_dir, parallel_map, Effort};
+use crate::{emit, out_dir, parallel_map, simulate, Effort};
 use nocstar::prelude::*;
 
 struct MixResult {
@@ -39,7 +39,7 @@ pub fn run(effort: Effort) {
         let run_one = |org: TlbOrg| {
             let config = SystemConfig::new(cores, org);
             let workload = WorkloadAssignment::mix(&config, mix);
-            Simulation::new(config, workload).run_measured(warmup, quota)
+            simulate(config, workload, warmup, quota)
         };
         let base = run_one(TlbOrg::paper_private());
         let base_apps = base.app_finish_times(Mix::THREADS_PER_APP);

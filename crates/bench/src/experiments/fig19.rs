@@ -4,7 +4,7 @@
 //! (each promotion invalidating 512 L2 TLB entries) — for monolithic,
 //! distributed and NOCSTAR at 16/32/64 cores.
 
-use crate::{emit, parallel_map, Effort};
+use crate::{emit, parallel_map, simulate, Effort};
 use nocstar::prelude::*;
 
 /// Context-switch interval in trace events (aggressive, as in the paper's
@@ -27,7 +27,7 @@ fn run_one(effort: Effort, cores: usize, org: TlbOrg, preset: Preset, storm: boo
     } else {
         WorkloadAssignment::preset(&config, preset)
     };
-    Simulation::new(config, workload).run_measured(effort.warmup / 2, effort.accesses / 2)
+    simulate(config, workload, effort.warmup / 2, effort.accesses / 2)
 }
 
 /// Regenerates Fig 19.

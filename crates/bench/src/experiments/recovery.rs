@@ -5,8 +5,11 @@
 //! escalation escapes a link blackout, hierarchical re-homing serves a
 //! dead cluster's sets from a backup), and the detect→recovered
 //! percentiles quantify how quickly it reacts.
+//!
+//! The study sets each run's outage plan and recovery policy itself, so it
+//! exits with code 2 when given `--faults`, `--recovery` or `--sample`.
 
-use crate::{collect_report, emit, parallel_map, Effort};
+use crate::{emit, parallel_map, refuse_study_flags, settings, Effort, Settings};
 use nocstar::prelude::*;
 
 /// One scenario per fabric × scale: a label, the organization, the core
@@ -59,15 +62,18 @@ fn run_one(effort: Effort, cores: usize, org: TlbOrg, spec: &str, closed: bool) 
     // collects metrics regardless of the global observability switches.
     config.metrics = true;
     let workload = WorkloadAssignment::preset(&config, Preset::Redis);
-    let mut sim = Simulation::new(config, workload).with_faults(spec.parse().expect("outage plan"));
-    if closed {
-        sim = sim.with_recovery(RecoveryPolicy::all());
-    }
+    let settings = Settings {
+        faults: spec.parse().expect("outage plan"),
+        recovery: if closed {
+            RecoveryPolicy::all()
+        } else {
+            RecoveryPolicy::default()
+        },
+        ..settings().clone()
+    };
     // Fault windows act on absolute cycles, so warmup would eat them:
     // measure from cycle zero instead (same convention as the faultsweep).
-    let report = sim.run(effort.accesses / 2);
-    collect_report(&report);
-    report
+    settings.simulate(config, workload, 0, effort.accesses / 2)
 }
 
 fn counter(r: &SimReport, name: &str) -> u64 {
@@ -76,6 +82,7 @@ fn counter(r: &SimReport, name: &str) -> u64 {
 
 /// Regenerates the closed-loop recovery-latency study.
 pub fn run(effort: Effort) {
+    refuse_study_flags("recovery");
     let mut table = Table::new([
         "scenario",
         "cores",

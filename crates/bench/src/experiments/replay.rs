@@ -15,23 +15,13 @@
 //! * `--warmup <n>` / `--measure <n>` — override the effort's per-thread
 //!   access counts.
 
-use crate::{emit, out_dir, Effort};
+use crate::{bail, emit, flag_value, out_dir, Effort};
 use nocstar::prelude::*;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn parse_count(args: &[String], flag: &str) -> Option<u64> {
-    arg_value(args, flag).map(|v| match v.parse::<u64>() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: bad {flag} value {v:?}: {e}");
-            std::process::exit(2);
-        }
+    flag_value(args, flag).map(|v| {
+        v.parse::<u64>()
+            .unwrap_or_else(|e| bail(format_args!("bad {flag} value {v:?}: {e}")))
     })
 }
 
@@ -42,13 +32,9 @@ fn parse_org(name: &str, cores: usize) -> TlbOrg {
         "distributed" => TlbOrg::paper_distributed(),
         "nocstar" => TlbOrg::paper_nocstar(),
         "ideal" => TlbOrg::paper_ideal(),
-        other => {
-            eprintln!(
-                "error: unknown --org {other:?} \
-                 (expected private|monolithic|distributed|nocstar|ideal)"
-            );
-            std::process::exit(2);
-        }
+        other => bail(format_args!(
+            "unknown --org {other:?} (expected private|monolithic|distributed|nocstar|ideal)"
+        )),
     }
 }
 
@@ -56,18 +42,10 @@ fn parse_org(name: &str, cores: usize) -> TlbOrg {
 pub fn run(effort: Effort) {
     let args: Vec<String> = std::env::args().collect();
     let cores = parse_count(&args, "--cores").unwrap_or(16) as usize;
-    let org = parse_org(
-        &arg_value(&args, "--org").unwrap_or_else(|| "nocstar".into()),
-        cores,
-    );
-    let preset_name = arg_value(&args, "--preset").unwrap_or_else(|| "redis".into());
-    let preset = match Preset::from_name(&preset_name) {
-        Some(p) => p,
-        None => {
-            eprintln!("error: unknown --preset {preset_name:?}");
-            std::process::exit(2);
-        }
-    };
+    let org = parse_org(flag_value(&args, "--org").unwrap_or("nocstar"), cores);
+    let preset_name = flag_value(&args, "--preset").unwrap_or("redis");
+    let preset = Preset::from_name(preset_name)
+        .unwrap_or_else(|| bail(format_args!("unknown --preset {preset_name:?}")));
     let effort = Effort {
         warmup: parse_count(&args, "--warmup").unwrap_or(effort.warmup),
         accesses: parse_count(&args, "--measure").unwrap_or(effort.accesses),

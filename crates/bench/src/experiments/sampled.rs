@@ -15,28 +15,35 @@
 //! periodic sample has essentially no power against — the documented
 //! rare-event caveat of `SAMPLING.md §7` — so the validation isolates the
 //! steady-state rates sampling is actually for.
+//!
+//! The study sets each run's sampling itself, so it exits with code 2 when
+//! given `--sample`, `--faults` or `--recovery`.
 
-use crate::{emit, Effort};
+use crate::{emit, refuse_study_flags, settings, Effort, Settings};
 use nocstar::prelude::*;
 
 /// Exact-vs-sampled validation on a remap-free redis spec under NOCSTAR.
 pub fn run(effort: Effort) {
+    refuse_study_flags("sampled");
     let cores = 4;
     let (span, exact_warmup, spec) = if effort.quick {
         (4_000u64, 400u64, "800:40:20@7")
     } else {
         (10_000u64, 500u64, "1000:60:30@7")
     };
-    let spec: SampleSpec = spec.parse().expect("valid sample spec");
     let mut workload_spec = Preset::Redis.spec();
     workload_spec.remaps_per_million = 0.0;
-    let build = || {
+    let run = |settings: &Settings| {
         let config = SystemConfig::new(cores, TlbOrg::paper_nocstar());
         let workload = WorkloadAssignment::homogeneous(&config, workload_spec);
-        Simulation::new(config, workload)
+        settings.simulate(config, workload, exact_warmup, span - exact_warmup)
     };
-    let exact = build().run_measured(exact_warmup, span - exact_warmup);
-    let sampled = build().run_sampled(spec, span);
+    let exact = run(settings());
+    // Sampled replay covers the whole span, warmup included.
+    let sampled = run(&Settings {
+        sample: Some(spec.parse().expect("valid sample spec")),
+        ..settings().clone()
+    });
     let s = sampled.sampling.as_ref().expect("sampled report");
 
     let measured = ((span - exact_warmup) * cores as u64) as f64;

@@ -3,7 +3,7 @@
 //! real workload. The paper finds NOCSTAR still beats private L2 TLBs by
 //! 3–5 % and every other shared organization by ≥7 % even here.
 
-use crate::{emit, parallel_map, Effort};
+use crate::{emit, parallel_map, simulate, Effort};
 use nocstar::prelude::*;
 
 /// Pages the hammer threads cycle through (all homed on the victim slice).
@@ -12,7 +12,7 @@ const HAMMER_PAGES: u64 = 4_096;
 fn run_one(effort: Effort, cores: usize, org: TlbOrg) -> SimReport {
     let config = SystemConfig::new(cores, org);
     let workload = WorkloadAssignment::slice_hammer(&config, Preset::Canneal, HAMMER_PAGES);
-    Simulation::new(config, workload).run_measured(effort.warmup / 2, effort.accesses / 2)
+    simulate(config, workload, effort.warmup / 2, effort.accesses / 2)
 }
 
 /// Regenerates the slice-congestion study.

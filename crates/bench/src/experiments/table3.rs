@@ -93,24 +93,21 @@ pub fn run(effort: Effort) {
         let jobs: Vec<Preset> = Preset::ALL.to_vec();
         // SMT multiplies the thread count; shrink per-thread quotas to
         // keep scenario cost flat.
-        let warmup = effort.warmup / scenario.smt as u64;
-        let quota = (effort.accesses / scenario.smt as u64).max(1_000);
+        let scaled = Effort {
+            warmup: effort.warmup / scenario.smt as u64,
+            accesses: (effort.accesses / scenario.smt as u64).max(1_000),
+            ..effort
+        };
         let tweak = |c: &mut SystemConfig| {
             c.smt = scenario.smt;
             c.prefetch = PrefetchDepth::new(scenario.prefetch).expect("depth <= 3");
             c.walk_latency = scenario.walk;
         };
         let per_workload = parallel_map(jobs, |&preset| {
-            let mut bc = SystemConfig::new(cores, TlbOrg::paper_private());
-            tweak(&mut bc);
-            let bw = WorkloadAssignment::preset(&bc, preset);
-            let baseline = Simulation::new(bc, bw).run_measured(warmup, quota);
+            let baseline = scaled.run_with(cores, TlbOrg::paper_private(), preset, tweak);
             orgs.map(|(_, org)| {
-                let mut c = SystemConfig::new(cores, org);
-                tweak(&mut c);
-                let w = WorkloadAssignment::preset(&c, preset);
-                Simulation::new(c, w)
-                    .run_measured(warmup, quota)
+                scaled
+                    .run_with(cores, org, preset, tweak)
                     .speedup_vs(&baseline)
             })
         });

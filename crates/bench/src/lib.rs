@@ -2,10 +2,12 @@
 //! and figure of the paper (see `DESIGN.md` for the per-experiment index,
 //! and `src/bin/` for one binary per figure).
 //!
-//! The harness provides run-length presets (`--quick` / `NOCSTAR_QUICK=1`
-//! for CI-sized runs), parallel fan-out over independent simulations, the
-//! standard organization line-ups, and result persistence under
-//! `bench_results/`.
+//! Every simulation an experiment runs goes through one entry point,
+//! [`simulate`]: it applies the process-wide [`Settings`] (run length,
+//! observability, faults, recovery, trace replay, sampling), turns an
+//! aborted run into a warning plus its partial report, and queues the
+//! report for [`emit`]. The harness also provides parallel fan-out over
+//! independent simulations and result persistence under `bench_results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,262 +16,249 @@ pub mod experiments;
 
 use nocstar::prelude::*;
 use nocstar_json::Json;
+use std::fmt::Display;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::{Mutex, OnceLock};
 
 /// Ring-buffer capacity used for `--trace` runs: enough for the tail of a
 /// quick run without bloating the emitted JSON.
 const TRACE_CAPACITY: usize = 4096;
 
-/// Observability settings shared by every experiment binary, resolved once
-/// from the process arguments and environment:
+/// The harness settings every experiment binary honours. Each has a flag
+/// and an environment variable; the flag wins when both are given.
 ///
-/// * `--metrics-json <path>` (or `NOCSTAR_METRICS_JSON=<path>`) — enable
-///   the simulator's metrics registry and write the collected per-run
-///   reports to `<path>` as JSON, in addition to the per-experiment
-///   `<name>.metrics.json` files next to the CSVs.
-/// * `NOCSTAR_METRICS=1` — enable collection with per-experiment files
-///   only (what `run_all` users typically want).
-/// * `--trace` (or `NOCSTAR_TRACE=1`) — additionally record a bounded
-///   cycle-level event trace per run into the same JSON.
-#[derive(Debug, Clone, Default)]
-pub struct Observability {
-    /// Explicit output path from `--metrics-json`, if any.
-    pub metrics_json: Option<PathBuf>,
-    /// Whether metrics collection is on at all.
-    pub metrics: bool,
-    /// Whether cycle-level tracing is on.
-    pub trace: bool,
-}
-
-impl Observability {
-    fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut metrics_json = args
-            .iter()
-            .position(|a| a == "--metrics-json")
-            .and_then(|i| args.get(i + 1))
-            .map(PathBuf::from);
-        if metrics_json.is_none() {
-            metrics_json = std::env::var("NOCSTAR_METRICS_JSON")
-                .ok()
-                .map(PathBuf::from);
-        }
-        let trace = args.iter().any(|a| a == "--trace")
-            || std::env::var("NOCSTAR_TRACE").is_ok_and(|v| v != "0");
-        let metrics = metrics_json.is_some()
-            || trace
-            || std::env::var("NOCSTAR_METRICS").is_ok_and(|v| v != "0");
-        Self {
-            metrics_json,
-            metrics,
-            trace,
-        }
-    }
-}
-
-/// The process-wide observability settings (first use resolves them).
-pub fn observability() -> &'static Observability {
-    static OBS: OnceLock<Observability> = OnceLock::new();
-    OBS.get_or_init(Observability::from_env)
-}
-
-/// Fault-injection and run-budget settings shared by every experiment
-/// binary, resolved once from the process arguments and environment:
-///
-/// * `--faults <spec>` (or `NOCSTAR_FAULTS=<spec>`) — install a
-///   deterministic [`FaultPlan`] (see its docs for the spec grammar, e.g.
+/// * `--quick` (`NOCSTAR_QUICK=1`) — CI-sized runs (see [`Effort`]).
+/// * `--metrics-json <path>` (`NOCSTAR_METRICS_JSON`) — collect each run's
+///   metrics and write the reports to `<path>` as JSON, besides the
+///   per-experiment `<name>.metrics.json` files next to the CSVs;
+///   `NOCSTAR_METRICS=1` collects into the per-experiment files only.
+/// * `--trace` (`NOCSTAR_TRACE=1`) — also record a bounded cycle-level
+///   event trace per run into the same JSON.
+/// * `--faults <spec>` (`NOCSTAR_FAULTS`) — install a deterministic
+///   [`FaultPlan`] (grammar in its docs, e.g.
 ///   `"link:*@1000-5000=off; deny@0-2000; retry=8"`) into every run.
-/// * `--max-cycles <n>` (or `NOCSTAR_MAX_CYCLES=<n>`) — abort any single
-///   run that would advance past simulated cycle `n`, keeping whatever it
-///   measured (the partial report is used, with a warning on stderr).
+/// * `--recovery <spec>` (`NOCSTAR_RECOVERY`) — install a
+///   [`RecoveryPolicy`] (`"reroute; rehome; failover; escalate=N"`, or
+///   `"all"`) into every run.
+/// * `--max-cycles <n>` (`NOCSTAR_MAX_CYCLES`) — abort any run that would
+///   pass simulated cycle `n`, keeping its partial report.
+/// * `--trace-file <path>` (`NOCSTAR_TRACE_FILE`) — drive every run's
+///   address streams from a captured `.nct` file (`TRACE_FORMAT.md`)
+///   instead of the experiment's generators.
+/// * `--sample <spec>` (`NOCSTAR_SAMPLE`) — replace every run's exact
+///   replay with sampled fast-forward replay (`SAMPLING.md`); the spec is
+///   `<period>:<window>:<warmup>[@<seed>]` in accesses per thread, and a
+///   run's warmup plus measured accesses become its sampled span.
 ///
-/// A malformed spec or budget terminates the process with exit code 2 —
-/// a sweep must not silently run fault-free when faults were requested.
+/// A malformed value is an error naming its flag, and so is `--sample`
+/// with `--faults` or `--recovery`: fault windows are cycle-based and
+/// fast-forward does not advance cycles.
 #[derive(Debug, Clone, Default)]
-pub struct FaultSettings {
-    /// The plan injected into every simulation (empty = fault-free).
-    pub plan: FaultPlan,
+pub struct Settings {
+    /// Abbreviated (CI-sized) runs.
+    pub quick: bool,
+    /// Whether each run's metrics are collected for [`emit`].
+    pub metrics: bool,
+    /// Extra output path for the collected reports, if any.
+    pub metrics_json: Option<PathBuf>,
+    /// Whether each run records a bounded cycle-level trace.
+    pub trace: bool,
+    /// The plan installed into every run (empty = fault-free).
+    pub faults: FaultPlan,
+    /// The policy installed into every run (default = open loop).
+    pub recovery: RecoveryPolicy,
     /// Hard per-run simulated-cycle budget, if any.
     pub max_cycles: Option<u64>,
-}
-
-impl FaultSettings {
-    fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let spec = args
-            .iter()
-            .position(|a| a == "--faults")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| std::env::var("NOCSTAR_FAULTS").ok());
-        let plan = match spec.as_deref().map(str::parse::<FaultPlan>) {
-            None => FaultPlan::default(),
-            Some(Ok(plan)) => plan,
-            Some(Err(e)) => {
-                eprintln!("error: bad fault spec: {e}");
-                std::process::exit(2);
-            }
-        };
-        let budget = args
-            .iter()
-            .position(|a| a == "--max-cycles")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| std::env::var("NOCSTAR_MAX_CYCLES").ok());
-        let max_cycles = match budget.as_deref().map(str::parse::<u64>) {
-            None => None,
-            Some(Ok(n)) => Some(n),
-            Some(Err(e)) => {
-                eprintln!("error: bad --max-cycles value: {e}");
-                std::process::exit(2);
-            }
-        };
-        Self { plan, max_cycles }
-    }
-}
-
-/// The process-wide fault settings (first use resolves them).
-pub fn fault_settings() -> &'static FaultSettings {
-    static FAULTS: OnceLock<FaultSettings> = OnceLock::new();
-    FAULTS.get_or_init(FaultSettings::from_env)
-}
-
-/// Reactive-recovery settings shared by every experiment binary, resolved
-/// once from the process arguments and environment:
-///
-/// * `--recovery <spec>` (or `NOCSTAR_RECOVERY=<spec>`) — install a
-///   [`RecoveryPolicy`] (spec grammar: `"reroute; rehome; failover;
-///   escalate=N"`, or `"all"` for every mechanism) into every run, closing
-///   the loop on whatever `--faults` injects.
-///
-/// A malformed spec terminates the process with exit code 2 — a sweep must
-/// not silently run open-loop when recovery was requested.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RecoverySettings {
-    /// The policy installed into every simulation (default = open loop).
-    pub policy: RecoveryPolicy,
-}
-
-impl RecoverySettings {
-    fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let spec = args
-            .iter()
-            .position(|a| a == "--recovery")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| std::env::var("NOCSTAR_RECOVERY").ok());
-        let policy = match spec.as_deref().map(str::parse::<RecoveryPolicy>) {
-            None => RecoveryPolicy::default(),
-            Some(Ok(policy)) => policy,
-            Some(Err(e)) => {
-                eprintln!("error: bad recovery spec: {e}");
-                std::process::exit(2);
-            }
-        };
-        Self { policy }
-    }
-}
-
-/// The process-wide recovery settings (first use resolves them).
-pub fn recovery_settings() -> &'static RecoverySettings {
-    static RECOVERY: OnceLock<RecoverySettings> = OnceLock::new();
-    RECOVERY.get_or_init(RecoverySettings::from_env)
-}
-
-/// Trace-replay settings shared by every experiment binary, resolved once
-/// from the process arguments and environment:
-///
-/// * `--trace-file <path>` (or `NOCSTAR_TRACE_FILE=<path>`) — drive every
-///   run from a captured `.nct` trace file (see `TRACE_FORMAT.md` and the
-///   `nocstar-trace` CLI) instead of the live synthetic generators. The
-///   preset argument still selects labels/tables, but the address streams
-///   come from the file; an unreadable or corrupt file terminates the
-///   process with exit code 2 at the first run.
-#[derive(Debug, Clone, Default)]
-pub struct ReplaySettings {
     /// The trace file every run replays, if any.
     pub trace_file: Option<PathBuf>,
+    /// The sampling spec every run uses (`None` = exact replay).
+    pub sample: Option<SampleSpec>,
 }
 
-impl ReplaySettings {
-    fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let trace_file = args
-            .iter()
-            .position(|a| a == "--trace-file")
-            .and_then(|i| args.get(i + 1))
-            .map(PathBuf::from)
-            .or_else(|| std::env::var("NOCSTAR_TRACE_FILE").ok().map(PathBuf::from));
-        Self { trace_file }
-    }
+/// The value following `flag` in `args`, if the flag is there.
+pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    let i = args.iter().position(|a| a == flag)?;
+    args.get(i + 1).map(String::as_str)
 }
 
-/// The process-wide replay settings (first use resolves them).
-pub fn replay_settings() -> &'static ReplaySettings {
-    static REPLAY: OnceLock<ReplaySettings> = OnceLock::new();
-    REPLAY.get_or_init(ReplaySettings::from_env)
+/// Whether the bare `flag` is among `args`.
+pub fn has_flag(args: &[String], flag: &str) -> bool {
+    args.iter().any(|a| a == flag)
 }
 
-/// Sampled-replay settings shared by every experiment binary, resolved
-/// once from the process arguments and environment:
-///
-/// * `--sample <spec>` (or `NOCSTAR_SAMPLE=<spec>`) — replace every run's
-///   exact replay with sampled fast-forward replay per `SAMPLING.md`. The
-///   spec is `<period>:<window>:<warmup>[@<seed>]` in accesses per thread,
-///   e.g. `1000:60:30@7`; the whole effort span (warmup + measured
-///   accesses per thread) becomes the sampled trace span, and each
-///   report gains a `sampling` section with per-metric confidence
-///   intervals.
-///
-/// A malformed spec terminates the process with exit code 2, as does
-/// combining `--sample` with `--faults` or `--recovery` (fault windows
-/// are cycle-based; fast-forward does not advance cycles).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SampleSettings {
-    /// The sampling spec applied to every run (`None` = exact replay).
-    pub spec: Option<SampleSpec>,
+/// Parses `raw`, the value given for `flag`, into a `T`.
+fn parse_value<T: FromStr>(raw: Option<String>, flag: &str) -> Result<Option<T>, String>
+where
+    T::Err: Display,
+{
+    raw.map(|v| {
+        v.parse()
+            .map_err(|e| format!("bad {flag} value {v:?}: {e}"))
+    })
+    .transpose()
 }
 
-impl SampleSettings {
-    fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let raw = args
-            .iter()
-            .position(|a| a == "--sample")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| std::env::var("NOCSTAR_SAMPLE").ok());
-        let spec = match raw.as_deref().map(str::parse::<SampleSpec>) {
-            None => None,
-            Some(Ok(spec)) => Some(spec),
-            Some(Err(e)) => {
-                eprintln!("error: bad sample spec: {e}");
-                std::process::exit(2);
-            }
+/// Prints `error: <msg>` and exits with code 2: a bad harness input must
+/// stop the run, not be ignored.
+pub(crate) fn bail(msg: impl Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+impl Settings {
+    /// Parses the settings from the command line `args` and the
+    /// environment lookup `env`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag whose value is malformed, or rejecting
+    /// `--sample` together with `--faults` or `--recovery`.
+    pub fn parse(args: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let value = |flag: &str, var: &str| {
+            flag_value(args, flag)
+                .map(str::to_owned)
+                .or_else(|| env(var))
         };
-        Self { spec }
+        let on = |var: &str| env(var).is_some_and(|v| v != "0");
+        let metrics_json = value("--metrics-json", "NOCSTAR_METRICS_JSON").map(PathBuf::from);
+        let trace = has_flag(args, "--trace") || on("NOCSTAR_TRACE");
+        let settings = Self {
+            quick: has_flag(args, "--quick") || on("NOCSTAR_QUICK"),
+            metrics: metrics_json.is_some() || trace || on("NOCSTAR_METRICS"),
+            metrics_json,
+            trace,
+            faults: parse_value(value("--faults", "NOCSTAR_FAULTS"), "--faults")?
+                .unwrap_or_default(),
+            recovery: parse_value(value("--recovery", "NOCSTAR_RECOVERY"), "--recovery")?
+                .unwrap_or_default(),
+            max_cycles: parse_value(value("--max-cycles", "NOCSTAR_MAX_CYCLES"), "--max-cycles")?,
+            trace_file: value("--trace-file", "NOCSTAR_TRACE_FILE").map(PathBuf::from),
+            sample: parse_value(value("--sample", "NOCSTAR_SAMPLE"), "--sample")?,
+        };
+        if settings.sample.is_some()
+            && (!settings.faults.is_empty() || settings.recovery.is_enabled())
+        {
+            return Err("--sample cannot be combined with --faults or --recovery \
+                 (fault windows are cycle-based; fast-forward does not advance cycles)"
+                .into());
+        }
+        Ok(settings)
+    }
+
+    /// The first of `--faults`, `--recovery` and `--sample` that is set.
+    /// The robustness studies (faultsweep, recovery, sampled) choose all
+    /// three per run themselves, so none of them runs under any of these.
+    pub fn study_flag(&self) -> Option<&'static str> {
+        [
+            ("--faults", !self.faults.is_empty()),
+            ("--recovery", self.recovery.is_enabled()),
+            ("--sample", self.sample.is_some()),
+        ]
+        .into_iter()
+        .find_map(|(flag, set)| set.then_some(flag))
+    }
+
+    /// Runs `workload` on `config` under these settings: `warmup` then
+    /// `measure` accesses per thread, or under `--sample` the sampled
+    /// replay of that whole span. An aborted run (`--max-cycles`,
+    /// deadlock, livelock) warns on stderr and returns its partial report.
+    /// With metrics on, the report is queued for the next [`emit`]. An
+    /// unreadable `--trace-file`, or a sample spec that places no window
+    /// in the span, exits with code 2.
+    ///
+    /// Every experiment runs its simulations through here (mostly via
+    /// [`simulate`] and [`Effort::run_with`]), so every harness flag
+    /// reaches every figure.
+    pub fn simulate(
+        &self,
+        mut config: SystemConfig,
+        workload: WorkloadAssignment,
+        warmup: u64,
+        measure: u64,
+    ) -> SimReport {
+        config.metrics |= self.metrics;
+        if self.trace {
+            config.trace_capacity = TRACE_CAPACITY;
+        }
+        if self.max_cycles.is_some() {
+            config.max_cycles = self.max_cycles;
+        }
+        let workload = match &self.trace_file {
+            Some(path) => WorkloadAssignment::from_trace_file(&config, path)
+                .unwrap_or_else(|e| bail(format_args!("cannot replay {}: {e}", path.display()))),
+            None => workload,
+        };
+        let run = format!("{} run of {}", config.org.label(), workload.label());
+        let mut sim = Simulation::new(config, workload);
+        if !self.faults.is_empty() {
+            sim = sim.with_faults(self.faults.clone());
+        }
+        if self.recovery.is_enabled() {
+            sim = sim.with_recovery(self.recovery);
+        }
+        let result = match self.sample {
+            Some(spec) => {
+                let span = warmup + measure;
+                if spec.windows(span) == 0 {
+                    bail(format_args!(
+                        "sample spec {spec} places no measurement window \
+                         in a span of {span} accesses per thread"
+                    ));
+                }
+                sim.try_run_sampled(spec, span)
+            }
+            None => sim.try_run_measured(warmup, measure),
+        };
+        let report = result.unwrap_or_else(|abort| {
+            eprintln!(
+                "warning: {run} aborted ({}); using the partial report",
+                abort.error
+            );
+            abort.partial
+        });
+        if self.metrics {
+            COLLECTED.lock().expect("poisoned").push(report.to_json());
+        }
+        report
     }
 }
 
-/// The process-wide sampled-replay settings (first use resolves them).
-pub fn sample_settings() -> &'static SampleSettings {
-    static SAMPLE: OnceLock<SampleSettings> = OnceLock::new();
-    SAMPLE.get_or_init(SampleSettings::from_env)
+/// The process-wide settings, parsed from the command line and the
+/// environment on first use; a parse error exits with code 2.
+pub fn settings() -> &'static Settings {
+    static SETTINGS: OnceLock<Settings> = OnceLock::new();
+    SETTINGS.get_or_init(|| {
+        let args: Vec<String> = std::env::args().collect();
+        Settings::parse(&args, |var| std::env::var(var).ok()).unwrap_or_else(|e| bail(e))
+    })
+}
+
+/// [`Settings::simulate`] under the process-wide [`settings`].
+pub fn simulate(
+    config: SystemConfig,
+    workload: WorkloadAssignment,
+    warmup: u64,
+    measure: u64,
+) -> SimReport {
+    settings().simulate(config, workload, warmup, measure)
+}
+
+/// Exits with code 2 if `study` — faultsweep, recovery or sampled, which
+/// set faults, recovery and sampling per run themselves — was given
+/// `--faults`, `--recovery` or `--sample` (see [`Settings::study_flag`]).
+pub(crate) fn refuse_study_flags(study: &str) {
+    if let Some(flag) = settings().study_flag() {
+        bail(format_args!(
+            "{study} sets its own fault plans, recovery and sampling per run; \
+             drop {flag} (or its environment variable)"
+        ));
+    }
 }
 
 /// Reports collected since the last [`emit`], serialized eagerly so the
 /// collector owns no simulator state.
 static COLLECTED: Mutex<Vec<Json>> = Mutex::new(Vec::new());
-
-/// Records one finished run's full JSON report for the next [`emit`].
-/// No-op unless metrics collection is enabled.
-pub fn collect_report(report: &SimReport) {
-    if observability().metrics {
-        COLLECTED.lock().expect("poisoned").push(report.to_json());
-    }
-}
 
 /// Drains the collected reports, sorted by serialized form so the output
 /// is independent of worker-thread completion order.
@@ -296,11 +285,10 @@ pub struct Effort {
 }
 
 impl Effort {
-    /// Resolves effort from the process arguments and environment:
-    /// `--quick` or `NOCSTAR_QUICK=1` selects the abbreviated mode.
+    /// The run length the process-wide [`settings`] select: `--quick` or
+    /// `NOCSTAR_QUICK=1` selects the abbreviated mode.
     pub fn from_env() -> Self {
-        let quick = std::env::args().any(|a| a == "--quick")
-            || std::env::var("NOCSTAR_QUICK").is_ok_and(|v| v != "0");
+        let quick = settings().quick;
         Self {
             warmup: if quick { 2_000 } else { 8_000 },
             accesses: if quick { 4_000 } else { 16_000 },
@@ -308,8 +296,8 @@ impl Effort {
         }
     }
 
-    /// Runs one preset under one organization at this effort (with warmup),
-    /// applying config tweaks first.
+    /// Runs one preset under one organization at this effort (with warmup)
+    /// through [`simulate`], applying config tweaks first.
     pub fn run_with(
         &self,
         cores: usize,
@@ -319,80 +307,8 @@ impl Effort {
     ) -> SimReport {
         let mut config = SystemConfig::new(cores, org);
         tweak(&mut config);
-        let obs = observability();
-        if obs.metrics {
-            config.metrics = true;
-        }
-        if obs.trace {
-            config.trace_capacity = TRACE_CAPACITY;
-        }
-        let faults = fault_settings();
-        if let Some(budget) = faults.max_cycles {
-            config.max_cycles = Some(budget);
-        }
-        let workload = match &replay_settings().trace_file {
-            Some(path) => match WorkloadAssignment::from_trace_file(&config, path) {
-                Ok(workload) => workload,
-                Err(e) => {
-                    eprintln!("error: cannot replay {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            },
-            None => WorkloadAssignment::preset(&config, preset),
-        };
-        let mut sim = Simulation::new(config, workload);
-        if !faults.plan.is_empty() {
-            sim = sim.with_faults(faults.plan.clone());
-        }
-        let recovery = recovery_settings();
-        if recovery.policy.is_enabled() {
-            sim = sim.with_recovery(recovery.policy);
-        }
-        if let Some(spec) = sample_settings().spec {
-            if !faults.plan.is_empty() || recovery.policy.is_enabled() {
-                eprintln!(
-                    "error: --sample cannot be combined with --faults or --recovery \
-                     (fault windows are cycle-based; fast-forward does not advance cycles)"
-                );
-                std::process::exit(2);
-            }
-            let span = self.warmup + self.accesses;
-            if spec.windows(span) == 0 {
-                eprintln!(
-                    "error: sample spec {spec} places no measurement window \
-                     in a span of {span} accesses per thread"
-                );
-                std::process::exit(2);
-            }
-            let report = match sim.try_run_sampled(spec, span) {
-                Ok(report) => report,
-                Err(abort) => {
-                    eprintln!(
-                        "warning: sampled {} run of {} aborted ({}); using the partial report",
-                        org.label(),
-                        preset.name(),
-                        abort.error
-                    );
-                    abort.partial
-                }
-            };
-            collect_report(&report);
-            return report;
-        }
-        let report = match sim.try_run_measured(self.warmup, self.accesses) {
-            Ok(report) => report,
-            Err(abort) => {
-                eprintln!(
-                    "warning: {} run of {} aborted ({}); using the partial report",
-                    org.label(),
-                    preset.name(),
-                    abort.error
-                );
-                abort.partial
-            }
-        };
-        collect_report(&report);
-        report
+        let workload = WorkloadAssignment::preset(&config, preset);
+        simulate(config, workload, self.warmup, self.accesses)
     }
 
     /// [`run_with`](Self::run_with) without tweaks.
@@ -468,8 +384,8 @@ pub fn emit(name: &str, title: &str, table: &Table) {
     let path = out_dir().join(format!("{name}.csv"));
     std::fs::write(&path, table.to_csv()).expect("write csv");
     println!("(saved {})\n", path.display());
-    let obs = observability();
-    if obs.metrics {
+    let settings = settings();
+    if settings.metrics {
         let drained = drain_collected();
         if !drained.is_empty() {
             let doc = Json::Arr(drained.into_iter().map(|(_, j)| j).collect());
@@ -477,7 +393,7 @@ pub fn emit(name: &str, title: &str, table: &Table) {
             let mpath = out_dir().join(format!("{name}.metrics.json"));
             std::fs::write(&mpath, &text).expect("write metrics json");
             println!("(saved {})\n", mpath.display());
-            if let Some(explicit) = &obs.metrics_json {
+            if let Some(explicit) = &settings.metrics_json {
                 std::fs::write(explicit, &text).expect("write metrics json");
                 println!("(saved {})\n", explicit.display());
             }
@@ -500,5 +416,68 @@ mod tests {
         // No --quick in the test binary args.
         let e = Effort::from_env();
         assert!(e.accesses >= 4_000);
+    }
+
+    fn parse(args: &[&str], env: &[(&str, &str)]) -> Result<Settings, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Settings::parse(&args, |var| {
+            env.iter()
+                .find(|(k, _)| *k == var)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn a_flag_wins_over_its_environment_variable() {
+        let env = [
+            ("NOCSTAR_MAX_CYCLES", "100"),
+            ("NOCSTAR_TRACE_FILE", "env.nct"),
+        ];
+        let s = parse(&["--max-cycles", "7", "--trace-file", "flag.nct"], &env).unwrap();
+        assert_eq!(s.max_cycles, Some(7));
+        assert_eq!(s.trace_file, Some(PathBuf::from("flag.nct")));
+        let s = parse(&[], &env).unwrap();
+        assert_eq!(s.max_cycles, Some(100));
+        assert!(!s.quick && !s.metrics);
+        let s = parse(&["--quick", "--trace"], &[("NOCSTAR_QUICK", "0")]).unwrap();
+        assert!(s.quick && s.trace && s.metrics);
+    }
+
+    #[test]
+    fn malformed_values_name_their_flag() {
+        for flag in ["--faults", "--sample", "--max-cycles", "--recovery"] {
+            let err = parse(&[flag, "bogus@@"], &[]).unwrap_err();
+            assert!(err.contains(flag), "{flag}: {err}");
+        }
+        let err = parse(&[], &[("NOCSTAR_SAMPLE", "nope")]).unwrap_err();
+        assert!(err.contains("--sample"), "{err}");
+    }
+
+    #[test]
+    fn sample_with_faults_or_recovery_is_rejected_when_parsed() {
+        let err = parse(&["--sample", "1000:60:30", "--faults", "deny@0-10"], &[]).unwrap_err();
+        assert!(
+            err.contains("--sample") && err.contains("--faults"),
+            "{err}"
+        );
+        assert!(parse(&["--sample", "1000:60:30"], &[("NOCSTAR_RECOVERY", "all")]).is_err());
+        let s = parse(&["--sample", "1000:60:30"], &[]).unwrap();
+        assert_eq!(s.study_flag(), Some("--sample"));
+    }
+
+    #[test]
+    fn simulate_applies_the_settings_to_any_workload_and_queues_the_report() {
+        let settings = parse(
+            &["--faults", "deny@0-100000000"],
+            &[("NOCSTAR_METRICS", "1")],
+        )
+        .unwrap();
+        assert_eq!(settings.study_flag(), Some("--faults"));
+        let config = SystemConfig::new(16, TlbOrg::paper_nocstar());
+        let workload = WorkloadAssignment::slice_hammer(&config, Preset::Canneal, 256);
+        let report = settings.simulate(config, workload, 100, 300);
+        assert!(report.metrics.counter("faults.denied_setups").unwrap_or(0) > 0);
+        let queued = report.to_json().to_string();
+        assert!(drain_collected().iter().any(|(text, _)| *text == queued));
     }
 }

@@ -29,9 +29,6 @@ pub struct PhysMemory {
 }
 
 impl PhysMemory {
-    /// The paper's machine: 2 TB of system memory (§IV).
-    pub const PAPER_CAPACITY: u64 = 2 << 40;
-
     /// A machine with `capacity` bytes of physical memory.
     ///
     /// # Panics
@@ -46,11 +43,6 @@ impl PhysMemory {
             capacity,
             next_free: 0,
         }
-    }
-
-    /// The paper's 2 TB machine.
-    pub fn paper_machine() -> Self {
-        Self::new(Self::PAPER_CAPACITY)
     }
 
     /// Allocates one naturally aligned frame of the given size.

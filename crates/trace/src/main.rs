@@ -15,13 +15,15 @@
 //!   against trace phase behaviour (`SAMPLING.md §7`).
 //!
 //! Exit codes: 2 for usage errors, 1 for runtime failures (I/O, corrupt
-//! files), 0 on success.
+//! files), 0 on success — including when the reader of standard output
+//! closes it early (`inspect big.nct | head`).
 
 use nocstar_types::{Asid, PageSize, ThreadId};
 use nocstar_workloads::nct::NctFile;
 use nocstar_workloads::preset::Preset;
 use nocstar_workloads::recorded::RecordedTrace;
 use nocstar_workloads::trace::TraceEvent;
+use std::io::{self, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "\
@@ -43,19 +45,22 @@ adds a per-window footprint/reuse table over windows of n accesses.";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = io::stdout().lock();
     let result = match args.first().map(String::as_str) {
-        Some("record") => cmd_record(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
-        Some("inspect") => cmd_inspect(&args[1..]),
-        Some("--help" | "-h" | "help") => {
-            println!("{USAGE}");
-            return;
-        }
+        Some("record") => cmd_record(&args[1..], &mut out),
+        Some("convert") => cmd_convert(&args[1..], &mut out),
+        Some("inspect") => cmd_inspect(&args[1..], &mut out),
+        Some("--help" | "-h" | "help") => writeln!(out, "{USAGE}"),
         _ => usage("expected a subcommand: record, convert or inspect"),
     };
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+    match result.and_then(|()| out.flush()) {
+        Ok(()) => {}
+        // The reader closed the pipe: it has all the output it wanted.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -114,12 +119,12 @@ fn positionals(args: &[String], value_flags: &[&str]) -> Vec<String> {
     out
 }
 
-fn cmd_record(args: &[String]) -> Result<(), String> {
+fn cmd_record(args: &[String], out: &mut impl Write) -> io::Result<()> {
     let preset_name =
         flag_value(args, "--preset").unwrap_or_else(|| usage("record needs --preset <name>"));
     let preset = Preset::from_name(&preset_name)
         .unwrap_or_else(|| usage(&format!("unknown preset {preset_name:?}")));
-    let out = PathBuf::from(
+    let path = PathBuf::from(
         flag_value(args, "--out").unwrap_or_else(|| usage("record needs --out <file.nct>")),
     );
     let threads = flag_u64(args, "--threads", 1);
@@ -145,15 +150,16 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
             RecordedTrace::capture(&mut src, events as usize)
         })
         .collect();
-    let file = NctFile::from_recorded(&traces, &label).map_err(|e| e.to_string())?;
-    file.save(&out).map_err(|e| e.to_string())?;
-    let bytes = std::fs::metadata(&out).map_err(|e| e.to_string())?.len();
-    println!(
+    let file = NctFile::from_recorded(&traces, &label).map_err(io::Error::other)?;
+    file.save(&path).map_err(io::Error::other)?;
+    let bytes = std::fs::metadata(&path)?.len();
+    writeln!(
+        out,
         "recorded {threads} thread(s) x {events} events of {} -> {} ({bytes} bytes, {:.2} bytes/event)",
         preset.name(),
-        out.display(),
+        path.display(),
         bytes as f64 / (threads * events) as f64,
-    );
+    )?;
     Ok(())
 }
 
@@ -176,7 +182,7 @@ fn direction(input: &Path, output: &Path) -> Direction {
     }
 }
 
-fn cmd_convert(args: &[String]) -> Result<(), String> {
+fn cmd_convert(args: &[String], out: &mut impl Write) -> io::Result<()> {
     let pos = positionals(args, &["--thread", "--label"]);
     let [input, output] = pos.as_slice() else {
         usage("convert needs exactly two paths: <in> <out>");
@@ -185,22 +191,23 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     let output = PathBuf::from(output);
     match direction(&input, &output) {
         Direction::JsonToNct => {
-            let text =
-                std::fs::read_to_string(&input).map_err(|e| format!("{}: {e}", input.display()))?;
-            let trace = RecordedTrace::from_json(&text).map_err(|e| e.to_string())?;
+            let text = std::fs::read_to_string(&input)
+                .map_err(|e| io::Error::other(format!("{}: {e}", input.display())))?;
+            let trace = RecordedTrace::from_json(&text).map_err(io::Error::other)?;
             let label = flag_value(args, "--label").unwrap_or_else(|| "recorded".to_string());
             let file = NctFile::from_recorded(std::slice::from_ref(&trace), &label)
-                .map_err(|e| e.to_string())?;
-            file.save(&output).map_err(|e| e.to_string())?;
-            println!(
+                .map_err(io::Error::other)?;
+            file.save(&output).map_err(io::Error::other)?;
+            writeln!(
+                out,
                 "converted {} -> {} ({} events)",
                 input.display(),
                 output.display(),
                 trace.len()
-            );
+            )?;
         }
         Direction::NctToJson => {
-            let file = NctFile::load(&input).map_err(|e| e.to_string())?;
+            let file = NctFile::load(&input).map_err(io::Error::other)?;
             let thread = match flag_value(args, "--thread") {
                 Some(v) => parse_u64(&v)
                     .ok()
@@ -212,20 +219,21 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
                     file.threads().len()
                 )),
             };
-            let trace = file.to_recorded(thread).map_err(|e| e.to_string())?;
-            std::fs::write(&output, trace.to_json()).map_err(|e| e.to_string())?;
-            println!(
+            let trace = file.to_recorded(thread).map_err(io::Error::other)?;
+            std::fs::write(&output, trace.to_json())?;
+            writeln!(
+                out,
                 "converted {} (thread {thread}) -> {} ({} events)",
                 input.display(),
                 output.display(),
                 trace.len()
-            );
+            )?;
         }
     }
     Ok(())
 }
 
-fn cmd_inspect(args: &[String]) -> Result<(), String> {
+fn cmd_inspect(args: &[String], out: &mut impl Write) -> io::Result<()> {
     let pos = positionals(args, &["--windows"]);
     let [path] = pos.as_slice() else {
         usage("inspect needs exactly one path: <file.nct>");
@@ -237,53 +245,61 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         }
         n
     });
-    let file = NctFile::load(path).map_err(|e| e.to_string())?;
-    let bytes = std::fs::metadata(path).map_err(|e| e.to_string())?.len();
-    println!("file:    {path} ({bytes} bytes)");
-    println!("label:   {}", file.label());
-    println!("asid:    {}", file.asid().value());
-    println!("threads: {}", file.threads().len());
+    let file = NctFile::load(path).map_err(io::Error::other)?;
+    let bytes = std::fs::metadata(path)?.len();
+    writeln!(out, "file:    {path} ({bytes} bytes)")?;
+    writeln!(out, "label:   {}", file.label())?;
+    writeln!(out, "asid:    {}", file.asid().value())?;
+    writeln!(out, "threads: {}", file.threads().len())?;
     for (t, stream) in file.threads().iter().enumerate() {
         let stats = StreamStats::of(&stream.events, &stream.superpage_frames);
-        println!("\nthread {t}: {} events", stream.events.len());
-        println!(
+        writeln!(out, "\nthread {t}: {} events", stream.events.len())?;
+        writeln!(
+            out,
             "  kinds:          {} reads, {} writes, {} ctx switches, {} remaps, {} promotes, {} demotes",
             stats.reads, stats.writes, stats.ctx_switches, stats.remaps, stats.promotes, stats.demotes
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "  footprint:      {} pages at backing granularity ({} x 4K + {} x 2M = {})",
             stats.pages_4k + stats.pages_2m,
             stats.pages_4k,
             stats.pages_2m,
             human_bytes(stats.footprint_bytes())
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "  accesses:       {:.1}% to 4K pages, {:.1}% to 2M pages",
             100.0 * stats.accesses_4k as f64 / stats.accesses().max(1) as f64,
             100.0 * stats.accesses_2m as f64 / stats.accesses().max(1) as f64,
-        );
+        )?;
         match stats.reuse {
-            None => println!("  reuse distance: every access is a cold miss"),
-            Some(ref r) => println!(
+            None => writeln!(out, "  reuse distance: every access is a cold miss")?,
+            Some(ref r) => writeln!(
+                out,
                 "  reuse distance: mean {:.1}, p50 {}, max {} (over 4K pages; {} cold)",
                 r.mean, r.p50, r.max, r.cold
-            ),
+            )?,
         }
         if let Some(per_window) = windows {
-            println!("  windows of {per_window} accesses:");
-            println!("    window  events  accesses  distinct_4k  new_4k  reuse%");
+            writeln!(out, "  windows of {per_window} accesses:")?;
+            writeln!(
+                out,
+                "    window  events  accesses  distinct_4k  new_4k  reuse%"
+            )?;
             for (w, win) in window_summaries(&stream.events, per_window)
                 .iter()
                 .enumerate()
             {
-                println!(
+                writeln!(
+                    out,
                     "    {w:<6}  {:<6}  {:<8}  {:<11}  {:<6}  {:.1}",
                     win.events,
                     win.accesses,
                     win.distinct,
                     win.new_pages,
                     100.0 * win.reused as f64 / win.accesses.max(1) as f64,
-                );
+                )?;
             }
         }
     }

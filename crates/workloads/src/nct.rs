@@ -520,13 +520,6 @@ pub struct NctHeader {
 }
 
 impl NctHeader {
-    /// Total on-disk size of header + label + thread directory — i.e. the
-    /// offset at which the first thread section would start in a
-    /// contiguous layout.
-    pub fn preamble_len(&self) -> u64 {
-        (HEADER_LEN + self.label.len() + usize::from(self.thread_count) * DIR_ENTRY_LEN) as u64
-    }
-
     /// Byte offset of thread `index`'s directory entry.
     pub fn dir_entry_offset(&self, index: u16) -> u64 {
         (HEADER_LEN + self.label.len() + usize::from(index) * DIR_ENTRY_LEN) as u64

@@ -5,7 +5,10 @@
 # Two modes (ROADMAP "CI timing budget"):
 #
 #   ci.sh             fast PR gate: fmt + determinism lint + clippy +
-#                     doc + build + tier-1 tests. `cargo test --workspace`
+#                     doc + build + a few-second harness smoke (a
+#                     faulted slice_ubench must report denied setups in
+#                     its --metrics-json file) + tier-1 tests.
+#                     `cargo test --workspace`
 #                     runs every non-ignored test once, including the
 #                     golden-report, determinism, chaos and NCT trace
 #                     round-trip suites. Target: a few minutes.
@@ -65,6 +68,26 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== cargo build --release =="
 cargo build --workspace --release
+
+echo "== harness smoke: a paper figure honours --faults and --metrics-json =="
+# Every experiment runs through the harness's one entry point, so a
+# whole-run setup-denial plan must reach slice_ubench's NOCSTAR runs and
+# show up in the per-run reports written to the --metrics-json path.
+rm -rf target/bench-smoke
+NOCSTAR_OUT=target/bench-smoke cargo run --release -q -p nocstar-bench --bin slice_ubench -- \
+  --quick --faults 'deny@0-100000000' --metrics-json target/bench-smoke/slice_ubench.json >/dev/null
+python3 - target/bench-smoke/slice_ubench.json <<'EOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    reports = json.load(f)
+if not isinstance(reports, list) or not reports:
+    sys.exit("harness smoke: FAILED — no per-run reports in the --metrics-json file")
+denied = [r["metrics"].get("faults.denied_setups", {}).get("counter", 0) for r in reports]
+if max(denied) == 0:
+    sys.exit("harness smoke: FAILED — no report saw a denied setup under --faults")
+print(f"   harness smoke: OK ({len(reports)} reports, up to {max(denied)} denied setups)")
+EOF
 
 echo "== non-test lines under crates/ (information only, not a gate) =="
 scripts/loc.sh --total crates
