@@ -1,11 +1,12 @@
 //! Criterion microbenchmarks for the TLB content structures: the hot
 //! paths of every simulated lookup.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use nocstar::tlb::entry::TlbEntry;
 use nocstar::tlb::l1::L1Tlb;
 use nocstar::tlb::replacement::ReplacementPolicy;
 use nocstar::tlb::set_assoc::SetAssocTlb;
+use nocstar::tlb::slice::{SlicePorts, TlbSlice};
 use nocstar::types::{Asid, PageSize, PhysPageNum, VirtAddr, VirtPageNum};
 
 fn e4k(vpn: u64) -> TlbEntry {
@@ -62,5 +63,64 @@ fn bench_l1(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_set_assoc, bench_l1);
+/// The TLB side of `Simulation::new` at 256 cores: one 1,024-entry
+/// 8-way slice and one Haswell L1 TLB per core, built and dropped.
+fn bench_construction(c: &mut Criterion) {
+    c.bench_function("construct_256_slices_and_l1s", |b| {
+        b.iter(|| {
+            let slices: Vec<TlbSlice> = (0..256)
+                .map(|_| TlbSlice::new(1024, 8, SlicePorts::default()))
+                .collect();
+            let l1s: Vec<L1Tlb> = (0..256).map(|_| L1Tlb::haswell()).collect();
+            (slices, l1s)
+        })
+    });
+}
+
+/// The functional fast-forward path at 1,024 cores: one `touch` per L1
+/// TLB per iteration, round-robin, each L1 warmed with 64 4 KiB pages
+/// (probed after the two superpage arrays miss) and 8 2 MiB pages.
+fn bench_l1_round_robin(c: &mut Criterion) {
+    const CORES: usize = 1024;
+    const SUPERPAGE_BASE: u64 = 1 << 12; // 2 MiB pages 4096.., past the 4 KiB ones
+    let mut l1s: Vec<L1Tlb> = (0..CORES).map(|_| L1Tlb::haswell()).collect();
+    for l1 in &mut l1s {
+        for vpn in 0..64 {
+            l1.insert(e4k(vpn));
+        }
+        for vpn in SUPERPAGE_BASE..SUPERPAGE_BASE + 8 {
+            l1.insert(TlbEntry::new(
+                Asid::new(1),
+                VirtPageNum::new(vpn, PageSize::Size2M),
+                PhysPageNum::new(vpn, PageSize::Size2M),
+            ));
+        }
+    }
+    let addresses: Vec<VirtAddr> = (0..64)
+        .map(|vpn| VirtAddr::new(vpn << 12))
+        .chain((SUPERPAGE_BASE..SUPERPAGE_BASE + 8).map(|vpn| VirtAddr::new(vpn << 21)))
+        .collect();
+    let mut group = c.benchmark_group("l1");
+    group.sample_size(1000);
+    group.throughput(Throughput::Elements(CORES as u64));
+    group.bench_function("touch_round_robin_1024_l1s", |b| {
+        let mut round = 0usize;
+        b.iter(|| {
+            round += 1;
+            for (core, l1) in l1s.iter_mut().enumerate() {
+                let va = addresses[(round + core) % addresses.len()];
+                black_box(l1.touch(Asid::new(1), va));
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_set_assoc,
+    bench_l1,
+    bench_construction,
+    bench_l1_round_robin
+);
 criterion_main!(benches);

@@ -7,9 +7,10 @@
 //! only mode, `--quick` for short runs.
 
 use nocstar::prelude::*;
-use nocstar_bench::{has_flag, parallel_map, Effort};
+use nocstar_bench::{has_flag, parallel_map, settings_accepting, Effort, Flag};
 
 fn main() {
+    settings_accepting(&[Flag::Bare("--no-thp")]);
     let effort = Effort::from_env();
     let args: Vec<String> = std::env::args().collect();
     let thp = !has_flag(&args, "--no-thp");

@@ -15,8 +15,20 @@
 //! * `--warmup <n>` / `--measure <n>` — override the effort's per-thread
 //!   access counts.
 
-use crate::{bail, emit, flag_value, out_dir, Effort};
+use crate::{bail, emit, flag_value, out_dir, Effort, Flag};
 use nocstar::prelude::*;
+
+/// The flags `replay` accepts besides the harness's own; the binary
+/// declares them through [`settings_accepting`](crate::settings_accepting)
+/// before anything reads the settings, so a missing value or an
+/// undeclared flag exits 2 there.
+pub const FLAGS: &[Flag] = &[
+    Flag::Value("--cores"),
+    Flag::Value("--org"),
+    Flag::Value("--preset"),
+    Flag::Value("--warmup"),
+    Flag::Value("--measure"),
+];
 
 fn parse_count(args: &[String], flag: &str) -> Option<u64> {
     flag_value(args, flag).map(|v| {
@@ -76,4 +88,29 @@ pub fn run(effort: Effort) {
     text.push('\n');
     std::fs::write(&path, text).expect("write replay report");
     println!("(saved {})\n", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Settings;
+
+    fn parse(args: &[&str]) -> Result<Settings, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Settings::parse(&args, FLAGS, |_| None)
+    }
+
+    #[test]
+    fn a_value_flag_without_its_value_is_an_error_naming_it() {
+        for &flag in FLAGS {
+            let Flag::Value(name) = flag else {
+                unreachable!("replay's flags all take values")
+            };
+            assert_eq!(parse(&[name]).unwrap_err(), format!("{name} needs a value"));
+            let err = parse(&[name, "--quick"]).unwrap_err();
+            assert_eq!(err, format!("{name} needs a value"));
+        }
+        assert!(parse(&["--cores", "4", "--org", "ideal", "--quick"]).is_ok());
+        assert!(parse(&["--no-thp"]).unwrap_err().contains("--no-thp"));
+    }
 }

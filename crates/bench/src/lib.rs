@@ -51,9 +51,10 @@ const TRACE_CAPACITY: usize = 4096;
 ///   `<period>:<window>:<warmup>[@<seed>]` in accesses per thread, and a
 ///   run's warmup plus measured accesses become its sampled span.
 ///
-/// A malformed value is an error naming its flag, and so is `--sample`
-/// with `--faults` or `--recovery`: fault windows are cycle-based and
-/// fast-forward does not advance cycles.
+/// A malformed or missing value is an error naming its flag, and so is
+/// `--sample` with `--faults` or `--recovery`: fault windows are
+/// cycle-based and fast-forward does not advance cycles. So is any other
+/// `--` argument, unless the binary declared it (see [`Flag`]).
 #[derive(Debug, Clone, Default)]
 pub struct Settings {
     /// Abbreviated (CI-sized) runs.
@@ -76,10 +77,62 @@ pub struct Settings {
     pub sample: Option<SampleSpec>,
 }
 
-/// The value following `flag` in `args`, if the flag is there.
+/// A flag a binary accepts besides the harness's own, declared through
+/// [`settings_accepting`] so that [`Settings::parse`] does not reject it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// A switch without a value, e.g. `--no-thp`.
+    Bare(&'static str),
+    /// A flag followed by its value, e.g. `--cores 16`.
+    Value(&'static str),
+}
+
+impl Flag {
+    fn name(self) -> &'static str {
+        match self {
+            Flag::Bare(name) | Flag::Value(name) => name,
+        }
+    }
+}
+
+/// The flags of [`Settings`], which every binary accepts.
+const HARNESS_FLAGS: [Flag; 8] = [
+    Flag::Bare("--quick"),
+    Flag::Bare("--trace"),
+    Flag::Value("--metrics-json"),
+    Flag::Value("--faults"),
+    Flag::Value("--recovery"),
+    Flag::Value("--max-cycles"),
+    Flag::Value("--trace-file"),
+    Flag::Value("--sample"),
+];
+
+/// The value following `flag` in `args`, if the flag is there (after
+/// [`Settings::parse`] has checked that every value flag has one).
 pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     let i = args.iter().position(|a| a == flag)?;
     args.get(i + 1).map(String::as_str)
+}
+
+/// Checks that every `--` argument in `args` is a harness flag or one of
+/// `own`, and that every value flag has its value.
+fn check_flags(args: &[String], own: &[Flag]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        match HARNESS_FLAGS.iter().chain(own).find(|f| f.name() == arg) {
+            Some(Flag::Bare(_)) => {}
+            Some(Flag::Value(flag)) => {
+                if rest.next().is_none_or(|v| v.starts_with("--")) {
+                    return Err(format!("{flag} needs a value"));
+                }
+            }
+            None => return Err(format!("unknown argument {arg:?}")),
+        }
+    }
+    Ok(())
 }
 
 /// Whether the bare `flag` is among `args`.
@@ -107,14 +160,21 @@ pub(crate) fn bail(msg: impl Display) -> ! {
 }
 
 impl Settings {
-    /// Parses the settings from the command line `args` and the
-    /// environment lookup `env`.
+    /// Parses the settings from the command-line `args` (without the
+    /// program name), accepting the binary's `own` flags besides the
+    /// harness's, and the environment lookup `env`.
     ///
     /// # Errors
     ///
-    /// A message naming the flag whose value is malformed, or rejecting
-    /// `--sample` together with `--faults` or `--recovery`.
-    pub fn parse(args: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+    /// A message naming the flag whose value is malformed or missing, or
+    /// the unknown `--` argument, or rejecting `--sample` together with
+    /// `--faults` or `--recovery`.
+    pub fn parse(
+        args: &[String],
+        own: &[Flag],
+        env: impl Fn(&str) -> Option<String>,
+    ) -> Result<Self, String> {
+        check_flags(args, own)?;
         let value = |flag: &str, var: &str| {
             flag_value(args, flag)
                 .map(str::to_owned)
@@ -225,12 +285,20 @@ impl Settings {
 }
 
 /// The process-wide settings, parsed from the command line and the
-/// environment on first use; a parse error exits with code 2.
+/// environment on first use; a parse error (an unknown `--` argument is
+/// one) exits with code 2.
 pub fn settings() -> &'static Settings {
+    settings_accepting(&[])
+}
+
+/// [`settings`] for a binary with flags of its own: the first call parses
+/// the command line accepting `own` besides the harness flags, so such a
+/// binary calls this before anything else reads the settings.
+pub fn settings_accepting(own: &[Flag]) -> &'static Settings {
     static SETTINGS: OnceLock<Settings> = OnceLock::new();
     SETTINGS.get_or_init(|| {
-        let args: Vec<String> = std::env::args().collect();
-        Settings::parse(&args, |var| std::env::var(var).ok()).unwrap_or_else(|e| bail(e))
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Settings::parse(&args, own, |var| std::env::var(var).ok()).unwrap_or_else(|e| bail(e))
     })
 }
 
@@ -288,7 +356,12 @@ impl Effort {
     /// The run length the process-wide [`settings`] select: `--quick` or
     /// `NOCSTAR_QUICK=1` selects the abbreviated mode.
     pub fn from_env() -> Self {
-        let quick = settings().quick;
+        Self::for_settings(settings())
+    }
+
+    /// The run length `settings` select.
+    fn for_settings(settings: &Settings) -> Self {
+        let quick = settings.quick;
         Self {
             warmup: if quick { 2_000 } else { 8_000 },
             accesses: if quick { 4_000 } else { 16_000 },
@@ -413,14 +486,22 @@ mod tests {
 
     #[test]
     fn effort_defaults_to_full() {
-        // No --quick in the test binary args.
-        let e = Effort::from_env();
-        assert!(e.accesses >= 4_000);
+        let e = Effort::for_settings(&parse(&[], &[]).unwrap());
+        assert!(!e.quick && e.accesses >= 4_000);
+        assert!(Effort::for_settings(&parse(&["--quick"], &[]).unwrap()).quick);
     }
 
     fn parse(args: &[&str], env: &[(&str, &str)]) -> Result<Settings, String> {
+        parse_accepting(args, &[], env)
+    }
+
+    fn parse_accepting(
+        args: &[&str],
+        own: &[Flag],
+        env: &[(&str, &str)],
+    ) -> Result<Settings, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        Settings::parse(&args, |var| {
+        Settings::parse(&args, own, |var| {
             env.iter()
                 .find(|(k, _)| *k == var)
                 .map(|(_, v)| v.to_string())
@@ -451,6 +532,36 @@ mod tests {
         }
         let err = parse(&[], &[("NOCSTAR_SAMPLE", "nope")]).unwrap_err();
         assert!(err.contains("--sample"), "{err}");
+    }
+
+    #[test]
+    fn a_value_flag_without_its_value_is_an_error_naming_it() {
+        for flag in [
+            "--faults",
+            "--recovery",
+            "--max-cycles",
+            "--sample",
+            "--trace-file",
+            "--metrics-json",
+        ] {
+            let err = parse(&["--quick", flag], &[]).unwrap_err();
+            assert_eq!(err, format!("{flag} needs a value"));
+            let err = parse(&[flag, "--quick"], &[]).unwrap_err();
+            assert_eq!(err, format!("{flag} needs a value"));
+        }
+    }
+
+    #[test]
+    fn unknown_arguments_are_rejected_unless_declared() {
+        let err = parse(&["--quick", "--fualts", "deny@0-100000000"], &[]).unwrap_err();
+        assert!(err.contains("--fualts"), "{err}");
+        let err = parse(&["--no-thp"], &[]).unwrap_err();
+        assert!(err.contains("--no-thp"), "{err}");
+        let own = [Flag::Bare("--no-thp"), Flag::Value("--org")];
+        let s = parse_accepting(&["--no-thp", "--quick", "--org", "ideal"], &own, &[]).unwrap();
+        assert!(s.quick);
+        // Values and bare words are not flags, even when they look odd.
+        assert!(parse(&["--faults", "deny@0-10", "stray"], &[]).is_ok());
     }
 
     #[test]

@@ -214,15 +214,11 @@ impl Simulation {
         } else {
             MetricsRegistry::disabled()
         };
-        let stall_slice = (0..config.cores)
-            .map(|c| metrics.counter(&format!("core.{c}.stall.slice_cycles")))
-            .collect();
-        let stall_walk = (0..config.cores)
-            .map(|c| metrics.counter(&format!("core.{c}.stall.walk_cycles")))
-            .collect();
-        let stall_response = (0..config.cores)
-            .map(|c| metrics.counter(&format!("core.{c}.stall.response_cycles")))
-            .collect();
+        let stall_slice =
+            metrics.counters(config.cores, |c| format!("core.{c}.stall.slice_cycles"));
+        let stall_walk = metrics.counters(config.cores, |c| format!("core.{c}.stall.walk_cycles"));
+        let stall_response =
+            metrics.counters(config.cores, |c| format!("core.{c}.stall.response_cycles"));
         let trace = if config.trace_capacity > 0 {
             TraceSink::bounded(config.trace_capacity)
         } else {

@@ -14,6 +14,7 @@
 //! associatively and commutatively: counters and histograms add, gauges
 //! take the maximum.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Number of buckets in a [`Log2Histogram`]: one for zero plus one per
@@ -219,12 +220,26 @@ pub struct HistogramId(usize);
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     enabled: bool,
-    counter_names: Vec<String>,
+    /// Counter name -> index into `counters`, assigned in registration
+    /// order (likewise for gauges and histograms).
+    counter_ids: BTreeMap<String, usize>,
     counters: Vec<u64>,
-    gauge_names: Vec<String>,
+    gauge_ids: BTreeMap<String, usize>,
     gauges: Vec<u64>,
-    histogram_names: Vec<String>,
+    histogram_ids: BTreeMap<String, usize>,
     histograms: Vec<Log2Histogram>,
+}
+
+/// The id of `name` in `ids`; a new name gets the next id and `push`
+/// appends its value slot.
+fn intern(ids: &mut BTreeMap<String, usize>, name: &str, push: impl FnOnce()) -> usize {
+    if let Some(&id) = ids.get(name) {
+        return id;
+    }
+    let id = ids.len();
+    ids.insert(name.to_owned(), id);
+    push();
+    id
 }
 
 impl MetricsRegistry {
@@ -252,12 +267,19 @@ impl MetricsRegistry {
         if !self.enabled {
             return CounterId(0);
         }
-        if let Some(i) = self.counter_names.iter().position(|n| n == name) {
-            return CounterId(i);
+        CounterId(intern(&mut self.counter_ids, name, || {
+            self.counters.push(0)
+        }))
+    }
+
+    /// Registers `n` counters named `name(0)`, …, `name(n - 1)`, in that
+    /// order. A disabled registry hands out `n` dummy ids without building
+    /// any name.
+    pub fn counters(&mut self, n: usize, name: impl Fn(usize) -> String) -> Vec<CounterId> {
+        if !self.enabled {
+            return vec![CounterId(0); n];
         }
-        self.counter_names.push(name.to_string());
-        self.counters.push(0);
-        CounterId(self.counters.len() - 1)
+        (0..n).map(|i| self.counter(&name(i))).collect()
     }
 
     /// Registers (or re-resolves) a gauge by name.
@@ -265,12 +287,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return GaugeId(0);
         }
-        if let Some(i) = self.gauge_names.iter().position(|n| n == name) {
-            return GaugeId(i);
-        }
-        self.gauge_names.push(name.to_string());
-        self.gauges.push(0);
-        GaugeId(self.gauges.len() - 1)
+        GaugeId(intern(&mut self.gauge_ids, name, || self.gauges.push(0)))
     }
 
     /// Registers (or re-resolves) a histogram by name.
@@ -278,12 +295,9 @@ impl MetricsRegistry {
         if !self.enabled {
             return HistogramId(0);
         }
-        if let Some(i) = self.histogram_names.iter().position(|n| n == name) {
-            return HistogramId(i);
-        }
-        self.histogram_names.push(name.to_string());
-        self.histograms.push(Log2Histogram::new());
-        HistogramId(self.histograms.len() - 1)
+        HistogramId(intern(&mut self.histogram_ids, name, || {
+            self.histograms.push(Log2Histogram::new())
+        }))
     }
 
     /// Adds `n` to a counter.
@@ -348,24 +362,27 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut samples: Vec<MetricSample> =
             Vec::with_capacity(self.counters.len() + self.gauges.len() + self.histograms.len());
-        for (name, &value) in self.counter_names.iter().zip(&self.counters) {
+        for (name, &id) in &self.counter_ids {
             samples.push(MetricSample {
                 name: name.clone(),
-                value: MetricValue::Counter(value),
+                value: MetricValue::Counter(self.counters[id]),
             });
         }
-        for (name, &value) in self.gauge_names.iter().zip(&self.gauges) {
+        for (name, &id) in &self.gauge_ids {
             samples.push(MetricSample {
                 name: name.clone(),
-                value: MetricValue::Gauge(value),
+                value: MetricValue::Gauge(self.gauges[id]),
             });
         }
-        for (name, &hist) in self.histogram_names.iter().zip(&self.histograms) {
+        for (name, &id) in &self.histogram_ids {
             samples.push(MetricSample {
                 name: name.clone(),
-                value: MetricValue::Histogram(hist),
+                value: MetricValue::Histogram(self.histograms[id]),
             });
         }
+        // Each kind is already in name order; a stable sort merges them
+        // and keeps a name shared across kinds in counter, gauge,
+        // histogram order.
         samples.sort_by(|a, b| a.name.cmp(&b.name));
         MetricsSnapshot { samples }
     }
@@ -535,6 +552,45 @@ mod tests {
         reg.incr(a);
         reg.incr(b);
         assert_eq!(reg.snapshot().counter("x"), Some(2));
+    }
+
+    #[test]
+    fn ids_follow_registration_order_and_snapshots_follow_names() {
+        let mut reg = MetricsRegistry::enabled();
+        let cores = reg.counters(3, |c| format!("core.{c}.stall"));
+        let z = reg.counter("z");
+        let a = reg.counter("a");
+        assert_eq!(
+            [cores[0].0, cores[1].0, cores[2].0, z.0, a.0],
+            [0, 1, 2, 3, 4]
+        );
+        assert_eq!(reg.counter("core.1.stall"), cores[1]);
+        let shared = reg.gauge("a");
+        assert_eq!(shared.0, 0);
+        for (i, id) in [a, z, cores[2], cores[0], cores[1]].into_iter().enumerate() {
+            reg.add(id, i as u64 + 1);
+        }
+        reg.set_gauge(shared, 9);
+        let snap = reg.snapshot();
+        let samples: Vec<(&str, MetricValue)> = snap
+            .samples()
+            .iter()
+            .map(|s| (s.name.as_str(), s.value))
+            .collect();
+        assert_eq!(
+            samples,
+            [
+                ("a", MetricValue::Counter(1)),
+                ("a", MetricValue::Gauge(9)),
+                ("core.0.stall", MetricValue::Counter(4)),
+                ("core.1.stall", MetricValue::Counter(5)),
+                ("core.2.stall", MetricValue::Counter(3)),
+                ("z", MetricValue::Counter(2)),
+            ]
+        );
+        let mut off = MetricsRegistry::disabled();
+        let dummies = off.counters(4, |_| unreachable!("no names when disabled"));
+        assert_eq!(dummies, vec![CounterId(0); 4]);
     }
 
     #[test]

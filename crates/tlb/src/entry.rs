@@ -62,6 +62,19 @@ impl TlbEntry {
         e
     }
 
+    /// Rebuilds an entry from fields that were taken from a valid entry,
+    /// so the page sizes already agree and the size assert is skipped
+    /// (the flat TLB array decodes one of these on every hit).
+    #[inline]
+    pub(crate) fn from_parts(asid: Asid, vpn: VirtPageNum, ppn: PhysPageNum, global: bool) -> Self {
+        Self {
+            asid,
+            vpn,
+            ppn,
+            global,
+        }
+    }
+
     /// The context (address space) id this entry belongs to.
     pub fn asid(self) -> Asid {
         self.asid

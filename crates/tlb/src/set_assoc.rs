@@ -6,17 +6,97 @@
 //! Haswell's L2 TLB, which holds 4 KiB and 2 MiB translations concurrently);
 //! each is indexed by its own page-size-granular VPN and tagged with its
 //! size, so same-frame-index pages of different sizes never alias.
+//!
+//! All ways of all sets live in one zero-initialised block of 40-byte
+//! integer ways, set-major, plus a per-set count of valid ways (`DESIGN.md`
+//! §7, "How a TLB array is laid out"). Construction is two zeroed
+//! allocations whatever the set count, so pages of sets no run touches are
+//! never written.
+
+mod reference;
 
 use crate::entry::TlbEntry;
 use crate::replacement::{ReplacementPolicy, ReplacementState};
 use nocstar_stats::counter::HitMiss;
-use nocstar_types::{Asid, VirtPageNum};
+use nocstar_types::{Asid, PageSize, PhysPageNum, VirtPageNum};
 
-#[derive(Debug, Clone)]
-struct Way {
-    entry: TlbEntry,
-    inserted: u64,
-    used: u64,
+/// One way: `[vpn, meta, ppn, inserted, used]`, where `meta` packs the
+/// ASID (bits 0–15), the page-size code (bits 16–17) and the global bit
+/// (bit 18), and `inserted`/`used` are the replacement stamps.
+type Way = [u64; 5];
+
+const VPN: usize = 0;
+const META: usize = 1;
+const PPN: usize = 2;
+const INSERTED: usize = 3;
+const USED: usize = 4;
+
+const ASID_MASK: u64 = 0xffff;
+const SIZE_SHIFT: u32 = 16;
+const GLOBAL: u64 = 1 << 18;
+
+/// The page-size field of `meta` for `size`.
+#[inline]
+fn size_bits(size: PageSize) -> u64 {
+    let code = match size {
+        PageSize::Size4K => 0,
+        PageSize::Size2M => 1,
+        PageSize::Size1G => 2,
+    };
+    code << SIZE_SHIFT
+}
+
+#[inline]
+fn encode(entry: TlbEntry, inserted: u64, used: u64) -> Way {
+    let global = if entry.is_global() { GLOBAL } else { 0 };
+    let meta = u64::from(entry.asid().value()) | size_bits(entry.page_size()) | global;
+    [
+        entry.vpn().number(),
+        meta,
+        entry.ppn().number(),
+        inserted,
+        used,
+    ]
+}
+
+#[inline]
+fn decode(way: &Way) -> TlbEntry {
+    let meta = way[META];
+    let size = PageSize::ALL[((meta >> SIZE_SHIFT) & 3) as usize];
+    TlbEntry::from_parts(
+        Asid::new((meta & ASID_MASK) as u16),
+        VirtPageNum::new(way[VPN], size),
+        PhysPageNum::new(way[PPN], size),
+        meta & GLOBAL != 0,
+    )
+}
+
+/// The match key of one `(asid, vpn)` probe, built once per call:
+/// [`TlbEntry::matches`] over encoded ways. A way matches when its VPN is
+/// equal and its `meta` is either `own` (same ASID and size, not global)
+/// or, ASID aside, `global` (same size, global).
+#[derive(Clone, Copy)]
+struct Key {
+    vpn: u64,
+    own: u64,
+    global: u64,
+}
+
+impl Key {
+    #[inline]
+    fn new(asid: Asid, vpn: VirtPageNum) -> Self {
+        let size = size_bits(vpn.page_size());
+        Self {
+            vpn: vpn.number(),
+            own: u64::from(asid.value()) | size,
+            global: size | GLOBAL,
+        }
+    }
+
+    #[inline]
+    fn matches(self, way: &Way) -> bool {
+        way[VPN] == self.vpn && (way[META] == self.own || way[META] & !ASID_MASK == self.global)
+    }
 }
 
 /// A set-associative array of [`TlbEntry`]s.
@@ -38,7 +118,14 @@ struct Way {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocTlb {
-    sets: Vec<Vec<Way>>,
+    /// Every way of every set: set `s` owns `slots[s * ways..(s + 1) * ways]`,
+    /// and its valid ways are the first `lens[s]` of them in fill order (a
+    /// replacement takes its victim's place). Removals compact a set in
+    /// place and keep that order, which Random's way index and a lookup's
+    /// first match both depend on.
+    slots: Vec<Way>,
+    /// Valid ways per set.
+    lens: Vec<u32>,
     ways: usize,
     /// Valid entries over all sets, so a flush of an empty array is free.
     valid: usize,
@@ -63,9 +150,10 @@ impl SetAssocTlb {
             0,
             "ways ({ways}) must divide total entries ({entries})"
         );
-        let num_sets = entries / ways;
+        assert!(u32::try_from(ways).is_ok(), "too many ways ({ways})");
         Self {
-            sets: (0..num_sets).map(|_| Vec::with_capacity(ways)).collect(),
+            slots: vec![[0; 5]; entries],
+            lens: vec![0; entries / ways],
             ways,
             valid: 0,
             state: ReplacementState::new(policy),
@@ -91,7 +179,7 @@ impl SetAssocTlb {
 
     /// Total entry capacity.
     pub fn entries(&self) -> usize {
-        self.sets.len() * self.ways
+        self.slots.len()
     }
 
     /// Associativity.
@@ -101,7 +189,7 @@ impl SetAssocTlb {
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.lens.len()
     }
 
     /// The replacement policy in use.
@@ -111,27 +199,39 @@ impl SetAssocTlb {
 
     #[inline]
     fn set_index(&self, vpn: VirtPageNum) -> usize {
-        ((vpn.number() / self.index_divisor) % self.sets.len() as u64) as usize
+        ((vpn.number() / self.index_divisor) % self.lens.len() as u64) as usize
+    }
+
+    /// The valid ways of `set`.
+    #[inline]
+    fn valid_ways(&self, set: usize) -> &[Way] {
+        let base = set * self.ways;
+        &self.slots[base..base + self.lens[set] as usize]
+    }
+
+    /// The slot of the first valid way of `set` that `key` matches.
+    #[inline]
+    fn find_in(&self, set: usize, key: Key) -> Option<usize> {
+        self.valid_ways(set)
+            .iter()
+            .position(|w| key.matches(w))
+            .map(|i| set * self.ways + i)
+    }
+
+    /// The slot of `(asid, vpn)`'s entry, if cached.
+    #[inline]
+    fn find(&self, asid: Asid, vpn: VirtPageNum) -> Option<usize> {
+        self.find_in(self.set_index(vpn), Key::new(asid, vpn))
     }
 
     /// Looks up a translation, updating recency and hit/miss statistics.
     pub fn lookup(&mut self, asid: Asid, vpn: VirtPageNum) -> Option<TlbEntry> {
-        let set = self.set_index(vpn);
-        let stamp = self.state.tick();
-        let found = self.sets[set]
-            .iter_mut()
-            .find(|w| w.entry.matches(asid, vpn));
+        let found = self.touch(asid, vpn);
         match found {
-            Some(way) => {
-                way.used = stamp;
-                self.stats.hit();
-                Some(way.entry)
-            }
-            None => {
-                self.stats.miss();
-                None
-            }
+            Some(_) => self.stats.hit(),
+            None => self.stats.miss(),
         }
+        found
     }
 
     /// Looks up a translation, updating recency but recording **no**
@@ -139,25 +239,17 @@ impl SetAssocTlb {
     /// (`SAMPLING.md §2`): contents and LRU order stay warm while
     /// measurement statistics stay untouched.
     pub fn touch(&mut self, asid: Asid, vpn: VirtPageNum) -> Option<TlbEntry> {
-        let set = self.set_index(vpn);
         let stamp = self.state.tick();
-        self.sets[set]
-            .iter_mut()
-            .find(|w| w.entry.matches(asid, vpn))
-            .map(|way| {
-                way.used = stamp;
-                way.entry
-            })
+        let slot = self.find(asid, vpn)?;
+        let way = &mut self.slots[slot];
+        way[USED] = stamp;
+        Some(decode(way))
     }
 
     /// Looks up a translation without touching recency or statistics
     /// (used by snooping and verification paths).
     pub fn probe(&self, asid: Asid, vpn: VirtPageNum) -> Option<TlbEntry> {
-        let set = self.set_index(vpn);
-        self.sets[set]
-            .iter()
-            .find(|w| w.entry.matches(asid, vpn))
-            .map(|w| w.entry)
+        self.find(asid, vpn).map(|slot| decode(&self.slots[slot]))
     }
 
     /// Inserts a translation, returning the evicted entry if the set was
@@ -166,43 +258,33 @@ impl SetAssocTlb {
     pub fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
         let set = self.set_index(entry.vpn());
         let stamp = self.state.tick();
-        if let Some(way) = self.sets[set]
-            .iter_mut()
-            .find(|w| w.entry.matches(entry.asid(), entry.vpn()))
-        {
-            way.entry = entry;
-            way.used = stamp;
+        if let Some(slot) = self.find_in(set, Key::new(entry.asid(), entry.vpn())) {
+            let way = &mut self.slots[slot];
+            *way = encode(entry, way[INSERTED], stamp);
             return None;
         }
-        if self.sets[set].len() < self.ways {
-            self.sets[set].push(Way {
-                entry,
-                inserted: stamp,
-                used: stamp,
-            });
+        let base = set * self.ways;
+        let len = self.lens[set] as usize;
+        if len < self.ways {
+            self.slots[base + len] = encode(entry, stamp, stamp);
+            self.lens[set] += 1;
             self.valid += 1;
             return None;
         }
-        let victim = self
-            .state
-            .victim(self.sets[set].iter().map(|w| (w.inserted, w.used)));
-        let evicted = std::mem::replace(
-            &mut self.sets[set][victim],
-            Way {
-                entry,
-                inserted: stamp,
-                used: stamp,
-            },
-        );
-        Some(evicted.entry)
+        let full = &self.slots[base..base + len];
+        let victim = base
+            + self
+                .state
+                .victim(full.iter().map(|w| (w[INSERTED], w[USED])));
+        let evicted = decode(&self.slots[victim]);
+        self.slots[victim] = encode(entry, stamp, stamp);
+        Some(evicted)
     }
 
     /// Invalidates one translation; returns whether it was present.
     pub fn invalidate(&mut self, asid: Asid, vpn: VirtPageNum) -> bool {
-        let set = self.set_index(vpn);
-        let before = self.sets[set].len();
-        self.sets[set].retain(|w| !w.entry.matches(asid, vpn));
-        let dropped = before - self.sets[set].len();
+        let key = Key::new(asid, vpn);
+        let dropped = self.retain_in(self.set_index(vpn), |w| !key.matches(w));
         self.valid -= dropped;
         dropped != 0
     }
@@ -210,18 +292,24 @@ impl SetAssocTlb {
     /// Invalidates all non-global translations of an address space;
     /// returns how many were dropped.
     pub fn invalidate_asid(&mut self, asid: Asid) -> usize {
-        self.drop_where(|w| !w.entry.is_global() && w.entry.asid() == asid)
+        let own = u64::from(asid.value());
+        self.drop_where(|w| w[META] & (GLOBAL | ASID_MASK) == own)
     }
 
     /// Flushes all non-global translations (an x86 CR3 write); returns how
     /// many were dropped.
     pub fn flush_non_global(&mut self) -> usize {
-        self.drop_where(|w| !w.entry.is_global())
+        self.drop_where(|w| w[META] & GLOBAL == 0)
     }
 
     /// Flushes everything, including global translations.
     pub fn flush_all(&mut self) -> usize {
-        self.drop_where(|_| true)
+        let dropped = self.valid;
+        if dropped != 0 {
+            self.lens.fill(0);
+            self.valid = 0;
+        }
+        dropped
     }
 
     /// Drops every entry `doomed` selects; returns how many. An empty
@@ -231,23 +319,46 @@ impl SetAssocTlb {
             return 0;
         }
         let mut dropped = 0;
-        for set in &mut self.sets {
-            let before = set.len();
-            set.retain(|w| !doomed(w));
-            dropped += before - set.len();
+        for set in 0..self.lens.len() {
+            if self.lens[set] != 0 {
+                dropped += self.retain_in(set, |w| !doomed(w));
+            }
         }
         self.valid -= dropped;
         dropped
     }
 
-    /// Number of valid entries currently cached.
-    pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+    /// Keeps the valid ways of `set` that `keep` selects, compacted to the
+    /// front of the set in their old order; returns how many were dropped.
+    /// The caller settles `valid`.
+    #[inline]
+    fn retain_in(&mut self, set: usize, keep: impl Fn(&Way) -> bool) -> usize {
+        let base = set * self.ways;
+        let len = self.lens[set] as usize;
+        let set_ways = &mut self.slots[base..base + len];
+        let Some(first) = set_ways.iter().position(|w| !keep(w)) else {
+            return 0;
+        };
+        let mut kept = first;
+        for i in first + 1..len {
+            if keep(&set_ways[i]) {
+                set_ways[kept] = set_ways[i];
+                kept += 1;
+            }
+        }
+        self.lens[set] = kept as u32;
+        len - kept
     }
 
-    /// Iterates over all currently valid entries (set order).
-    pub fn iter(&self) -> impl Iterator<Item = &TlbEntry> {
-        self.sets.iter().flatten().map(|w| &w.entry)
+    /// Number of valid entries currently cached.
+    pub fn occupancy(&self) -> usize {
+        self.lens.iter().map(|&n| n as usize).sum()
+    }
+
+    /// Iterates over all currently valid entries (set order, then fill
+    /// order within a set).
+    pub fn iter(&self) -> impl Iterator<Item = TlbEntry> + '_ {
+        (0..self.lens.len()).flat_map(move |set| self.valid_ways(set).iter().map(decode))
     }
 
     /// Hit/miss statistics accumulated by [`lookup`](Self::lookup).
@@ -517,6 +628,116 @@ mod tests {
                 }
             }
             prop_assert_eq!(tlb.stats().misses(), 0);
+        }
+    }
+
+    /// One differential case: `(policy, ways, sets, index divisor, ops)`.
+    /// Each op is `(kind, asid, page draw, page-size draw)`; see
+    /// [`check_against_reference`] for what each kind does.
+    type Case = ((usize, usize, usize, u64), Vec<(u8, u16, u64, usize)>);
+
+    fn cases() -> impl Strategy<Value = Case> {
+        (
+            (0usize..3, 1usize..=16, 1usize..=64, 1u64..=64),
+            prop::collection::vec((0u8..64, 0u16..3, 0u64..u64::MAX, 0usize..8), 1..400),
+        )
+    }
+
+    /// Runs `ops` on the flat array and on the per-set `Vec` reference
+    /// side by side and demands the same return values (hits, refreshes
+    /// and evicted entries), statistics and occupancy after every op, and
+    /// the same entries in the same order after every removal and at the
+    /// end. ASID 0 is the kernel's, so non-global kernel entries and
+    /// global entries of the same page share a set.
+    fn check_against_reference(case: Case) -> Result<(), TestCaseError> {
+        let ((policy, ways, sets, divisor), ops) = case;
+        let policy = [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Fifo,
+            ReplacementPolicy::Random,
+        ][policy];
+        let mut tlb = SetAssocTlb::new(sets * ways, ways, policy);
+        let mut reference = reference::Reference::new(sets * ways, ways, policy);
+        tlb.set_index_divisor(divisor);
+        reference.set_index_divisor(divisor);
+        // About one page per way, times three ASIDs and mostly 4 KiB pages:
+        // enough reuse to hit, enough conflict to evict. Pages are spread
+        // by the divisor so every set is reachable.
+        let pool = (sets * ways) as u64;
+        for (kind, asid, draw, size) in ops {
+            let size = PageSize::ALL[size.saturating_sub(5)];
+            let asid = Asid::new(asid);
+            let vpn = VirtPageNum::new(draw % pool * divisor + (draw >> 60) % divisor, size);
+            let ppn = PhysPageNum::new(draw >> 32, size);
+            let removal = match kind {
+                0..=11 => {
+                    prop_assert_eq!(tlb.lookup(asid, vpn), reference.lookup(asid, vpn));
+                    false
+                }
+                12..=17 => {
+                    prop_assert_eq!(tlb.touch(asid, vpn), reference.touch(asid, vpn));
+                    false
+                }
+                18..=21 => {
+                    prop_assert_eq!(tlb.probe(asid, vpn), reference.probe(asid, vpn));
+                    false
+                }
+                22..=45 => {
+                    let e = TlbEntry::new(asid, vpn, ppn);
+                    prop_assert_eq!(tlb.insert(e), reference.insert(e));
+                    false
+                }
+                46..=49 => {
+                    let e = TlbEntry::new_global(vpn, ppn);
+                    prop_assert_eq!(tlb.insert(e), reference.insert(e));
+                    false
+                }
+                50..=57 => {
+                    prop_assert_eq!(tlb.invalidate(asid, vpn), reference.invalidate(asid, vpn));
+                    true
+                }
+                58..=60 => {
+                    prop_assert_eq!(tlb.invalidate_asid(asid), reference.invalidate_asid(asid));
+                    true
+                }
+                61..=62 => {
+                    prop_assert_eq!(tlb.flush_non_global(), reference.flush_non_global());
+                    true
+                }
+                _ => {
+                    prop_assert_eq!(tlb.flush_all(), reference.flush_all());
+                    true
+                }
+            };
+            prop_assert_eq!(tlb.stats(), reference.stats());
+            prop_assert_eq!(tlb.occupancy(), reference.occupancy());
+            prop_assert_eq!(tlb.valid, tlb.occupancy());
+            if removal {
+                prop_assert!(tlb.iter().eq(reference.iter().copied()));
+            }
+        }
+        prop_assert!(tlb.iter().eq(reference.iter().copied()));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat array behaves exactly like the per-set `Vec` array it
+        /// replaced, under every policy, geometry and index divisor.
+        #[test]
+        fn prop_flat_matches_reference(case in cases()) {
+            check_against_reference(case)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        #[ignore = "nightly: 2,048 differential cases (ci.sh --nightly)"]
+        fn prop_flat_matches_reference_nightly(case in cases()) {
+            check_against_reference(case)?;
         }
     }
 }

@@ -7,7 +7,8 @@
 #   ci.sh             fast PR gate: fmt + determinism lint + clippy +
 #                     doc + build + a few-second harness smoke (a
 #                     faulted slice_ubench must report denied setups in
-#                     its --metrics-json file) + tier-1 tests.
+#                     its --metrics-json file, and a misspelt flag must
+#                     exit 2) + tier-1 tests.
 #                     `cargo test --workspace`
 #                     runs every non-ignored test once, including the
 #                     golden-report, determinism, chaos and NCT trace
@@ -20,6 +21,8 @@
 #                     SMART) against its test-only reference, the
 #                     2,048-case differential check of the LLC's
 #                     first-touch sets against the flat layout, the
+#                     2,048-case differential check of the flat TLB
+#                     array against its per-set reference, the
 #                     2,048-case check of the NCT replay reader on
 #                     bit-flipped, truncated and checksum-recomputed
 #                     files against the whole-file decoder, the
@@ -89,6 +92,17 @@ if max(denied) == 0:
 print(f"   harness smoke: OK ({len(reports)} reports, up to {max(denied)} denied setups)")
 EOF
 
+echo "== harness smoke: a misspelt flag is refused =="
+# An unknown flag must stop the run with exit 2, not run fault-free.
+status=0
+NOCSTAR_OUT=target/bench-smoke cargo run --release -q -p nocstar-bench --bin slice_ubench -- \
+  --quick --fualts 'deny@0-100000000' >/dev/null 2>&1 || status=$?
+if [[ "$status" != 2 ]]; then
+  echo "harness smoke: FAILED — slice_ubench --fualts exited $status, not 2" >&2
+  exit 1
+fi
+echo "   harness smoke: OK (--fualts refused with exit 2)"
+
 echo "== non-test lines under crates/ (information only, not a gate) =="
 scripts/loc.sh --total crates
 
@@ -110,6 +124,9 @@ if [[ "$NIGHTLY" == "1" ]]; then
 
   echo "== nightly: first-touch cache sets vs the flat layout (2,048 cases) =="
   cargo test -q --release -p nocstar-mem --lib prop_first_touch_matches_flat_nightly -- --ignored
+
+  echo "== nightly: flat TLB array vs its per-set reference (2,048 cases) =="
+  cargo test -q --release -p nocstar-tlb --lib prop_flat_matches_reference_nightly -- --ignored
 
   echo "== nightly: NCT replay reader on damaged files vs the whole-file decoder (2,048 cases) =="
   cargo test -q --release --test nct_reader prop_mutated_files_never_panic_nightly -- --ignored
