@@ -36,7 +36,6 @@ fn bench_cache_access_random(c: &mut Criterion) {
     // line. A million untimed accesses first fault in the tag arrays'
     // pages, so the timed loop sees the steady state.
     let mut group = c.benchmark_group("hierarchy_access_random_1024");
-    group.sample_size(200_000);
     group.bench_function("warm", |b| {
         let cfg = MemoryConfig::haswell(1024);
         let lines = cfg.phys_capacity / 64;
@@ -160,12 +159,12 @@ fn bench_promote_demote(c: &mut Criterion) {
     // One iteration promotes a fully mapped 2 MiB region into a superpage
     // and demotes it back into 512 base pages: the THP-storm path. Every
     // round allocates two fresh 2 MiB frames and a page-table node, so
-    // the simulated machine is sized for the iteration count.
+    // the simulated machine (built afresh for each sample) holds 1 TiB:
+    // 262,144 rounds, far more than one sample's scaled iteration count.
     let mut group = c.benchmark_group("page_table_promote_demote");
-    group.sample_size(1_000);
     group.bench_function("2m_region", |b| {
         let mut cfg = MemoryConfig::haswell(1);
-        cfg.phys_capacity = 16 << 30;
+        cfg.phys_capacity = 1 << 40;
         let mut mem = MemorySystem::new(cfg);
         let asid = Asid::new(1);
         let va = VirtAddr::new(0x4000_0000);

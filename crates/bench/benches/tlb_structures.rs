@@ -101,7 +101,6 @@ fn bench_l1_round_robin(c: &mut Criterion) {
         .chain((SUPERPAGE_BASE..SUPERPAGE_BASE + 8).map(|vpn| VirtAddr::new(vpn << 21)))
         .collect();
     let mut group = c.benchmark_group("l1");
-    group.sample_size(1000);
     group.throughput(Throughput::Elements(CORES as u64));
     group.bench_function("touch_round_robin_1024_l1s", |b| {
         let mut round = 0usize;
