@@ -43,24 +43,23 @@ impl ReplacementState {
         self.clock
     }
 
-    /// Picks the victim way given each way's `(inserted_at, last_used_at)`
-    /// stamps, in way order. All ways must be occupied. Ties go to the
-    /// lowest way.
-    pub(crate) fn victim(&mut self, stamps: impl ExactSizeIterator<Item = (u64, u64)>) -> usize {
+    /// Whether a hit or a refresh renews a way's stamp. Only LRU's stamp
+    /// is the last use; FIFO's is the fill, and Random reads none.
+    #[inline]
+    pub(crate) fn renews_on_use(&self) -> bool {
+        self.policy == ReplacementPolicy::Lru
+    }
+
+    /// Picks the victim way given each way's stamp, in way order: the
+    /// last use under LRU, the fill under FIFO, ignored under Random. All
+    /// ways must be occupied. Ties go to the lowest way.
+    pub(crate) fn victim(&mut self, stamps: impl ExactSizeIterator<Item = u64>) -> usize {
         debug_assert!(stamps.len() > 0);
         match self.policy {
-            ReplacementPolicy::Lru => {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
                 stamps
                     .enumerate()
-                    .min_by_key(|(_, (_, used))| *used)
-                    // nocstar-lint: allow(sim-unwrap): stamps is non-empty, a caller invariant (debug_assert above)
-                    .expect("nonempty set")
-                    .0
-            }
-            ReplacementPolicy::Fifo => {
-                stamps
-                    .enumerate()
-                    .min_by_key(|(_, (inserted, _))| *inserted)
+                    .min_by_key(|&(_, stamp)| stamp)
                     // nocstar-lint: allow(sim-unwrap): stamps is non-empty, a caller invariant (debug_assert above)
                     .expect("nonempty set")
                     .0
@@ -81,25 +80,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lru_picks_least_recently_used() {
-        let mut st = ReplacementState::new(ReplacementPolicy::Lru);
-        // way 1 used longest ago
-        let stamps = [(1, 10), (2, 3), (3, 7)];
-        assert_eq!(st.victim(stamps.into_iter()), 1);
+    fn lru_and_fifo_evict_the_smallest_stamp() {
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
+            let mut st = ReplacementState::new(policy);
+            assert_eq!(st.victim([10, 3, 7].into_iter()), 1);
+            assert_eq!(
+                st.victim([4, 9, 4].into_iter()),
+                0,
+                "ties go to the lowest way"
+            );
+        }
     }
 
     #[test]
-    fn fifo_picks_oldest_insert_even_if_recently_used() {
-        let mut st = ReplacementState::new(ReplacementPolicy::Fifo);
-        let stamps = [(5, 100), (1, 200), (9, 50)];
-        assert_eq!(st.victim(stamps.into_iter()), 1);
+    fn only_lru_renews_stamps_on_use() {
+        let renews = |policy| ReplacementState::new(policy).renews_on_use();
+        assert!(renews(ReplacementPolicy::Lru));
+        assert!(!renews(ReplacementPolicy::Fifo));
+        assert!(!renews(ReplacementPolicy::Random));
     }
 
     #[test]
     fn random_is_deterministic_and_in_range() {
         let mut a = ReplacementState::new(ReplacementPolicy::Random);
         let mut b = ReplacementState::new(ReplacementPolicy::Random);
-        let stamps = [(0, 0); 8];
+        let stamps = [0; 8];
         for _ in 0..100 {
             let va = a.victim(stamps.into_iter());
             assert_eq!(va, b.victim(stamps.into_iter()));

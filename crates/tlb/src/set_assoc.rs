@@ -7,7 +7,7 @@
 //! each is indexed by its own page-size-granular VPN and tagged with its
 //! size, so same-frame-index pages of different sizes never alias.
 //!
-//! All ways of all sets live in one zero-initialised block of 40-byte
+//! All ways of all sets live in one zero-initialised block of 24-byte
 //! integer ways, set-major, plus a per-set count of valid ways (`DESIGN.md`
 //! §7, "How a TLB array is laid out"). Construction is two zeroed
 //! allocations whatever the set count, so pages of sets no run touches are
@@ -20,20 +20,25 @@ use crate::replacement::{ReplacementPolicy, ReplacementState};
 use nocstar_stats::counter::HitMiss;
 use nocstar_types::{Asid, PageSize, PhysPageNum, VirtPageNum};
 
-/// One way: `[vpn, meta, ppn, inserted, used]`, where `meta` packs the
-/// ASID (bits 0–15), the page-size code (bits 16–17) and the global bit
-/// (bit 18), and `inserted`/`used` are the replacement stamps.
-type Way = [u64; 5];
+/// One way: `[vpn, tag, stamp]`. `tag` packs the ASID (bits 0–15), the
+/// page-size code (bits 16–17), the global bit (bit 18) and the PPN (bits
+/// 19–63); its low 19 bits are the way's `meta`. `stamp` is the one stamp
+/// the replacement policy reads: the last use under LRU, the fill under
+/// FIFO, and nothing under Random.
+type Way = [u64; 3];
 
 const VPN: usize = 0;
-const META: usize = 1;
-const PPN: usize = 2;
-const INSERTED: usize = 3;
-const USED: usize = 4;
+const TAG: usize = 1;
+const STAMP: usize = 2;
 
 const ASID_MASK: u64 = 0xffff;
 const SIZE_SHIFT: u32 = 16;
 const GLOBAL: u64 = 1 << 18;
+const PPN_SHIFT: u32 = 19;
+/// The `meta` bits of a tag: ASID, page-size code and global bit.
+const META_MASK: u64 = (1 << PPN_SHIFT) - 1;
+/// The largest PPN a way holds, 2^45 − 1.
+const MAX_PPN: u64 = u64::MAX >> PPN_SHIFT;
 
 /// The page-size field of `meta` for `size`.
 #[inline]
@@ -46,28 +51,28 @@ fn size_bits(size: PageSize) -> u64 {
     code << SIZE_SHIFT
 }
 
+/// The `tag` word of `entry`.
+///
+/// # Panics
+///
+/// Panics if `entry`'s PPN exceeds [`MAX_PPN`].
 #[inline]
-fn encode(entry: TlbEntry, inserted: u64, used: u64) -> Way {
+fn tag(entry: TlbEntry) -> u64 {
+    let ppn = entry.ppn().number();
+    assert!(ppn <= MAX_PPN, "PPN {ppn:#x} exceeds a TLB way's 45 bits");
     let global = if entry.is_global() { GLOBAL } else { 0 };
-    let meta = u64::from(entry.asid().value()) | size_bits(entry.page_size()) | global;
-    [
-        entry.vpn().number(),
-        meta,
-        entry.ppn().number(),
-        inserted,
-        used,
-    ]
+    u64::from(entry.asid().value()) | size_bits(entry.page_size()) | global | ppn << PPN_SHIFT
 }
 
 #[inline]
 fn decode(way: &Way) -> TlbEntry {
-    let meta = way[META];
-    let size = PageSize::ALL[((meta >> SIZE_SHIFT) & 3) as usize];
+    let tag = way[TAG];
+    let size = PageSize::ALL[((tag >> SIZE_SHIFT) & 3) as usize];
     TlbEntry::from_parts(
-        Asid::new((meta & ASID_MASK) as u16),
+        Asid::new((tag & ASID_MASK) as u16),
         VirtPageNum::new(way[VPN], size),
-        PhysPageNum::new(way[PPN], size),
-        meta & GLOBAL != 0,
+        PhysPageNum::new(tag >> PPN_SHIFT, size),
+        tag & GLOBAL != 0,
     )
 }
 
@@ -95,7 +100,8 @@ impl Key {
 
     #[inline]
     fn matches(self, way: &Way) -> bool {
-        way[VPN] == self.vpn && (way[META] == self.own || way[META] & !ASID_MASK == self.global)
+        let meta = way[TAG] & META_MASK;
+        way[VPN] == self.vpn && (meta == self.own || meta & !ASID_MASK == self.global)
     }
 }
 
@@ -152,7 +158,7 @@ impl SetAssocTlb {
         );
         assert!(u32::try_from(ways).is_ok(), "too many ways ({ways})");
         Self {
-            slots: vec![[0; 5]; entries],
+            slots: vec![[0; 3]; entries],
             lens: vec![0; entries / ways],
             ways,
             valid: 0,
@@ -241,8 +247,11 @@ impl SetAssocTlb {
     pub fn touch(&mut self, asid: Asid, vpn: VirtPageNum) -> Option<TlbEntry> {
         let stamp = self.state.tick();
         let slot = self.find(asid, vpn)?;
+        let renew = self.state.renews_on_use();
         let way = &mut self.slots[slot];
-        way[USED] = stamp;
+        if renew {
+            way[STAMP] = stamp;
+        }
         Some(decode(way))
     }
 
@@ -255,29 +264,38 @@ impl SetAssocTlb {
     /// Inserts a translation, returning the evicted entry if the set was
     /// full. Re-inserting an existing (asid, vpn) pair refreshes it in
     /// place and returns `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry's PPN is 2^45 or more: a way keeps the PPN in
+    /// the 45 bits above its ASID, page size and global bit. The
+    /// simulator's page tables stop at 2^31 − 2 frames.
     pub fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
+        let tag = tag(entry);
         let set = self.set_index(entry.vpn());
         let stamp = self.state.tick();
         if let Some(slot) = self.find_in(set, Key::new(entry.asid(), entry.vpn())) {
+            let renew = self.state.renews_on_use();
             let way = &mut self.slots[slot];
-            *way = encode(entry, way[INSERTED], stamp);
+            way[TAG] = tag;
+            if renew {
+                way[STAMP] = stamp;
+            }
             return None;
         }
+        let way = [entry.vpn().number(), tag, stamp];
         let base = set * self.ways;
         let len = self.lens[set] as usize;
         if len < self.ways {
-            self.slots[base + len] = encode(entry, stamp, stamp);
+            self.slots[base + len] = way;
             self.lens[set] += 1;
             self.valid += 1;
             return None;
         }
         let full = &self.slots[base..base + len];
-        let victim = base
-            + self
-                .state
-                .victim(full.iter().map(|w| (w[INSERTED], w[USED])));
+        let victim = base + self.state.victim(full.iter().map(|w| w[STAMP]));
         let evicted = decode(&self.slots[victim]);
-        self.slots[victim] = encode(entry, stamp, stamp);
+        self.slots[victim] = way;
         Some(evicted)
     }
 
@@ -293,13 +311,13 @@ impl SetAssocTlb {
     /// returns how many were dropped.
     pub fn invalidate_asid(&mut self, asid: Asid) -> usize {
         let own = u64::from(asid.value());
-        self.drop_where(|w| w[META] & (GLOBAL | ASID_MASK) == own)
+        self.drop_where(|w| w[TAG] & (GLOBAL | ASID_MASK) == own)
     }
 
     /// Flushes all non-global translations (an x86 CR3 write); returns how
     /// many were dropped.
     pub fn flush_non_global(&mut self) -> usize {
-        self.drop_where(|w| w[META] & GLOBAL == 0)
+        self.drop_where(|w| w[TAG] & GLOBAL == 0)
     }
 
     /// Flushes everything, including global translations.
@@ -520,6 +538,62 @@ mod tests {
         // aliased one thrashes a single set per 16-page stride.
         assert_eq!(divided.occupancy(), 64);
         assert!(aliased.occupancy() < 64 / 2);
+    }
+
+    #[test]
+    fn widest_fields_round_trip_through_a_way() {
+        // Every field at its limit: the ASID's 16 bits, the 1 GiB size
+        // code, the global bit, a full 64-bit VPN and a 45-bit PPN.
+        let size = PageSize::Size1G;
+        let vpn = VirtPageNum::new(u64::MAX, size);
+        let widest = TlbEntry::from_parts(
+            Asid::new(0xffff),
+            vpn,
+            PhysPageNum::new(MAX_PPN, size),
+            true,
+        );
+        assert_eq!(MAX_PPN, (1 << 45) - 1);
+        assert_eq!(decode(&[vpn.number(), tag(widest), 0]), widest);
+        let mut tlb = SetAssocTlb::new(64, 4, ReplacementPolicy::Lru);
+        assert_eq!(tlb.insert(widest), None);
+        assert_eq!(tlb.probe(Asid::new(0xffff), vpn), Some(widest));
+        assert_eq!(tlb.lookup(Asid::new(3), vpn), Some(widest), "global");
+        assert!(tlb.iter().eq([widest]));
+        // A full PPN field leaves the meta bits alone: the ASID and size
+        // still select, and the non-global twin is dropped by its ASID.
+        let own = TlbEntry::new(
+            Asid::new(0xffff),
+            VirtPageNum::new(u64::MAX, PageSize::Size4K),
+            PhysPageNum::new(MAX_PPN, PageSize::Size4K),
+        );
+        tlb.insert(own);
+        assert_eq!(tlb.probe(Asid::new(0xffff), own.vpn()), Some(own));
+        assert_eq!(tlb.probe(Asid::new(0xfffe), own.vpn()), None);
+        assert_eq!(tlb.invalidate_asid(Asid::new(0xffff)), 1);
+        assert!(tlb.iter().eq([widest]));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds a TLB way's 45 bits")]
+    fn ppn_beyond_45_bits_is_rejected() {
+        let mut tlb = SetAssocTlb::new(64, 4, ReplacementPolicy::Lru);
+        tlb.insert(TlbEntry::new(
+            Asid::new(1),
+            v4k(1),
+            PhysPageNum::new(1 << 45, PageSize::Size4K),
+        ));
+    }
+
+    #[test]
+    fn fifo_keeps_the_fill_stamp_across_hits_and_refreshes() {
+        // 4 entries, 2 ways => 2 sets. VPNs 0, 2 and 4 map to set 0.
+        let mut tlb = SetAssocTlb::new(4, 2, ReplacementPolicy::Fifo);
+        tlb.insert(e4k(1, 0));
+        tlb.insert(e4k(1, 2));
+        assert!(tlb.lookup(Asid::new(1), v4k(0)).is_some());
+        assert!(tlb.insert(e4k(1, 0)).is_none(), "refresh in place");
+        let evicted = tlb.insert(e4k(1, 4)).expect("set was full");
+        assert_eq!(evicted.vpn().number(), 0, "oldest fill leaves first");
     }
 
     #[test]

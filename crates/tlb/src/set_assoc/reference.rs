@@ -1,8 +1,12 @@
 //! The TLB array as it was before its ways moved into one zero-initialised
-//! block: a `Vec` of 56-byte ways per set. Kept verbatim (minus its unit
-//! tests) so the flat [`SetAssocTlb`](super::SetAssocTlb) can be checked
-//! against it return value for return value; see the differential property
-//! tests in `set_assoc.rs`.
+//! block: a `Vec` of 56-byte ways per set, each with both an insertion and
+//! a last-use stamp. Kept as it was, minus its unit tests and with its
+//! victim call handing over the policy's one stamp per way, so the flat
+//! [`SetAssocTlb`](super::SetAssocTlb) can be checked against it return
+//! value for return value; see the differential property tests in
+//! `set_assoc.rs`. It shares [`ReplacementState`] with the code under
+//! test, so it cannot catch a change to the victim rule itself; the
+//! pinned victim digests in `tests/replacement_pin.rs` do.
 
 #![cfg(test)]
 
@@ -146,9 +150,13 @@ impl Reference {
             self.valid += 1;
             return None;
         }
+        let policy = self.state.policy();
         let victim = self
             .state
-            .victim(self.sets[set].iter().map(|w| (w.inserted, w.used)));
+            .victim(self.sets[set].iter().map(|w| match policy {
+                ReplacementPolicy::Fifo => w.inserted,
+                ReplacementPolicy::Lru | ReplacementPolicy::Random => w.used,
+            }));
         let evicted = std::mem::replace(
             &mut self.sets[set][victim],
             Way {
