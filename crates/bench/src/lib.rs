@@ -224,8 +224,10 @@ impl Settings {
     /// replay of that whole span. An aborted run (`--max-cycles`,
     /// deadlock, livelock) warns on stderr and returns its partial report.
     /// With metrics on, the report is queued for the next [`emit`]. An
-    /// unreadable `--trace-file`, or a sample spec that places no window
-    /// in the span, exits with code 2.
+    /// unreadable `--trace-file`, a sample spec that places no window in
+    /// the span, or a fault plan naming a link, structure or cluster the
+    /// run's system lacks ([`Simulation::validate_faults`]) exits with
+    /// code 2.
     ///
     /// Every experiment runs its simulations through here (mostly via
     /// [`simulate`] and [`Effort::run_with`]), so every harness flag
@@ -252,6 +254,9 @@ impl Settings {
         let run = format!("{} run of {}", config.org.label(), workload.label());
         let mut sim = Simulation::new(config, workload);
         if !self.faults.is_empty() {
+            if let Err(e) = sim.validate_faults(&self.faults) {
+                bail(format_args!("--faults does not fit the {run}: {e}"));
+            }
             sim = sim.with_faults(self.faults.clone());
         }
         if self.recovery.is_enabled() {

@@ -168,6 +168,12 @@ impl NetworkModel {
         }
     }
 
+    /// How many directed links a fault plan's `link:L` clauses can name
+    /// (none without a network).
+    pub fn fault_links(&self) -> usize {
+        self.as_dyn().map_or(0, |n| n.fault_links())
+    }
+
     /// Fault-action statistics, if a network exists.
     pub fn fault_stats(&self) -> Option<&FaultStats> {
         self.as_dyn()?.fault_stats()

@@ -274,10 +274,30 @@ impl Simulation {
     /// simulation loop. An empty plan is free — every fault hook
     /// short-circuits on [`FaultPlan::is_empty`], so a run with an empty
     /// plan is cycle-identical to one that never called this.
+    ///
+    /// The plan must fit the system (see
+    /// [`validate_faults`](Self::validate_faults)); debug builds assert it.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        debug_assert_eq!(
+            self.validate_faults(&plan),
+            Ok(()),
+            "fault plan out of range"
+        );
         self.net.install_faults(plan.clone());
         self.faults = plan;
         self
+    }
+
+    /// Checks that every clause of `plan` names a link, L2 structure or
+    /// cluster this system has ([`FaultPlan::validate`] over the
+    /// interconnect's fault-injectable links and the organization's
+    /// structures). A clause naming none would inject nothing.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first out-of-range clause.
+    pub fn validate_faults(&self, plan: &FaultPlan) -> Result<(), String> {
+        plan.validate(self.net.fault_links(), self.org.count())
     }
 
     /// Installs a closed-loop recovery policy. Re-routing, escalating

@@ -511,3 +511,35 @@ fn shootdowns_happen_for_remapping_workloads() {
     let report = Simulation::new(config, workload).run(2000);
     assert!(report.shootdowns > 0);
 }
+
+#[test]
+fn fault_plans_are_checked_against_the_fabric_and_the_structures() {
+    let sim = |org| {
+        let config = SystemConfig::new(16, org);
+        let workload = WorkloadAssignment::preset(&config, Preset::Redis);
+        Simulation::new(config, workload)
+    };
+    let check = |sim: &Simulation, spec: &str| {
+        sim.validate_faults(&FaultPlan::parse(spec).expect("valid plan"))
+    };
+    // 16 tiles: a 4x4 mesh with 48 directed links, 16 slices.
+    let nocstar = sim(TlbOrg::paper_nocstar());
+    assert_eq!(check(&nocstar, "link:47@0-9=off; slice:15@0-9"), Ok(()));
+    let err = check(&nocstar, "link:99999@0-100000=off").unwrap_err();
+    assert!(err.contains("`link:99999@0-100000=off`"), "{err}");
+    let err = check(&nocstar, "slice:99999@0-100000").unwrap_err();
+    assert!(err.contains("`slice:99999@0-100000`"), "{err}");
+    // Link faults act on the overlay of the hierarchical fabric: four
+    // clusters of four tiles on a 2x2 mesh with 8 directed links.
+    let hier = sim(TlbOrg::paper_hier(4));
+    assert_eq!(check(&hier, "link:7@0-9=off; cluster:3/4@0-9"), Ok(()));
+    assert!(check(&hier, "link:8@0-9=off").is_err());
+    assert!(check(&hier, "cluster:4/4@0-9").is_err());
+    // Four monolithic banks are its structures; private L2s have no
+    // network, so link clauses do not apply to them.
+    assert!(check(&sim(TlbOrg::paper_monolithic(16)), "slice:4@0-9").is_err());
+    assert_eq!(
+        check(&sim(TlbOrg::paper_private()), "link:5@0-9=off"),
+        Ok(())
+    );
+}

@@ -68,6 +68,13 @@ impl CycleWindow {
     }
 }
 
+impl fmt::Display for CycleWindow {
+    /// The window as a spec writes it, `start-end`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}-{}", self.start, self.end)
+    }
+}
+
 /// What an injected link fault does to the link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkFaultKind {
@@ -329,6 +336,61 @@ impl FaultPlan {
         out.sort();
         out.dedup();
         out
+    }
+
+    /// Checks the plan against the system it is installed in: one with
+    /// `links` directed links that link faults can name and `slices` L2
+    /// structures (slices or banks). Every `link:L` clause must name a
+    /// link below `links` (`link:*` always fits), every `slice:I` clause a
+    /// structure below `slices`, and every `cluster:K/S` clause a cluster
+    /// holding at least one structure (`K * S < slices`). A clause that
+    /// fits nothing would silently inject nothing. A system without
+    /// fault-injectable links (`links == 0`: no network) takes no link
+    /// faults at all, so its link clauses are not checked, just as `deny`
+    /// clauses are not checked against fabrics without circuit setup.
+    ///
+    /// # Errors
+    ///
+    /// Names the first clause that is out of range, link clauses first,
+    /// then slice and cluster clauses, each kind in spec order.
+    pub fn validate(&self, links: usize, slices: usize) -> Result<(), String> {
+        // `None` (`link:*`) orders below every `Some`, so it always fits.
+        let out_of_range = |f: &&LinkFault| links > 0 && f.link >= Some(links);
+        if let Some(f) = self.link_faults.iter().find(out_of_range) {
+            let effect = match f.kind {
+                LinkFaultKind::Outage => "off".to_string(),
+                LinkFaultKind::Degrade(extra) => format!("+{extra}"),
+            };
+            let link = f.link.unwrap_or_default();
+            return Err(format!(
+                "fault clause `link:{link}@{}={effect}` names link {link}, \
+                 but the system has {links} fault-injectable links",
+                f.window
+            ));
+        }
+        if let Some(s) = self.slice_offline.iter().find(|s| s.slice >= slices) {
+            return Err(format!(
+                "fault clause `slice:{}@{}` names structure {}, but the system has {slices}",
+                s.slice, s.window, s.slice
+            ));
+        }
+        if let Some(c) = self
+            .cluster_offline
+            .iter()
+            .find(|c| c.cluster.saturating_mul(c.size) >= slices)
+        {
+            return Err(format!(
+                "fault clause `cluster:{}/{}@{}` names cluster {}, \
+                 but {slices} structures form {} clusters of {}",
+                c.cluster,
+                c.size,
+                c.window,
+                c.cluster,
+                slices.div_ceil(c.size),
+                c.size
+            ));
+        }
+        Ok(())
     }
 
     /// Parses a fault-plan spec. Clauses are `;`-separated:
@@ -895,6 +957,49 @@ mod tests {
         assert!(err.contains("`cluster:1/0@0-5`"), "{err}");
         assert!(err.contains("at byte 0"), "{err}");
         assert!(err.contains("nonzero"), "{err}");
+    }
+
+    #[test]
+    fn validate_accepts_clauses_inside_the_system() {
+        let plan = FaultPlan::parse(
+            "link:*@0-10=off; link:47@0-10=+2; slice:15@0-10; cluster:3/4@0-10; \
+             cluster:1/12@0-10; deny@0-10; walk@0-10=x2; storm@0-10",
+        )
+        .unwrap();
+        assert_eq!(plan.validate(48, 16), Ok(()));
+        // No links at all (no network): link clauses do not apply.
+        let none = FaultPlan::parse("link:*@0-10=off; link:7@0-10=off; slice:0@0-10").unwrap();
+        assert_eq!(none.validate(0, 1), Ok(()));
+    }
+
+    #[test]
+    fn validate_names_the_first_out_of_range_clause() {
+        let err = |spec: &str| {
+            FaultPlan::parse(spec)
+                .unwrap()
+                .validate(48, 16)
+                .unwrap_err()
+        };
+        let e = err("link:3@0-9=off; link:99999@0-100000=off; link:48@5-6=+2");
+        assert!(e.contains("`link:99999@0-100000=off`"), "{e}");
+        assert!(e.contains("48 fault-injectable links"), "{e}");
+        let e = err("link:48@5-6=+2");
+        assert!(e.contains("`link:48@5-6=+2`"), "{e}");
+        let e = err("slice:2@0-5; slice:16@0-5");
+        assert!(e.contains("`slice:16@0-5`"), "{e}");
+        assert!(e.contains("has 16"), "{e}");
+        let e = err("slice:99999@0-100000");
+        assert!(e.contains("`slice:99999@0-100000`"), "{e}");
+        let e = err("cluster:4/4@0-5");
+        assert!(e.contains("`cluster:4/4@0-5`"), "{e}");
+        assert!(e.contains("form 4 clusters of 4"), "{e}");
+        // A cluster clause that overflows the index arithmetic is out of
+        // range, not wrapped into range.
+        let e = err("cluster:18446744073709551615/2@0-5");
+        assert!(e.contains("cluster 18446744073709551615"), "{e}");
+        // The one link of a bus is link 0.
+        let bus = FaultPlan::parse("link:1@0-5=off").unwrap().validate(1, 4);
+        assert!(bus.unwrap_err().contains("has 1 fault-injectable links"));
     }
 
     #[test]

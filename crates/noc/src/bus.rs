@@ -162,6 +162,11 @@ impl Interconnect for BusNoc {
         Some(&mut self.faults)
     }
 
+    /// The shared medium is link 0.
+    fn fault_links(&self) -> usize {
+        1
+    }
+
     fn diagnostics(&self, cycle: Cycle) -> DiagSnapshot {
         let mut pending_messages: Vec<_> = self
             .pending

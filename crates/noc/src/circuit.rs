@@ -468,6 +468,10 @@ impl Interconnect for CircuitFabric {
         Some(&mut self.faults)
     }
 
+    fn fault_links(&self) -> usize {
+        self.links.count()
+    }
+
     fn diagnostics(&self, cycle: Cycle) -> DiagSnapshot {
         let pending_messages = self
             .pending

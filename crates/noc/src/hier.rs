@@ -427,6 +427,11 @@ impl Interconnect for HierNoc {
         self.inter.fault_state_mut()
     }
 
+    /// Link faults act on the overlay between the cluster gateways.
+    fn fault_links(&self) -> usize {
+        self.inter.fault_links()
+    }
+
     fn diagnostics(&self, cycle: Cycle) -> DiagSnapshot {
         let pending_messages = self
             .routes

@@ -120,6 +120,13 @@ pub trait Interconnect: std::fmt::Debug {
         None
     }
 
+    /// How many directed links an installed plan's `link:L` clauses can
+    /// name, `0..fault_links()` (the default, for models that take no
+    /// link faults, is none).
+    fn fault_links(&self) -> usize {
+        0
+    }
+
     /// Installs a deterministic fault plan. Models without a fault block
     /// ignore it.
     fn install_faults(&mut self, plan: FaultPlan) {

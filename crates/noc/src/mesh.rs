@@ -436,6 +436,10 @@ impl Interconnect for MeshNoc {
         Some(&mut self.faults)
     }
 
+    fn fault_links(&self) -> usize {
+        self.links.count()
+    }
+
     fn diagnostics(&self, cycle: Cycle) -> DiagSnapshot {
         let pending_messages = self
             .flights

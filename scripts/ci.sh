@@ -7,7 +7,8 @@
 #   ci.sh             fast PR gate: fmt + determinism lint + clippy +
 #                     doc + build + a few-second harness smoke (a
 #                     faulted slice_ubench must report denied setups in
-#                     its --metrics-json file, and a misspelt flag must
+#                     its --metrics-json file, and a misspelt flag and a
+#                     fault plan naming a link the system lacks must each
 #                     exit 2) + tier-1 tests.
 #                     `cargo test --workspace`
 #                     runs every non-ignored test once, including the
@@ -102,6 +103,18 @@ if [[ "$status" != 2 ]]; then
   exit 1
 fi
 echo "   harness smoke: OK (--fualts refused with exit 2)"
+
+echo "== harness smoke: a fault plan naming a missing link is refused =="
+# A clause outside the simulated system would inject nothing; the run
+# must stop with exit 2 instead of reporting a fault-free result.
+status=0
+NOCSTAR_OUT=target/bench-smoke cargo run --release -q -p nocstar-bench --bin slice_ubench -- \
+  --quick --faults 'link:99999@0-100=off' >/dev/null 2>&1 || status=$?
+if [[ "$status" != 2 ]]; then
+  echo "harness smoke: FAILED — slice_ubench --faults 'link:99999@0-100=off' exited $status, not 2" >&2
+  exit 1
+fi
+echo "   harness smoke: OK (out-of-range fault plan refused with exit 2)"
 
 echo "== non-test lines under crates/ (information only, not a gate) =="
 scripts/loc.sh --total crates
