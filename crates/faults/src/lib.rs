@@ -85,6 +85,16 @@ pub enum LinkFaultKind {
     Degrade(u64),
 }
 
+impl fmt::Display for LinkFaultKind {
+    /// The effect as a spec writes it, `off` or `+N`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Outage => f.write_str("off"),
+            Self::Degrade(extra) => write!(f, "+{extra}"),
+        }
+    }
+}
+
 /// One link fault: a kind applied to a link (or all links) over a window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkFault {
@@ -307,10 +317,7 @@ impl FaultPlan {
         for f in &self.link_faults {
             if f.window.contains(cycle) {
                 let link = f.link.map_or_else(|| "*".to_string(), |l| l.to_string());
-                match f.kind {
-                    LinkFaultKind::Outage => out.push(format!("link:{link}=off")),
-                    LinkFaultKind::Degrade(e) => out.push(format!("link:{link}=+{e}")),
-                }
+                out.push(format!("link:{link}={}", f.kind));
             }
         }
         if self.setup_denied(cycle) {
@@ -357,15 +364,11 @@ impl FaultPlan {
         // `None` (`link:*`) orders below every `Some`, so it always fits.
         let out_of_range = |f: &&LinkFault| links > 0 && f.link >= Some(links);
         if let Some(f) = self.link_faults.iter().find(out_of_range) {
-            let effect = match f.kind {
-                LinkFaultKind::Outage => "off".to_string(),
-                LinkFaultKind::Degrade(extra) => format!("+{extra}"),
-            };
             let link = f.link.unwrap_or_default();
             return Err(format!(
-                "fault clause `link:{link}@{}={effect}` names link {link}, \
+                "fault clause `link:{link}@{}={}` names link {link}, \
                  but the system has {links} fault-injectable links",
-                f.window
+                f.window, f.kind
             ));
         }
         if let Some(s) = self.slice_offline.iter().find(|s| s.slice >= slices) {
