@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the TLB content structures: the hot
 //! paths of every simulated lookup.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use nocstar::tlb::entry::TlbEntry;
 use nocstar::tlb::l1::L1Tlb;
 use nocstar::tlb::replacement::ReplacementPolicy;
@@ -64,17 +64,33 @@ fn bench_l1(c: &mut Criterion) {
 }
 
 /// The TLB side of `Simulation::new` at 256 cores: one 1,024-entry
-/// 8-way slice and one Haswell L1 TLB per core, built and dropped.
+/// 8-way slice and one Haswell L1 TLB per core.
+fn build_256_slices_and_l1s() -> (Vec<TlbSlice>, Vec<L1Tlb>) {
+    let slices = (0..256)
+        .map(|_| TlbSlice::new(1024, 8, SlicePorts::default()))
+        .collect();
+    let l1s = (0..256).map(|_| L1Tlb::haswell()).collect();
+    (slices, l1s)
+}
+
+/// Times a build on a warm heap. glibc hands the free heap top back to
+/// the kernel, so a loop that builds and drops would time the page
+/// faults of reclaiming it (DESIGN.md §7). A build made before the timing
+/// and held until after it sits above the blocks of the one dropped
+/// beside it; those blocks stay on glibc's free lists, and every timed
+/// build reuses them. Each build is dropped outside the timing.
 fn bench_construction(c: &mut Criterion) {
+    let reused = build_256_slices_and_l1s();
+    let held = build_256_slices_and_l1s();
+    drop(reused);
     c.bench_function("construct_256_slices_and_l1s", |b| {
-        b.iter(|| {
-            let slices: Vec<TlbSlice> = (0..256)
-                .map(|_| TlbSlice::new(1024, 8, SlicePorts::default()))
-                .collect();
-            let l1s: Vec<L1Tlb> = (0..256).map(|_| L1Tlb::haswell()).collect();
-            (slices, l1s)
-        })
+        b.iter_batched(
+            || (),
+            |()| build_256_slices_and_l1s(),
+            BatchSize::PerIteration,
+        )
     });
+    drop(held);
 }
 
 /// The functional fast-forward path at 1,024 cores: one `touch` per L1

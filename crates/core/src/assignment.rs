@@ -226,7 +226,7 @@ mod tests {
         let mix = nocstar_workloads::multiprog::all_mixes()[0];
         let wa = WorkloadAssignment::mix(&cfg, mix);
         assert_eq!(wa.len(), 32);
-        let asids: std::collections::HashSet<u16> =
+        let asids: std::collections::BTreeSet<u16> =
             wa.into_traces().iter().map(|t| t.asid().value()).collect();
         assert_eq!(asids.len(), 4);
     }

@@ -425,7 +425,7 @@ mod tests {
             }
             .label(),
         ];
-        let set: std::collections::HashSet<_> = labels.iter().collect();
+        let set: std::collections::BTreeSet<_> = labels.iter().collect();
         assert_eq!(set.len(), labels.len());
     }
 
@@ -439,7 +439,7 @@ mod tests {
             assert_eq!(mesh.coord_of(*t).y, mesh.rows() - 1);
         }
         // Banks are spread out, not stacked on one tile.
-        let set: std::collections::HashSet<_> = tiles.iter().collect();
+        let set: std::collections::BTreeSet<_> = tiles.iter().collect();
         assert_eq!(set.len(), 4);
     }
 

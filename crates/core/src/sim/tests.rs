@@ -480,7 +480,7 @@ fn trace_records_the_translation_lifecycle() {
     assert!(!r.trace.is_empty());
     // Records come back oldest-first in simulated-time order.
     assert!(r.trace.windows(2).all(|w| w[0].cycle <= w[1].cycle));
-    let kinds: std::collections::HashSet<u16> = r.trace.iter().map(|t| t.kind).collect();
+    let kinds: std::collections::BTreeSet<u16> = r.trace.iter().map(|t| t.kind).collect();
     for kind in [
         trace_kind::ISSUE,
         trace_kind::SLICE_DONE,

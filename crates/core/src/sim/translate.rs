@@ -604,7 +604,7 @@ impl Simulation {
     pub(super) fn handle_delivery(&mut self, d: Delivery) -> Result<(), Box<SimError>> {
         let id = d.msg.id;
         match d.msg.kind {
-            MsgKind::TlbRequest => self.schedule_slice_lookup(id, d.at)?,
+            MsgKind::TlbRequest => self.schedule_slice_lookup(id, d.at())?,
             MsgKind::TlbResponse => {
                 let Some(TxState::Lookup(lookup)) = self.txs.get(id) else {
                     return Err(

@@ -17,6 +17,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt;
 
@@ -233,8 +234,10 @@ fn format_u64(mut v: u64, buf: &mut [u8; 20]) -> &str {
             break;
         }
     }
-    // The buffer only ever holds ASCII digits.
-    // nocstar-lint: allow(sim-unwrap): the buffer holds only ASCII digits written above
+    #[expect(
+        clippy::expect_used,
+        reason = "the buffer holds only ASCII digits written above"
+    )]
     std::str::from_utf8(&buf[i..]).expect("digits are ASCII")
 }
 

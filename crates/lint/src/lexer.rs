@@ -1,43 +1,37 @@
 //! A minimal Rust token lexer.
 //!
-//! The build environment vendors no `syn`, so the analyzer works on a
-//! token stream instead of a real AST. The lexer's job is to make that
-//! sound: rule patterns must never match inside string literals, char
-//! literals, or comments, and suppression comments must be recoverable
-//! with their line numbers. Everything a rule matches on is a [`Tok`];
-//! everything a suppression lives in is a [`Comment`].
-//!
-//! Coverage: line/doc comments, nested block comments, string literals
-//! (plain, raw `r#"…"#`, byte, C variants), char literals vs. lifetimes,
-//! numeric literals, identifiers (including raw `r#ident`), and
-//! single-character punctuation. Multi-character operators (`::`, `=>`,
-//! `+=`, …) are emitted as individual punctuation tokens; rules match the
-//! resulting sequences, which keeps the lexer trivially correct.
+//! The environment vendors no `syn`, so the lint works on tokens. The
+//! lexer makes that sound: nothing inside a string, char literal or
+//! comment becomes a token, and comments keep their lines so that
+//! suppressions can be found. Multi-character operators (`::`, `+=`)
+//! come out as single-character [`TokKind::Punct`] tokens, and the rule
+//! matches the sequences. Unterminated constructs run to the end of the
+//! input: the lint degrades on a file mid-edit, it never panics.
 
 /// What kind of lexeme a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
-    /// An identifier or keyword (`HashMap`, `for`, `unwrap`).
+    /// An identifier or keyword; `r#type` lexes as `type`.
     Ident,
-    /// A lifetime (`'a`) — distinguished from char literals.
+    /// A lifetime (`'a`), told apart from a char literal.
     Lifetime,
-    /// A numeric literal.
+    /// A numeric literal with its suffix (`0u64`, `2f32`). The `.` of
+    /// `1.5` is a punctuation token between two numbers.
     Num,
-    /// A string, byte-string, or char literal (contents are opaque).
+    /// A string, byte-string or char literal; its contents are dropped.
     Lit,
-    /// A single punctuation character (`.`, `:`, `=`, `{`, …).
+    /// One punctuation character.
     Punct(char),
 }
 
-/// One token with its source line (1-based).
+/// One token and the 1-based line it starts on.
 #[derive(Debug, Clone)]
 pub struct Tok {
     /// The token kind; punctuation carries its character.
     pub kind: TokKind,
-    /// The token text (empty for [`TokKind::Lit`] — contents never matter
-    /// to any rule, and eliding them avoids quadratic retention).
+    /// The text of an identifier, lifetime or number; empty otherwise.
     pub text: String,
-    /// 1-based line on which the token starts.
+    /// 1-based line.
     pub line: u32,
 }
 
@@ -53,41 +47,53 @@ impl Tok {
     }
 }
 
-/// A comment with its starting line (1-based). Doc comments are included;
-/// block comments keep embedded newlines.
+/// A comment without its `//`, `///`, `//!` or `/* */` framing.
 #[derive(Debug, Clone)]
 pub struct Comment {
-    /// 1-based line on which the comment starts.
+    /// 1-based line the comment starts on.
     pub line: u32,
-    /// Comment text without the `//`, `///` or `/* */` framing.
+    /// The trimmed comment text.
     pub text: String,
-    /// True when source code precedes the comment on its starting line
-    /// (a trailing comment annotates its own line; a standalone comment
-    /// annotates the next code line).
+    /// True when code precedes the comment on its line: a trailing
+    /// comment annotates its own line, a standalone one the next.
     pub trailing: bool,
 }
 
-/// The result of lexing one source file.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// All code tokens in source order.
-    pub toks: Vec<Tok>,
-    /// All comments in source order.
-    pub comments: Vec<Comment>,
-}
-
-/// Lexes `src` into tokens and comments. Unterminated constructs consume
-/// to end of input rather than erroring: the linter must degrade, not
-/// panic, on files mid-edit.
-pub fn lex(src: &str) -> Lexed {
-    Lexer {
+/// Lexes `src` into code tokens and comments, each in source order.
+pub fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
+    let mut lx = Lexer {
         chars: src.chars().collect(),
         pos: 0,
         line: 1,
         line_had_code: false,
-        out: Lexed::default(),
+        toks: Vec::new(),
+        comments: Vec::new(),
+    };
+    while let Some(c) = lx.peek(0) {
+        let line = lx.line;
+        match c {
+            c if c.is_whitespace() => {
+                lx.bump();
+            }
+            '/' if matches!(lx.peek(1), Some('/' | '*')) => lx.comment(),
+            '"' => lx.quoted(),
+            'r' | 'b' | 'c' if lx.raw() => {}
+            '\'' => lx.char_or_lifetime(),
+            c if is_ident_start(c) => {
+                let text = lx.take_while(is_ident_continue);
+                lx.push(TokKind::Ident, text, line);
+            }
+            c if c.is_ascii_digit() => {
+                let text = lx.take_while(|c| c.is_ascii_alphanumeric() || c == '_');
+                lx.push(TokKind::Num, text, line);
+            }
+            _ => {
+                lx.bump();
+                lx.push(TokKind::Punct(c), String::new(), line);
+            }
+        }
     }
-    .run()
+    (lx.toks, lx.comments)
 }
 
 struct Lexer {
@@ -96,7 +102,8 @@ struct Lexer {
     line: u32,
     /// Whether a code token has been emitted on the current line.
     line_had_code: bool,
-    out: Lexed,
+    toks: Vec<Tok>,
+    comments: Vec<Comment>,
 }
 
 impl Lexer {
@@ -114,74 +121,34 @@ impl Lexer {
         Some(c)
     }
 
-    fn push_tok(&mut self, kind: TokKind, text: String, line: u32) {
-        self.line_had_code = true;
-        self.out.toks.push(Tok { kind, text, line });
-    }
-
-    fn run(mut self) -> Lexed {
-        while let Some(c) = self.peek(0) {
-            match c {
-                c if c.is_whitespace() => {
-                    self.bump();
-                }
-                '/' if self.peek(1) == Some('/') => self.line_comment(),
-                '/' if self.peek(1) == Some('*') => self.block_comment(),
-                '"' => self.string(),
-                'r' | 'b' | 'c' if self.raw_or_byte_prefix() => {}
-                '\'' => self.char_or_lifetime(),
-                c if c.is_alphabetic() || c == '_' => self.ident(),
-                c if c.is_ascii_digit() => self.number(),
-                _ => {
-                    let line = self.line;
-                    self.bump();
-                    self.push_tok(TokKind::Punct(c), String::new(), line);
-                }
-            }
-        }
-        self.out
-    }
-
-    fn line_comment(&mut self) {
-        let line = self.line;
-        let trailing = self.line_had_code;
-        self.bump();
-        self.bump();
-        // Strip the extra doc-comment marker; rule ids never contain '/'.
-        while self.peek(0) == Some('/') || self.peek(0) == Some('!') {
-            self.bump();
-        }
+    fn take_while(&mut self, keep: impl Fn(char) -> bool) -> String {
         let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
+        while let Some(c) = self.peek(0).filter(|&c| keep(c)) {
             text.push(c);
             self.bump();
         }
-        self.out.comments.push(Comment {
-            line,
-            text: text.trim().to_string(),
-            trailing,
-        });
+        text
     }
 
-    fn block_comment(&mut self) {
-        let line = self.line;
-        let trailing = self.line_had_code;
-        self.bump();
-        self.bump();
-        let mut depth = 1usize;
+    fn push(&mut self, kind: TokKind, text: String, line: u32) {
+        self.line_had_code = true;
+        self.toks.push(Tok { kind, text, line });
+    }
+
+    /// A `//` comment, or a `/* */` one with nested pairs balanced.
+    fn comment(&mut self) {
+        let (line, trailing) = (self.line, self.line_had_code);
+        let block = self.peek(1) == Some('*');
+        self.pos += 2;
+        let mut depth = 1;
         let mut text = String::new();
         while let Some(c) = self.peek(0) {
-            if c == '/' && self.peek(1) == Some('*') {
-                depth += 1;
-                self.bump();
-                self.bump();
-            } else if c == '*' && self.peek(1) == Some('/') {
-                depth -= 1;
-                self.bump();
-                self.bump();
+            let pair = (c, self.peek(1));
+            if !block && c == '\n' {
+                break;
+            } else if block && (pair == ('/', Some('*')) || pair == ('*', Some('/'))) {
+                depth += if c == '/' { 1 } else { -1 };
+                self.pos += 2;
                 if depth == 0 {
                     break;
                 }
@@ -190,159 +157,93 @@ impl Lexer {
                 self.bump();
             }
         }
-        self.out.comments.push(Comment {
+        let text = text.trim_start_matches(['/', '!', '*']).trim().to_string();
+        self.comments.push(Comment {
             line,
-            text: text.trim().to_string(),
+            text,
             trailing,
         });
     }
 
-    /// Handles `r"…"`, `r#"…"#`, `b"…"`, `br#"…"#`, `b'…'`, `c"…"` and
-    /// plain identifiers starting with r/b/c. Returns true when it
-    /// consumed something.
-    fn raw_or_byte_prefix(&mut self) -> bool {
-        let c0 = self.peek(0).unwrap_or(' ');
-        // Raw identifier r#name: emit as the identifier itself.
-        if c0 == 'r' && self.peek(1) == Some('#') && self.peek(2).is_some_and(is_ident_start) {
-            let line = self.line;
-            self.bump();
-            self.bump();
-            let text = self.take_ident_text();
-            self.push_tok(TokKind::Ident, text, line);
+    /// An escaped string or char literal, up to its matching unescaped
+    /// quote. A `b` or `c` prefix lexes as an identifier before it.
+    fn quoted(&mut self) {
+        let line = self.line;
+        let quote = self.bump();
+        while let Some(c) = self.bump() {
+            if c == '\\' {
+                self.bump();
+            } else if Some(c) == quote {
+                break;
+            }
+        }
+        self.push(TokKind::Lit, String::new(), line);
+    }
+
+    /// `r#ident`, and the raw strings `r"…"`, `r#"…"#`, `br"…"` and
+    /// `cr"…"`, whose backslashes escape nothing. False, consuming
+    /// nothing, when the prefix starts a plain identifier.
+    fn raw(&mut self) -> bool {
+        let line = self.line;
+        if (self.peek(0), self.peek(1)) == (Some('r'), Some('#'))
+            && self.peek(2).is_some_and(is_ident_start)
+        {
+            self.pos += 2;
+            let text = self.take_while(is_ident_continue);
+            self.push(TokKind::Ident, text, line);
             return true;
         }
-        // Longest literal prefixes first: br"", br#"", b"…", b'…', r"", r#"".
-        let (skip, hashes_start) = match (c0, self.peek(1), self.peek(2)) {
-            ('b', Some('r'), Some('"' | '#')) => (2, 2),
-            ('b', Some('"'), _) => {
-                self.consume_quoted_literal(1, 0, '"');
-                return true;
-            }
-            ('b', Some('\''), _) => {
-                self.consume_quoted_literal(1, 0, '\'');
-                return true;
-            }
-            ('r' | 'c', Some('"' | '#'), _) => (1, 1),
-            _ => return false,
-        };
-        // Count raw-string hashes after the prefix.
-        let mut hashes = 0;
-        while self.peek(hashes_start + hashes) == Some('#') {
-            hashes += 1;
+        let prefix = if self.peek(0) == Some('r') { 1 } else { 2 };
+        let hashes = (prefix..)
+            .take_while(|&k| self.peek(k) == Some('#'))
+            .count();
+        if (prefix == 2 && self.peek(1) != Some('r')) || self.peek(prefix + hashes) != Some('"') {
+            return false;
         }
-        if self.peek(hashes_start + hashes) != Some('"') {
-            return false; // e.g. `r#[…]` is not a literal here
+        self.pos += prefix + hashes + 1;
+        while let Some(c) = self.bump() {
+            if c == '"' && (0..hashes).all(|k| self.peek(k) == Some('#')) {
+                self.pos += hashes;
+                break;
+            }
         }
-        self.consume_raw_string(skip, hashes);
+        self.push(TokKind::Lit, String::new(), line);
         true
     }
 
-    /// Consumes a raw string: `skip` prefix chars, `hashes` '#'s, a quote,
-    /// then content until `"` followed by `hashes` '#'s.
-    fn consume_raw_string(&mut self, skip: usize, hashes: usize) {
-        let line = self.line;
-        for _ in 0..skip + hashes + 1 {
-            self.bump();
-        }
-        while let Some(c) = self.bump() {
-            if c == '"' {
-                let mut ok = true;
-                for i in 0..hashes {
-                    if self.peek(i) != Some('#') {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
-                    for _ in 0..hashes {
-                        self.bump();
-                    }
-                    break;
-                }
-            }
-        }
-        self.push_tok(TokKind::Lit, String::new(), line);
-    }
-
-    /// Consumes an escaped quoted literal after `skip` prefix chars.
-    fn consume_quoted_literal(&mut self, skip: usize, _hashes: usize, quote: char) {
-        let line = self.line;
-        for _ in 0..skip {
-            self.bump();
-        }
-        self.bump(); // opening quote
-        while let Some(c) = self.bump() {
-            match c {
-                '\\' => {
-                    self.bump();
-                }
-                c if c == quote => break,
-                _ => {}
-            }
-        }
-        self.push_tok(TokKind::Lit, String::new(), line);
-    }
-
-    fn string(&mut self) {
-        self.consume_quoted_literal(0, 0, '"');
-    }
-
-    /// Disambiguates `'a'` (char literal) from `'a` (lifetime).
+    /// `'a'` and `'\n'` are char literals; `'a` is a lifetime.
     fn char_or_lifetime(&mut self) {
-        // A lifetime is ' followed by an identifier NOT closed by another
-        // quote ('a' is a char; 'a is a lifetime; '\n' is a char).
-        let c1 = self.peek(1);
-        let is_lifetime = match c1 {
-            Some(c) if is_ident_start(c) => {
-                // Scan the identifier; if the char right after it is a
-                // quote, this is a char literal like 'x'.
-                let mut i = 2;
-                while self.peek(i).is_some_and(is_ident_continue) {
-                    i += 1;
-                }
-                self.peek(i) != Some('\'')
-            }
-            _ => false,
-        };
-        if is_lifetime {
-            let line = self.line;
-            self.bump(); // '
-            let text = self.take_ident_text();
-            self.push_tok(TokKind::Lifetime, text, line);
+        let line = self.line;
+        let end = (1..)
+            .take_while(|&k| self.peek(k).is_some_and(is_ident_continue))
+            .count();
+        if self.peek(1).is_some_and(is_ident_start) && self.peek(end + 1) != Some('\'') {
+            self.pos += 1;
+            let text = self.take_while(is_ident_continue);
+            self.push(TokKind::Lifetime, text, line);
         } else {
-            self.consume_quoted_literal(0, 0, '\'');
+            self.quoted();
         }
     }
+}
 
-    fn take_ident_text(&mut self) -> String {
-        let mut text = String::new();
-        while self.peek(0).is_some_and(is_ident_continue) {
-            text.push(self.bump().unwrap_or('_'));
+/// Index of the first token from `start` that is one of the punctuation
+/// characters `stops` outside any `()`, `[]` or `{}` opened after
+/// `start`, or the end.
+pub fn until(toks: &[Tok], start: usize, stops: &str) -> usize {
+    let mut depth = 0i32;
+    for (i, t) in toks.iter().enumerate().skip(start) {
+        let TokKind::Punct(c) = t.kind else { continue };
+        if depth == 0 && stops.contains(c) {
+            return i;
         }
-        text
+        depth += match c {
+            '(' | '[' | '{' => 1,
+            ')' | ']' | '}' => -1,
+            _ => 0,
+        };
     }
-
-    fn ident(&mut self) {
-        let line = self.line;
-        let text = self.take_ident_text();
-        self.push_tok(TokKind::Ident, text, line);
-    }
-
-    fn number(&mut self) {
-        let line = self.line;
-        let mut text = String::new();
-        // Numeric literals may embed `_`, `.`, exponents and type
-        // suffixes; consuming alphanumerics and underscores is enough for
-        // rule purposes (the trailing `.` of `1.` stays punctuation,
-        // which no rule pattern cares about).
-        while self
-            .peek(0)
-            .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
-        {
-            text.push(self.bump().unwrap_or('0'));
-        }
-        self.push_tok(TokKind::Num, text, line);
-    }
+    toks.len()
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -359,7 +260,7 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .toks
+            .0
             .into_iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text)
@@ -369,47 +270,49 @@ mod tests {
     #[test]
     fn strings_and_comments_hide_their_contents() {
         let src = r##"
-            let s = "HashMap in a string";
-            let r = r#"HashMap in a raw string"#;
-            // HashMap in a comment
-            /* HashMap in /* a nested */ block */
-            let c = 'H';
+            let s = "f64 in a string";
+            let r = r#"f64 in a raw string"#;
+            // f64 in a comment
+            /* f64 in /* a nested */ block */
+            let c = 'f';
         "##;
         let ids = idents(src);
-        assert!(!ids.contains(&"HashMap".to_string()), "{ids:?}");
-        let lexed = lex(src);
-        assert_eq!(lexed.comments.len(), 2);
-        assert!(lexed.comments[0].text.contains("HashMap in a comment"));
+        assert!(!ids.contains(&"f64".to_string()), "{ids:?}");
+        let comments = lex(src).1;
+        assert_eq!(comments.len(), 2);
+        assert!(comments[0].text.contains("f64 in a comment"));
+        assert_eq!(comments[1].text, "f64 in  a nested  block");
     }
 
     #[test]
     fn lifetimes_are_not_char_literals() {
         let src = "fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; }";
-        let lexed = lex(src);
-        let lifetimes: Vec<_> = lexed
-            .toks
+        let toks = lex(src).0;
+        let lifetimes: Vec<_> = toks
             .iter()
             .filter(|t| t.kind == TokKind::Lifetime)
             .collect();
         assert_eq!(lifetimes.len(), 2);
-        let lits = lexed.toks.iter().filter(|t| t.kind == TokKind::Lit).count();
+        let lits = toks.iter().filter(|t| t.kind == TokKind::Lit).count();
         assert_eq!(lits, 2); // 'x' and '\n'
     }
 
     #[test]
     fn lines_are_tracked() {
         let src = "a\nb\n  c";
-        let lexed = lex(src);
-        let lines: Vec<u32> = lexed.toks.iter().map(|t| t.line).collect();
+        let lines: Vec<u32> = lex(src).0.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 3]);
     }
 
     #[test]
     fn trailing_vs_standalone_comments() {
         let src = "let x = 1; // trailing\n// standalone\nlet y = 2;";
-        let lexed = lex(src);
-        assert!(lexed.comments[0].trailing);
-        assert!(!lexed.comments[1].trailing);
+        let comments = lex(src).1;
+        assert!(comments[0].trailing);
+        assert!(!comments[1].trailing);
+        let docs = lex("/// outer doc\n//! inner doc\n/** block doc */").1;
+        let texts: Vec<&str> = docs.iter().map(|c| c.text.as_str()).collect();
+        assert_eq!(texts, vec!["outer doc", "inner doc", "block doc"]);
     }
 
     #[test]
@@ -418,9 +321,25 @@ mod tests {
     }
 
     #[test]
-    fn byte_strings_are_literals() {
-        let src = r##"let b = b"HashMap"; let br = br#"HashSet"#;"##;
+    fn prefixed_and_raw_literals_hide_their_contents() {
+        let src = r##"let b = b"f64"; let r = br#"f32 \"#; let c = c"f64"; let q = b'f';"##;
         let ids = idents(src);
-        assert!(!ids.iter().any(|i| i == "HashMap" || i == "HashSet"));
+        assert!(!ids.iter().any(|i| i == "f64" || i == "f32"), "{ids:?}");
+        let plain = idents("let brown = crate::bar;");
+        assert_eq!(plain, vec!["let", "brown", "crate", "bar"]);
+    }
+
+    #[test]
+    fn until_skips_nested_brackets() {
+        let toks = lex("f(a, (b, c), [d; 2]) ; x").0;
+        assert_eq!(until(&toks, 2, ",;"), 3);
+        assert_eq!(until(&toks, 0, ";"), 16);
+        assert_eq!(until(&toks, 17, ";"), toks.len());
+    }
+
+    #[test]
+    fn float_literals_are_number_dot_number() {
+        let kinds: Vec<TokKind> = lex("1.5f64").0.iter().map(|t| t.kind).collect();
+        assert_eq!(kinds, vec![TokKind::Num, TokKind::Punct('.'), TokKind::Num]);
     }
 }

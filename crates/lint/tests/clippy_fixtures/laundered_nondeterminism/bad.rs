@@ -1,10 +1,11 @@
 //! Fixture: host nondeterminism laundered toward event-time and report
-//! sinks — a clock read through a `let` chain into `.at`, a hash-map
+//! sinks: a clock read through a `let` chain into `.at`, a hash-map
 //! iteration stamping `at:`, entropy folded into a SimReport. Each source
 //! read is itself an error in a sim crate, so no such flow goes unflagged.
 
-use std::collections::HashMap;
-use std::time::Instant;
+use std::collections::HashMap; //~ clippy::disallowed_types
+use std::hash::BuildHasher;
+use std::time::Instant; //~ clippy::disallowed_types
 
 pub struct Ev {
     pub at: u64,
@@ -15,13 +16,13 @@ pub struct SimReport {
 }
 
 pub fn stamp(ev: &mut Ev) {
-    let t0 = Instant::now();
+    let t0 = Instant::now(); //~ clippy::disallowed_methods clippy::disallowed_types
     let dt = t0.elapsed().as_nanos() as u64;
     ev.at = dt;
 }
 
 pub struct Sched {
-    pending: HashMap<u64, u64>,
+    pending: HashMap<u64, u64>, //~ clippy::disallowed_types
 }
 
 impl Sched {
@@ -33,6 +34,6 @@ impl Sched {
 }
 
 pub fn summarize() -> SimReport {
-    let jitter = rand::random::<u64>();
+    let jitter = std::hash::RandomState::new().hash_one(0u64); //~ clippy::disallowed_types
     SimReport { walks: jitter }
 }

@@ -1,4 +1,4 @@
-//! Fixture: ordered collections (and test-only hash maps) are clean.
+//! Fixture: ordered collections are clean, in test code too.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -10,13 +10,15 @@ pub fn drain_ready(ready: &BTreeSet<u64>) -> Vec<u64> {
     ready.iter().copied().collect()
 }
 
+pub fn count(dir: &SliceDirectory) -> usize {
+    dir.homes.len()
+}
+
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap; // exempt: test-only scratch state
-
     #[test]
     fn scratch() {
-        let mut m = HashMap::new();
+        let mut m = std::collections::BTreeMap::new();
         m.insert(1u64, 2u64);
         assert_eq!(m.len(), 1);
     }

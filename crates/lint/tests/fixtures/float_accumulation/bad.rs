@@ -1,6 +1,7 @@
 //! Fixture: order-sensitive float reductions, one per detection path —
 //! a float-marked chain, a `::<f64>` turbofish, a float fold seed, a
-//! float-aliased `let`, and a hand-rolled loop accumulator.
+//! float-aliased `let`, and hand-rolled loop accumulators, typed and
+//! untyped (`let mut sum = 0.0`).
 
 type Score = f64;
 
@@ -28,4 +29,12 @@ pub fn looped(xs: &[f64]) -> f64 {
         acc += *x;
     }
     acc
+}
+
+pub fn untyped(xs: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    for x in xs {
+        sum += *x;
+    }
+    sum
 }

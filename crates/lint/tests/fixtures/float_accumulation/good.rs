@@ -17,3 +17,11 @@ pub fn count_hits(rows: &[u64]) -> u64 {
 pub fn folded(xs: &[u64]) -> u64 {
     xs.iter().fold(0u64, |acc, x| acc + x)
 }
+
+pub fn untyped_integer(rows: &[u64]) -> u64 {
+    let mut total = 0;
+    for r in rows {
+        total += *r;
+    }
+    total
+}

@@ -2,12 +2,7 @@
 //! original finding still fires AND the malformed comment is its own
 //! error.
 
-pub fn victim_way(stamps: &[u64]) -> usize {
-    stamps
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, s)| **s)
-        // nocstar-lint: allow(sim-unwrap)
-        .expect("nonempty")
-        .0
+pub fn mean(xs: &[f64]) -> f64 {
+    // nocstar-lint: allow(float-accumulation)
+    xs.iter().sum::<f64>() / xs.len() as f64
 }

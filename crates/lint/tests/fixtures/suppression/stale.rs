@@ -1,8 +1,8 @@
-//! Fixture: a well-formed suppression whose rule runs but silences
-//! nothing is stale — the unwrap it excused was fixed, so the comment
-//! must be deleted (and failing the build is how we find out).
+//! Fixture: a well-formed suppression that silences nothing is stale —
+//! the float sum it excused became an integer sum, so the comment must
+//! be deleted (and failing the build is how we find out).
 
-pub fn checked(stamps: &[u64]) -> u64 {
-    // nocstar-lint: allow(sim-unwrap): leftover from a removed unwrap
-    stamps.first().copied().unwrap_or(0)
+pub fn total(xs: &[u64]) -> u64 {
+    // nocstar-lint: allow(float-accumulation): leftover from a removed float sum
+    xs.iter().sum::<u64>()
 }

@@ -1,170 +1,218 @@
-//! Policy-coverage invariants: the shipped `nocstar-lint.toml` must
-//! classify every workspace crate, so a newly added crate cannot
-//! silently escape the deterministic-crate class, and the repo tree
-//! itself must lint clean under that policy.
+//! Coverage invariants of the determinism gates. `nocstar-lint.toml`
+//! must classify every workspace crate, so a new crate cannot silently
+//! escape the sim class, and the sim crates cannot be declassified. Each
+//! sim crate must take the workspace `clippy.toml` unchanged and deny
+//! `unwrap`/`expect` in its library code, every `clippy.toml` must keep
+//! the entropy ban, and the tree must pass the float-accumulation lint.
 
-use nocstar_lint::policy::{Policy, Severity};
-use nocstar_lint::{lint_workspace, rules};
+use nocstar_lint::{lint_files, parse_classes, sim_sources};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-fn shipped_policy() -> Policy {
-    Policy::load(&workspace_root().join("nocstar-lint.toml")).expect("shipped policy parses")
+fn shipped_classes() -> BTreeMap<String, String> {
+    let text = std::fs::read_to_string(workspace_root().join("nocstar-lint.toml"))
+        .expect("nocstar-lint.toml readable");
+    parse_classes(&text).expect("shipped classification parses")
+}
+
+fn sim_crates() -> Vec<String> {
+    let classes = shipped_classes();
+    classes
+        .into_iter()
+        .filter(|(_, class)| class == "sim")
+        .map(|(dir, _)| dir)
+        .collect()
 }
 
 /// Crates whose code can affect a SimReport; these must stay in the
-/// `sim` class no matter how the policy file is edited.
+/// `sim` class no matter how the classification is edited.
 const SIM_CRATES: &[&str] = &[
+    ".",
     "crates/core",
+    "crates/energy",
     "crates/faults",
+    "crates/json",
     "crates/mem",
     "crates/noc",
     "crates/stats",
     "crates/tlb",
+    "crates/types",
     "crates/workloads",
 ];
+
+/// The line every sim crate's lib.rs carries.
+const UNWRAP_DENY: &str = "#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]";
+
+/// What every `clippy.toml` in the repository must ban.
+const ENTROPY_BAN: &str = "\"std::collections::hash_map::RandomState\"";
 
 #[test]
 fn every_workspace_crate_is_classified() {
     let root = workspace_root();
-    let policy = shipped_policy();
-    let crates_dir = root.join("crates");
-    let mut missing = Vec::new();
-    let mut entries: Vec<_> = std::fs::read_dir(&crates_dir)
+    let classes = shipped_classes();
+    let mut entries: Vec<_> = std::fs::read_dir(root.join("crates"))
         .expect("crates/ listable")
         .map(|e| e.expect("entry readable").path())
         .collect();
     entries.sort();
-    for path in entries {
-        if !path.join("Cargo.toml").is_file() {
-            continue;
-        }
-        let rel = path
-            .strip_prefix(&root)
-            .expect("under root")
-            .to_string_lossy()
-            .replace('\\', "/");
-        if !policy.crates.contains_key(rel.as_str()) {
-            missing.push(rel);
-        }
-    }
-    // The facade crate at the workspace root must be classified too.
+    let missing: Vec<String> = entries
+        .iter()
+        .filter(|path| path.join("Cargo.toml").is_file())
+        .map(|path| format!("crates/{}", path.file_name().unwrap().to_string_lossy()))
+        .filter(|rel| !classes.contains_key(rel))
+        .collect();
     assert!(
-        policy.crates.contains_key("."),
+        classes.contains_key("."),
         "the root facade crate must be classified (add `\".\"` to [crates])"
     );
     assert!(
         missing.is_empty(),
         "crates missing from nocstar-lint.toml [crates] (classify each as \
-         `sim` or `tools` so it cannot escape the determinism gate): {missing:?}"
+         `sim` or `tools` so it cannot escape the determinism gates): {missing:?}"
     );
 }
 
 #[test]
 fn classified_dirs_all_exist() {
-    // The reverse direction: a stale policy entry for a deleted crate
-    // would make lint_workspace fail with a confusing I/O error.
     let root = workspace_root();
-    for dir in shipped_policy().crates.keys() {
+    for dir in shipped_classes().keys() {
         assert!(
             root.join(dir).join("src").is_dir(),
-            "policy classifies `{dir}` but it has no src/ directory"
+            "nocstar-lint.toml classifies `{dir}` but it has no src/ directory"
         );
     }
 }
 
 #[test]
 fn sim_crates_cannot_be_declassified() {
-    let policy = shipped_policy();
+    let classes = shipped_classes();
     for dir in SIM_CRATES {
         assert_eq!(
-            policy.crates.get(*dir).map(String::as_str),
+            classes.get(*dir).map(String::as_str),
             Some("sim"),
             "`{dir}` holds simulation state and must stay in the sim class"
         );
     }
 }
 
-/// The pinned sim-class severity floor: every rule is `error`.
-const SIM_SEVERITIES: &[(&str, Severity)] = &[
-    ("unordered-iteration", Severity::Error),
-    ("wall-clock", Severity::Error),
-    ("entropy-rng", Severity::Error),
-    ("sim-unwrap", Severity::Error),
-    ("event-time-regression", Severity::Error),
-    ("float-accumulation", Severity::Error),
-];
-
 #[test]
-fn sim_class_severities_are_pinned() {
-    let policy = shipped_policy();
-    for (rule, want) in SIM_SEVERITIES {
-        assert_eq!(
-            policy.severity("sim", rule),
-            *want,
-            "rule `{rule}` must be {} severity for sim crates",
-            want.name()
-        );
-    }
-    // The table above must cover the registry exactly, so a new rule
-    // cannot ship without a pinned sim severity.
-    let pinned: Vec<&str> = SIM_SEVERITIES.iter().map(|(r, _)| *r).collect();
-    for rule in rules::registry() {
-        assert!(
-            pinned.contains(&rule.id()),
-            "rule `{}` has no pinned sim severity — add it to SIM_SEVERITIES",
-            rule.id()
-        );
-    }
-    assert_eq!(
-        pinned.len(),
-        rules::registry().len(),
-        "stale SIM_SEVERITIES entry"
+fn sim_crates_take_the_workspace_clippy_config_and_deny_unwrap() {
+    let root = workspace_root();
+    assert!(
+        root.join("clippy.toml").is_file(),
+        "the workspace clippy.toml is missing"
     );
+    for dir in sim_crates() {
+        let krate = root.join(&dir);
+        if dir != "." {
+            for name in ["clippy.toml", ".clippy.toml"] {
+                assert!(
+                    !krate.join(name).exists(),
+                    "sim crate `{dir}` must not carry its own {name}: it would \
+                     replace the workspace determinism bans"
+                );
+            }
+        }
+        let lib = std::fs::read_to_string(krate.join("src/lib.rs")).expect("lib.rs readable");
+        assert!(
+            lib.lines().any(|l| l.trim() == UNWRAP_DENY),
+            "sim crate `{dir}` must carry `{UNWRAP_DENY}` in its lib.rs"
+        );
+    }
 }
 
 #[test]
-fn every_rule_is_configured_in_every_class() {
-    // No rule may ship unclassified: both [rules.sim] and [rules.tools]
-    // must take an explicit position (even if that position is `allow`)
-    // on every registry rule, so adding a rule forces a policy decision.
-    let policy = shipped_policy();
-    for class in ["sim", "tools"] {
-        let table = policy
-            .rules
-            .get(class)
-            .unwrap_or_else(|| panic!("policy has no [rules.{class}] table"));
-        for rule in rules::registry() {
-            assert!(
-                table.contains_key(rule.id()),
-                "[rules.{class}] takes no position on `{}` — add an explicit entry",
-                rule.id()
+fn every_clippy_config_keeps_the_entropy_ban() {
+    let root = workspace_root();
+    let mut configs = vec![root.join("clippy.toml")];
+    for parent in ["crates", "third_party"] {
+        for entry in std::fs::read_dir(root.join(parent)).expect("listable") {
+            let dir = entry.expect("entry readable").path();
+            configs.extend(
+                ["clippy.toml", ".clippy.toml"]
+                    .iter()
+                    .map(|name| dir.join(name))
+                    .filter(|p| p.exists()),
             );
+        }
+    }
+    for config in &configs {
+        let text = std::fs::read_to_string(config).expect("clippy.toml readable");
+        assert!(
+            text.contains(ENTROPY_BAN),
+            "{} must keep RandomState in disallowed-types: randomness is seeded everywhere",
+            config.display()
+        );
+    }
+    let root_config = std::fs::read_to_string(&configs[0]).expect("readable");
+    for banned in [
+        "\"std::collections::HashMap\"",
+        "\"std::collections::HashSet\"",
+        "\"std::time::Instant\"",
+        "\"std::time::SystemTime\"",
+        "\"std::time::Instant::now\"",
+        "\"std::time::SystemTime::now\"",
+    ] {
+        assert!(
+            root_config.contains(banned),
+            "the workspace clippy.toml must ban {banned}"
+        );
+    }
+}
+
+#[test]
+fn unwrap_waivers_are_justified_expectations() {
+    // A waiver must be `#[expect(…, reason = "…")]`: an `allow` would
+    // outlive the unwrap it excused, and an unexplained one says nothing.
+    let root = workspace_root();
+    let mut waivers = 0;
+    for dir in sim_crates() {
+        let mut files = Vec::new();
+        rs_files(&root.join(&dir).join("src"), &mut files);
+        for path in files {
+            let text = std::fs::read_to_string(&path).expect("readable");
+            for attr in text.split("#[").skip(1) {
+                let attr = attr.split(")]").next().unwrap_or("");
+                if attr.contains("clippy::unwrap_used") || attr.contains("clippy::expect_used") {
+                    waivers += 1;
+                    assert!(
+                        attr.starts_with("expect(") && attr.contains("reason = \""),
+                        "{}: unwrap/expect waivers must be `#[expect(…, reason = \"…\")]`: #[{attr})]",
+                        path.display()
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        waivers > 0,
+        "no waiver found: is the scan looking in the right place?"
+    );
+}
+
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("listable") {
+        let path = entry.expect("entry readable").path();
+        if path.is_dir() {
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
         }
     }
 }
 
 #[test]
-fn every_class_in_use_has_a_rules_table() {
-    let policy = shipped_policy();
-    for (dir, class) in &policy.crates {
-        assert!(
-            policy.rules.contains_key(class),
-            "crate `{dir}` uses class `{class}` but the policy has no [rules.{class}] table"
-        );
-    }
-}
-
-#[test]
 fn repo_tree_lints_clean() {
-    let report = lint_workspace(&workspace_root(), &shipped_policy()).expect("workspace lints");
+    let root = workspace_root();
+    let files = sim_sources(&root).expect("classified");
+    let report = lint_files(&root, &files).expect("lints");
     let errors: Vec<String> = report
         .findings
         .iter()
-        .filter(|f| f.severity == Severity::Error)
         .map(|f| format!("{}:{} {} — {}", f.path.display(), f.line, f.rule, f.message))
         .collect();
     assert!(
@@ -173,8 +221,8 @@ fn repo_tree_lints_clean() {
         errors.join("\n")
     );
     assert!(
-        report.files_scanned > 100,
-        "suspiciously few files scanned ({}) — policy coverage broke?",
-        report.files_scanned
+        files.len() > 60,
+        "suspiciously few sim files scanned ({}): classification broke?",
+        files.len()
     );
 }

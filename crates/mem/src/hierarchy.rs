@@ -236,8 +236,11 @@ impl MemorySystem {
             return mapping;
         }
         self.ensure_mapped(asid, va, size);
+        #[expect(
+            clippy::expect_used,
+            reason = "just mapped above; mappings are monotone"
+        )]
         self.translate(asid, va)
-            // nocstar-lint: allow(sim-unwrap): just mapped above; mappings are monotone
             .expect("ensure_mapped leaves the address translated")
     }
 

@@ -830,7 +830,7 @@ mod tests {
         fn prop_map_walk_round_trip(pages in prop::collection::vec(0u64..1_000_000, 1..100)) {
             let mut phys = PhysMemory::new(32 << 30);
             let mut pt = PageTable::new(&mut phys);
-            let mut expect = std::collections::HashMap::new();
+            let mut expect = std::collections::BTreeMap::new();
             for &p in &pages {
                 let vpn = VirtPageNum::new(p, PageSize::Size4K);
                 let frame = pt.map(vpn, &mut phys);

@@ -76,13 +76,7 @@ impl<T> Arrivals<T> {
             return None;
         }
         let a = self.heap.pop()?;
-        Some((
-            Delivery {
-                msg: a.msg,
-                at: a.at,
-            },
-            a.tag,
-        ))
+        Some((Delivery::new(a.msg, a.at), a.tag))
     }
 }
 
@@ -134,5 +128,5 @@ pub(crate) fn land(
     } else {
         stats.retries += 1;
     }
-    out.push(Delivery { msg, at });
+    out.push(Delivery::new(msg, at));
 }

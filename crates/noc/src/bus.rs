@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 /// bus.submit(Cycle::ZERO, Message::new(1, CoreId::new(0), CoreId::new(15), MsgKind::TlbRequest));
 /// bus.advance(Cycle::ZERO);
 /// let d = bus.advance(Cycle::new(1));
-/// assert_eq!(d[0].at, Cycle::new(1)); // grant at 0, broadcast during 1
+/// assert_eq!(d[0].at(), Cycle::new(1)); // grant at 0, broadcast during 1
 /// ```
 #[derive(Debug, Clone)]
 pub struct BusNoc {
@@ -204,7 +204,7 @@ mod tests {
         bus.submit(Cycle::ZERO, msg(1, 0, 5));
         let d = drain(&mut bus, Cycle::ZERO);
         assert_eq!(d.len(), 1);
-        assert!(d[0].at >= Cycle::new(30));
+        assert!(d[0].at() >= Cycle::new(30));
         assert!(bus.fault_stats().unwrap().link_blocked > 0);
     }
 
@@ -225,7 +225,7 @@ mod tests {
         assert!(bus.advance(Cycle::ZERO).is_empty());
         bus.submit(Cycle::new(1), msg(2, 3, 3));
         let d = bus.advance(Cycle::new(1));
-        let order: Vec<(u64, u64)> = d.iter().map(|d| (d.msg.id, d.at.value())).collect();
+        let order: Vec<(u64, u64)> = d.iter().map(|d| (d.msg.id, d.at().value())).collect();
         assert_eq!(order, [(2, 1), (1, 1)]);
     }
 
@@ -234,7 +234,7 @@ mod tests {
         let mut bus = BusNoc::new(MeshShape::square_for(64));
         bus.submit(Cycle::ZERO, msg(1, 0, 63));
         let d = drain(&mut bus, Cycle::ZERO);
-        assert_eq!(d[0].at, Cycle::new(1));
+        assert_eq!(d[0].at(), Cycle::new(1));
     }
 
     #[test]
@@ -244,7 +244,7 @@ mod tests {
             bus.submit(Cycle::ZERO, msg(i, i as usize, 15));
         }
         let d = drain(&mut bus, Cycle::ZERO);
-        let times: Vec<u64> = d.iter().map(|d| d.at.value()).collect();
+        let times: Vec<u64> = d.iter().map(|d| d.at().value()).collect();
         assert_eq!(times, vec![1, 2, 3, 4]);
         assert!(bus.stats().retries > 0);
     }

@@ -512,7 +512,7 @@ mod tests {
         f.submit(Cycle::new(5), msg(1, 0, 15));
         let d = run_until_idle(&mut f, Cycle::new(5));
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].at, Cycle::new(6)); // setup at 5, traverse during 6
+        assert_eq!(d[0].at(), Cycle::new(6)); // setup at 5, traverse during 6
         assert_eq!(f.stats().no_contention, 1);
         assert_eq!(f.stats().retries, 0);
     }
@@ -522,7 +522,7 @@ mod tests {
         let mut f = fabric(16, 16);
         f.submit(Cycle::new(3), msg(1, 4, 4));
         let d = f.advance(Cycle::new(3));
-        assert_eq!(d[0].at, Cycle::new(3));
+        assert_eq!(d[0].at(), Cycle::new(3));
     }
 
     #[test]
@@ -534,7 +534,7 @@ mod tests {
         assert!(f.advance(Cycle::ZERO).is_empty());
         f.submit(Cycle::new(1), msg(2, 3, 3));
         let d = f.advance(Cycle::new(1));
-        let order: Vec<(u64, u64)> = d.iter().map(|d| (d.msg.id, d.at.value())).collect();
+        let order: Vec<(u64, u64)> = d.iter().map(|d| (d.msg.id, d.at().value())).collect();
         assert_eq!(order, [(1, 1), (2, 1)]);
     }
 
@@ -545,7 +545,7 @@ mod tests {
         f.submit(Cycle::new(0), msg(1, 0, 63));
         let d = run_until_idle(&mut f, Cycle::ZERO);
         // ceil(14/4) = 4 traversal cycles after the cycle-0 setup.
-        assert_eq!(d[0].at, Cycle::new(4));
+        assert_eq!(d[0].at(), Cycle::new(4));
         assert_eq!(f.traversal_cycles(14), Cycles::new(4));
     }
 
@@ -562,9 +562,9 @@ mod tests {
         // Core 0 has top priority in epoch 0: it wins cycle 0 (arrives 1);
         // core 1 retries and wins cycle 1 (arrives 2).
         assert_eq!(d[0].msg.id, 1);
-        assert_eq!(d[0].at, Cycle::new(1));
+        assert_eq!(d[0].at(), Cycle::new(1));
         assert_eq!(d[1].msg.id, 2);
-        assert_eq!(d[1].at, Cycle::new(2));
+        assert_eq!(d[1].at(), Cycle::new(2));
         assert_eq!(f.stats().retries, 1);
         assert_eq!(f.stats().no_contention, 1);
     }
@@ -576,7 +576,7 @@ mod tests {
         f.submit(Cycle::ZERO, msg(1, 0, 3)); // top row, eastbound
         f.submit(Cycle::ZERO, msg(2, 12, 15)); // bottom row, eastbound
         let d = run_until_idle(&mut f, Cycle::ZERO);
-        assert!(d.iter().all(|d| d.at == Cycle::new(1)));
+        assert!(d.iter().all(|d| d.at() == Cycle::new(1)));
         assert_eq!(f.stats().retries, 0);
     }
 
@@ -590,8 +590,8 @@ mod tests {
         f.submit(Cycle::ZERO, msg(1, 0, 2));
         f.submit(Cycle::ZERO, msg(2, 1, 3));
         let d = run_until_idle(&mut f, Cycle::ZERO);
-        let by_id: std::collections::HashMap<u64, Cycle> =
-            d.iter().map(|d| (d.msg.id, d.at)).collect();
+        let by_id: std::collections::BTreeMap<u64, Cycle> =
+            d.iter().map(|d| (d.msg.id, d.at())).collect();
         assert_eq!(by_id[&1], Cycle::new(1));
         assert_eq!(by_id[&2], Cycle::new(2));
     }
@@ -611,7 +611,7 @@ mod tests {
             f.submit(Cycle::new(t), msg(id, 0, 3));
             for d in f.advance(Cycle::new(t)) {
                 if d.msg.id == 1_000_000 {
-                    victim_delivery = Some(d.at);
+                    victim_delivery = Some(d.at());
                 }
             }
         }
@@ -632,7 +632,7 @@ mod tests {
         let d = f.advance(Cycle::ZERO);
         assert!(d.is_empty());
         let d = f.advance(Cycle::new(1));
-        assert_eq!(d[0].at, Cycle::new(1));
+        assert_eq!(d[0].at(), Cycle::new(1));
         assert!(f.has_reservation(1));
 
         // While reserved, another core cannot use the shared links.
@@ -649,11 +649,11 @@ mod tests {
             .iter()
             .find(|d| d.msg.kind == MsgKind::TlbResponse)
             .unwrap()
-            .at;
+            .at();
         assert_eq!(resp_at, Cycle::new(11));
         // The blocked message finally proceeds after the response lands.
         let late = d.iter().find(|d| d.msg.id == 2).unwrap();
-        assert!(late.at > Cycle::new(10));
+        assert!(late.at() > Cycle::new(10));
     }
 
     #[test]
@@ -676,7 +676,7 @@ mod tests {
         // The links are free again: a fresh request proceeds immediately.
         f.submit(Cycle::new(100), msg(3, 0, 3));
         let d = run_until_idle(&mut f, Cycle::new(100));
-        assert_eq!(d[0].at, Cycle::new(101));
+        assert_eq!(d[0].at(), Cycle::new(101));
     }
 
     #[test]
@@ -703,7 +703,7 @@ mod tests {
         }
         let d = run_until_idle(&mut f, Cycle::ZERO);
         assert_eq!(d.len(), 8);
-        assert!(d.iter().all(|d| d.at == Cycle::new(1)));
+        assert!(d.iter().all(|d| d.at() == Cycle::new(1)));
         assert_eq!(f.stats().retries, 0);
     }
 
@@ -731,7 +731,7 @@ mod tests {
         assert_eq!(ids.len() as u64, N);
         // Pinned grant order: the head and tail of the delivery sequence
         // and the total retry count.
-        let key = |d: &Delivery| (d.at.value(), d.msg.id);
+        let key = |d: &Delivery| (d.at().value(), d.msg.id);
         let head: Vec<(u64, u64)> = d.iter().take(20).map(key).collect();
         assert_eq!(
             head,
@@ -781,7 +781,7 @@ mod tests {
         f.submit(Cycle::ZERO, msg(1, 0, 15));
         let d = run_until_idle(&mut f, Cycle::ZERO);
         assert_eq!(d.len(), 1);
-        assert!(d[0].at >= Cycle::new(20), "denied setups cannot proceed");
+        assert!(d[0].at() >= Cycle::new(20), "denied setups cannot proceed");
         let fs = f.fault_stats().unwrap();
         assert!(fs.denied_setups > 0);
         assert!(fs.backoff_cycles > 0);
@@ -794,7 +794,7 @@ mod tests {
         f.submit(Cycle::ZERO, msg(1, 0, 1)); // 1 hop
         let d = run_until_idle(&mut f, Cycle::ZERO);
         // 1 traversal cycle + 3 extra on the single degraded link.
-        assert_eq!(d[0].at, Cycle::new(4));
+        assert_eq!(d[0].at(), Cycle::new(4));
         assert_eq!(f.fault_stats().unwrap().degraded_traversals, 1);
     }
 
@@ -818,14 +818,14 @@ mod tests {
             let mut f = fabric(16, 16);
             f.install_faults("link:*@0-1000000=off".parse().unwrap());
             f.submit(Cycle::ZERO, msg(1, 0, 15));
-            run_until_idle(&mut f, Cycle::ZERO)[0].at
+            run_until_idle(&mut f, Cycle::ZERO)[0].at()
         };
         let mut f = fabric(16, 16);
         f.install_faults("link:*@0-1000000=off".parse().unwrap());
         f.install_recovery(RecoveryPolicy::all());
         f.submit(Cycle::ZERO, msg(1, 0, 15));
         let d = run_until_idle(&mut f, Cycle::ZERO);
-        assert!(d[0].at < open, "{:?} vs {open:?}", d[0].at);
+        assert!(d[0].at() < open, "{:?} vs {open:?}", d[0].at());
         assert_eq!(f.recovery_stats().unwrap().escalations, 1);
         assert_eq!(f.fault_stats().unwrap().fallbacks, 1);
 
@@ -871,7 +871,7 @@ mod tests {
         }
         let a = run_until_idle(&mut plain, Cycle::ZERO);
         let b = run_until_idle(&mut planned, Cycle::ZERO);
-        let key = |d: &Delivery| (d.at, d.msg.id);
+        let key = |d: &Delivery| (d.at(), d.msg.id);
         assert_eq!(
             a.iter().map(key).collect::<Vec<_>>(),
             b.iter().map(key).collect::<Vec<_>>()
@@ -895,7 +895,7 @@ mod tests {
             for (i, &(src, dst, at)) in sends.iter().enumerate() {
                 f.submit(Cycle::new(at), msg(i as u64, src, dst));
             }
-            let mut delivered = std::collections::HashSet::new();
+            let mut delivered = std::collections::BTreeSet::new();
             let mut cycle = Cycle::ZERO;
             for _ in 0..100_000 {
                 match f.next_activity() {
@@ -911,11 +911,11 @@ mod tests {
                                         d.msg.id, d.msg.dst, d.msg.src, MsgKind::TlbResponse,
                                     );
                                     if f.has_reservation(d.msg.id) {
-                                        f.send_response(resp, d.at + Cycles::ONE).unwrap();
+                                        f.send_response(resp, d.at() + Cycles::ONE).unwrap();
                                     } else {
                                         // The request escaped the fast fabric
                                         // (fault fallback): answer one-way.
-                                        f.submit(d.at + Cycles::ONE, resp);
+                                        f.submit(d.at() + Cycles::ONE, resp);
                                     }
                                 }
                             }

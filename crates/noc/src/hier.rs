@@ -325,7 +325,7 @@ impl HierNoc {
             Stage::Direct | Stage::IntraDst => {
                 let submitted_at = route.submitted_at;
                 self.routes.remove(&d.msg.id);
-                land(&mut self.stats, msg, d.at, submitted_at, floor, out);
+                land(&mut self.stats, msg, d.at(), submitted_at, floor, out);
                 return false;
             }
             Stage::IntraSrc => {
@@ -334,13 +334,13 @@ impl HierNoc {
                 route.stage = Stage::Overlay;
                 let cs = CoreId::new(self.map.cluster_of(msg.src));
                 let leg = Message::new(msg.id, cs, CoreId::new(cd), msg.kind);
-                self.inter.submit(d.at, leg);
+                self.inter.submit(d.at(), leg);
             }
             Stage::Overlay => {
                 // At the destination gateway: final intra leg.
                 route.stage = Stage::IntraDst;
-                let gw = self.gateway_at(cd, d.at);
-                self.intra[cd].submit(d.at, Message::new(msg.id, gw, msg.dst, msg.kind));
+                let gw = self.gateway_at(cd, d.at());
+                self.intra[cd].submit(d.at(), Message::new(msg.id, gw, msg.dst, msg.kind));
             }
         }
         self.stats.grants += 1;
@@ -471,7 +471,7 @@ mod tests {
         let d = drain(&mut noc, Cycle::ZERO);
         assert_eq!(d.len(), 1);
         // Bus: grant at 0, broadcast during 1.
-        assert_eq!(d[0].at, Cycle::new(1));
+        assert_eq!(d[0].at(), Cycle::new(1));
         assert_eq!(d[0].msg.dst, CoreId::new(14));
         assert_eq!(noc.stats().delivered, 1);
         assert_eq!(noc.stats().no_contention, 1);
@@ -490,7 +490,7 @@ mod tests {
         assert_eq!(d[0].msg.dst, CoreId::new(50));
         let floor = noc.route_floor(CoreId::new(5), CoreId::new(50));
         assert_eq!(floor, Cycles::new(1 + 4 + 1));
-        assert_eq!(d[0].at, Cycle::ZERO + floor);
+        assert_eq!(d[0].at(), Cycle::ZERO + floor);
         assert_eq!(noc.stats().no_contention, 1);
     }
 
@@ -501,7 +501,7 @@ mod tests {
         noc.submit(Cycle::ZERO, msg(1, 0, 16));
         let d = drain(&mut noc, Cycle::ZERO);
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].at, Cycle::new(2));
+        assert_eq!(d[0].at(), Cycle::new(2));
     }
 
     #[test]
@@ -510,7 +510,7 @@ mod tests {
         noc.submit(Cycle::new(7), msg(1, 9, 9));
         let d = drain(&mut noc, Cycle::new(7));
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].at, Cycle::new(7));
+        assert_eq!(d[0].at(), Cycle::new(7));
     }
 
     #[test]
@@ -523,7 +523,7 @@ mod tests {
         }
         let d = drain(&mut noc, Cycle::ZERO);
         assert_eq!(d.len(), 4);
-        assert!(d.iter().all(|d| d.at == Cycle::new(1)));
+        assert!(d.iter().all(|d| d.at() == Cycle::new(1)));
     }
 
     #[test]
@@ -533,7 +533,7 @@ mod tests {
         assert!(xbar.advance(Cycle::ZERO).is_empty());
         xbar.submit(Cycle::new(1), msg(2, 2, 2));
         let d = xbar.advance(Cycle::new(1));
-        let order: Vec<(u64, u64)> = d.iter().map(|d| (d.msg.id, d.at.value())).collect();
+        let order: Vec<(u64, u64)> = d.iter().map(|d| (d.msg.id, d.at().value())).collect();
         assert_eq!(order, [(2, 1), (1, 1)]);
     }
 
@@ -547,7 +547,7 @@ mod tests {
         noc.submit(Cycle::ZERO, msg(3, 2, 5));
         noc.submit(Cycle::ZERO, msg(4, 6, 5));
         let d = drain(&mut noc, Cycle::ZERO);
-        let at = |id: u64| d.iter().find(|d| d.msg.id == id).expect("delivered").at;
+        let at = |id: u64| d.iter().find(|d| d.msg.id == id).expect("delivered").at();
         assert_eq!(at(1), Cycle::new(1));
         assert_eq!(at(2), Cycle::new(1));
         assert_eq!(at(3), Cycle::new(1));
@@ -563,7 +563,7 @@ mod tests {
         let d = drain(&mut noc, Cycle::ZERO);
         assert_eq!(d.len(), 1);
         // 1 intra + (1 setup + 1 bypass) + 1 intra.
-        assert_eq!(d[0].at, Cycle::new(4));
+        assert_eq!(d[0].at(), Cycle::new(4));
     }
 
     #[test]
@@ -571,7 +571,7 @@ mod tests {
         let mut noc = HierNoc::new(16, 1, IntraKind::Bus, InterKind::Mesh);
         noc.submit(Cycle::ZERO, msg(1, 0, 1));
         let d = drain(&mut noc, Cycle::ZERO);
-        assert_eq!(d[0].at, Cycle::new(2));
+        assert_eq!(d[0].at(), Cycle::new(2));
     }
 
     #[test]
@@ -582,7 +582,7 @@ mod tests {
         noc.submit(Cycle::ZERO, msg(2, 1, 50)); // cross cluster
         let d = drain(&mut noc, Cycle::ZERO);
         assert_eq!(d.len(), 2);
-        let at = |id: u64| d.iter().find(|d| d.msg.id == id).expect("delivered").at;
+        let at = |id: u64| d.iter().find(|d| d.msg.id == id).expect("delivered").at();
         assert_eq!(at(1), Cycle::new(1), "intra traffic unaffected");
         assert!(at(2) >= Cycle::new(50), "overlay leg waits out the outage");
         assert!(
@@ -632,7 +632,7 @@ mod tests {
         let d = drain(&mut noc, Cycle::ZERO);
         assert_eq!(d.len(), 1);
         assert!(
-            d[0].at < Cycle::new(100000),
+            d[0].at() < Cycle::new(100000),
             "overlay must escalate, not wait"
         );
         let merged = noc.recovery_stats().unwrap();

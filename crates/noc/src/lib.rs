@@ -52,11 +52,12 @@
 //! assert!(fabric.advance(Cycle::new(10)).is_empty()); // path setup at cycle 10
 //! let deliveries = fabric.advance(Cycle::new(11));
 //! // 1 cycle of path setup + 1 cycle traversal: arrives at cycle 11.
-//! assert_eq!(deliveries[0].at, Cycle::new(11));
+//! assert_eq!(deliveries[0].at(), Cycle::new(11));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod arbiter;
 mod arrivals;

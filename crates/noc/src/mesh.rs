@@ -68,7 +68,7 @@ struct Flight {
 /// let mut mesh = MeshNoc::contention_free(MeshShape::new(4, 4));
 /// mesh.submit(Cycle::ZERO, Message::new(1, CoreId::new(0), CoreId::new(15), MsgKind::TlbRequest));
 /// let d = mesh.advance(Cycle::new(12));
-/// assert_eq!(d[0].at, Cycle::new(6 * CYCLES_PER_HOP)); // 6 hops
+/// assert_eq!(d[0].at(), Cycle::new(6 * CYCLES_PER_HOP)); // 6 hops
 /// ```
 #[derive(Debug, Clone)]
 pub struct MeshNoc {
@@ -405,7 +405,7 @@ impl Interconnect for MeshNoc {
         let mut out = Vec::new();
         while let Some((d, (submitted_at, stalled))) = self.arrivals.pop_due(cycle) {
             self.stats.delivered += 1;
-            self.stats.latency.record(d.at - submitted_at);
+            self.stats.latency.record(d.at() - submitted_at);
             if !stalled {
                 self.stats.no_contention += 1;
             }
@@ -485,7 +485,7 @@ mod tests {
         noc.submit(Cycle::ZERO, msg(1, 0, 3)); // 3 hops
         let d = drain(&mut noc);
         // Departs at 40 (outage clear), 3 hops x 2 cycles + 3 x 1 extra.
-        assert_eq!(d[0].at, Cycle::new(40 + 6 + 3));
+        assert_eq!(d[0].at(), Cycle::new(40 + 6 + 3));
         let fs = noc.fault_stats().unwrap();
         assert_eq!(fs.link_blocked, 1);
         assert_eq!(fs.degraded_traversals, 1);
@@ -507,7 +507,7 @@ mod tests {
         assert_eq!(rs.detect_to_reroute.count(), 1);
         assert_eq!(noc.fault_stats().unwrap().fallbacks, 0);
         // 1 detect cycle + 5 detour hops x 2 cycles.
-        assert_eq!(d[0].at, Cycle::new(1 + 10));
+        assert_eq!(d[0].at(), Cycle::new(1 + 10));
     }
 
     #[test]
@@ -519,13 +519,13 @@ mod tests {
             let mut noc = MeshNoc::contended(shape);
             noc.install_faults("link:*@0-1000000=off".parse().unwrap());
             noc.submit(Cycle::ZERO, msg(1, 0, 3));
-            drain(&mut noc)[0].at
+            drain(&mut noc)[0].at()
         };
         let mut noc = MeshNoc::contended(shape);
         noc.install_faults("link:*@0-1000000=off".parse().unwrap());
         noc.install_recovery(RecoveryPolicy::all());
         noc.submit(Cycle::ZERO, msg(1, 0, 3));
-        let closed = drain(&mut noc)[0].at;
+        let closed = drain(&mut noc)[0].at();
         assert!(
             closed < open,
             "escalation must beat the open loop: {closed:?} vs {open:?}"
@@ -548,7 +548,7 @@ mod tests {
         noc.install_recovery(RecoveryPolicy::all());
         noc.submit(Cycle::ZERO, msg(1, 0, 3));
         let d = drain(&mut noc);
-        assert!(d[0].at < Cycle::new(1000), "must not wait out the outage");
+        assert!(d[0].at() < Cycle::new(1000), "must not wait out the outage");
         assert_eq!(noc.recovery_stats().unwrap().escalations, 1);
 
         let mut noc = MeshNoc::contention_free(shape);
@@ -557,7 +557,7 @@ mod tests {
         noc.submit(Cycle::ZERO, msg(2, 0, 3));
         let d = drain(&mut noc);
         // 1 detect cycle + 5-hop detour x 2 cycles.
-        assert_eq!(d[0].at, Cycle::new(1 + 10));
+        assert_eq!(d[0].at(), Cycle::new(1 + 10));
         assert_eq!(noc.recovery_stats().unwrap().reroutes, 1);
     }
 
@@ -570,7 +570,7 @@ mod tests {
                 noc.install_recovery(RecoveryPolicy::default());
             }
             noc.submit(Cycle::ZERO, msg(1, 0, 3));
-            drain(&mut noc)[0].at
+            drain(&mut noc)[0].at()
         };
         assert_eq!(run(false), run(true));
     }
@@ -580,7 +580,7 @@ mod tests {
         let mut noc = MeshNoc::contention_free(MeshShape::new(8, 4));
         noc.submit(Cycle::new(10), msg(1, 0, 31)); // 7 + 3 = 10 hops
         let d = drain(&mut noc);
-        assert_eq!(d[0].at, Cycle::new(10 + 20));
+        assert_eq!(d[0].at(), Cycle::new(10 + 20));
     }
 
     #[test]
@@ -588,7 +588,7 @@ mod tests {
         let mut noc = MeshNoc::contended(MeshShape::new(4, 1));
         noc.submit(Cycle::ZERO, msg(1, 0, 3));
         let d = drain(&mut noc);
-        assert_eq!(d[0].at, Cycle::new(6)); // 3 hops x 2 cycles
+        assert_eq!(d[0].at(), Cycle::new(6)); // 3 hops x 2 cycles
         assert_eq!(noc.stats().no_contention, 1);
     }
 
@@ -609,7 +609,7 @@ mod tests {
                 noc.submit(Cycle::new(5), msg(1, 0, dst));
                 let d = drain(&mut noc);
                 let hops = shape.hops(CoreId::new(0), CoreId::new(dst)) as u64;
-                assert_eq!(d[0].at, Cycle::new(5) + noc.uncontended_latency(hops));
+                assert_eq!(d[0].at(), Cycle::new(5) + noc.uncontended_latency(hops));
             }
         }
     }
@@ -622,8 +622,8 @@ mod tests {
         noc.submit(Cycle::ZERO, msg(2, 1, 3));
         let d = drain(&mut noc);
         assert_eq!(d.len(), 2);
-        assert_eq!(d[0].at, Cycle::new(4)); // 2 hops * 2
-        assert!(d[1].at > d[0].at);
+        assert_eq!(d[0].at(), Cycle::new(4)); // 2 hops * 2
+        assert!(d[1].at() > d[0].at());
         assert!(noc.stats().retries > 0);
         assert_eq!(noc.stats().no_contention, 1);
     }
@@ -638,7 +638,7 @@ mod tests {
         assert!(noc.advance(Cycle::new(1)).is_empty());
         noc.submit(Cycle::new(2), msg(2, 3, 3));
         let d = noc.advance(Cycle::new(2));
-        let order: Vec<(u64, u64)> = d.iter().map(|d| (d.msg.id, d.at.value())).collect();
+        let order: Vec<(u64, u64)> = d.iter().map(|d| (d.msg.id, d.at().value())).collect();
         assert_eq!(order, [(1, 2), (2, 2)]);
     }
 
@@ -647,7 +647,7 @@ mod tests {
         let mut noc = MeshNoc::contended(MeshShape::new(4, 4));
         noc.submit(Cycle::new(2), msg(1, 5, 5));
         let d = noc.advance(Cycle::new(2));
-        assert_eq!(d[0].at, Cycle::new(2));
+        assert_eq!(d[0].at(), Cycle::new(2));
     }
 
     #[test]
@@ -675,7 +675,7 @@ mod tests {
             for (i, &(src, dst, at)) in sends.iter().enumerate() {
                 noc.submit(Cycle::new(at), msg(i as u64, src, dst));
             }
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             let mut cycle = Cycle::ZERO;
             for _ in 0..100_000 {
                 match noc.next_activity() {

@@ -250,10 +250,7 @@ pub mod mesh {
                 if !s.stalled {
                     self.stats.no_contention += 1;
                 }
-                out.push(Delivery {
-                    msg: s.msg,
-                    at: s.at,
-                });
+                out.push(Delivery::new(s.msg, s.at));
             }
             out
         }
@@ -574,10 +571,7 @@ pub mod smart {
                 if !s.stalled {
                     self.stats.no_contention += 1;
                 }
-                out.push(Delivery {
-                    msg: s.msg,
-                    at: s.at,
-                });
+                out.push(Delivery::new(s.msg, s.at));
             }
             out
         }
@@ -681,7 +675,7 @@ mod differential {
                 next += 1;
             }
             let delivered = noc.advance(Cycle::new(cycle));
-            out.extend(delivered.iter().map(|d| (d.msg.id, d.at.value())));
+            out.extend(delivered.iter().map(|d| (d.msg.id, d.at().value())));
             cycle += 1;
         }
         out

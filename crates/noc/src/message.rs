@@ -85,8 +85,23 @@ impl fmt::Display for Message {
 pub struct Delivery {
     /// The delivered message.
     pub msg: Message,
+    /// Arrival cycle. Private, so a scheduled arrival can be read but
+    /// never rewritten in place: only a fabric stamps it, once.
+    at: Cycle,
+}
+
+impl Delivery {
+    /// `msg`, arriving at cycle `at`.
+    #[inline]
+    pub(crate) fn new(msg: Message, at: Cycle) -> Delivery {
+        Delivery { msg, at }
+    }
+
     /// Arrival cycle.
-    pub at: Cycle,
+    #[inline]
+    pub fn at(&self) -> Cycle {
+        self.at
+    }
 }
 
 #[cfg(test)]

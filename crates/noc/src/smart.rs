@@ -28,7 +28,7 @@
 ///     d.extend(smart.advance(Cycle::new(c)));
 /// }
 /// // 14 hops at HPCmax=8: 1 setup + 2 bypass cycles.
-/// assert_eq!(d[0].at, Cycle::new(3));
+/// assert_eq!(d[0].at(), Cycle::new(3));
 /// ```
 pub type SmartNoc = crate::mesh::MeshNoc;
 
@@ -59,7 +59,7 @@ mod tests {
         assert!(noc.advance(Cycle::new(1)).is_empty());
         noc.submit(Cycle::new(2), msg(2, 1, 1));
         let d = noc.advance(Cycle::new(2));
-        let order: Vec<(u64, u64)> = d.iter().map(|d| (d.msg.id, d.at.value())).collect();
+        let order: Vec<(u64, u64)> = d.iter().map(|d| (d.msg.id, d.at().value())).collect();
         assert_eq!(order, [(1, 2), (2, 2)]);
     }
 
@@ -70,7 +70,7 @@ mod tests {
         noc.submit(Cycle::ZERO, msg(1, 0, 3));
         let d = drain(&mut noc);
         assert_eq!(d.len(), 1);
-        assert!(d[0].at >= Cycle::new(50));
+        assert!(d[0].at() >= Cycle::new(50));
         assert!(noc.fault_stats().unwrap().link_blocked > 0);
     }
 
@@ -99,7 +99,7 @@ mod tests {
         assert_eq!(rs.detour_extra_hops, 2);
         assert_eq!(noc.fault_stats().unwrap().fallbacks, 0);
         // Setup (1) + blocked detect (1) + 5-hop bypass run (1).
-        assert_eq!(d[0].at, Cycle::new(3));
+        assert_eq!(d[0].at(), Cycle::new(3));
     }
 
     #[test]
@@ -109,13 +109,13 @@ mod tests {
             let mut noc = SmartNoc::new(shape, 8);
             noc.install_faults("link:*@0-1000000=off".parse().unwrap());
             noc.submit(Cycle::ZERO, msg(1, 0, 3));
-            drain(&mut noc)[0].at
+            drain(&mut noc)[0].at()
         };
         let mut noc = SmartNoc::new(shape, 8);
         noc.install_faults("link:*@0-1000000=off".parse().unwrap());
         noc.install_recovery(RecoveryPolicy::all());
         noc.submit(Cycle::ZERO, msg(1, 0, 3));
-        let closed = drain(&mut noc)[0].at;
+        let closed = drain(&mut noc)[0].at();
         assert!(closed < open, "{closed:?} vs {open:?}");
         assert_eq!(noc.recovery_stats().unwrap().escalations, 1);
         assert_eq!(noc.fault_stats().unwrap().fallbacks, 1);
@@ -127,7 +127,7 @@ mod tests {
         let mut noc = SmartNoc::new(MeshShape::new(4, 4), 8);
         noc.submit(Cycle::ZERO, msg(1, 0, 15));
         let d = drain(&mut noc);
-        assert_eq!(d[0].at, Cycle::new(2));
+        assert_eq!(d[0].at(), Cycle::new(2));
         assert_eq!(noc.stats().no_contention, 1);
     }
 
@@ -137,7 +137,7 @@ mod tests {
         let mut noc = SmartNoc::new(MeshShape::new(8, 8), 4);
         noc.submit(Cycle::ZERO, msg(1, 0, 63));
         let d = drain(&mut noc);
-        assert_eq!(d[0].at, Cycle::new(5));
+        assert_eq!(d[0].at(), Cycle::new(5));
     }
 
     #[test]
@@ -149,8 +149,8 @@ mod tests {
         assert_eq!(d.len(), 2);
         let first = d.iter().find(|d| d.msg.id == 1).unwrap();
         let second = d.iter().find(|d| d.msg.id == 2).unwrap();
-        assert_eq!(first.at, Cycle::new(2));
-        assert!(second.at > first.at);
+        assert_eq!(first.at(), Cycle::new(2));
+        assert!(second.at() > first.at());
         assert!(noc.stats().retries > 0);
     }
 
@@ -164,7 +164,7 @@ mod tests {
         noc.submit(Cycle::ZERO, msg(2, 1, 7));
         let d = drain(&mut noc);
         let second = d.iter().find(|d| d.msg.id == 2).unwrap();
-        assert_eq!(second.at, Cycle::new(3)); // setup, blocked cycle 1, bypass cycle 2
+        assert_eq!(second.at(), Cycle::new(3)); // setup, blocked cycle 1, bypass cycle 2
     }
 
     #[test]
@@ -172,7 +172,7 @@ mod tests {
         let mut noc = SmartNoc::new(MeshShape::new(4, 4), 8);
         noc.submit(Cycle::new(9), msg(1, 2, 2));
         let d = noc.advance(Cycle::new(9));
-        assert_eq!(d[0].at, Cycle::new(9));
+        assert_eq!(d[0].at(), Cycle::new(9));
     }
 
     proptest::proptest! {
@@ -188,7 +188,7 @@ mod tests {
             for (i, &(src, dst, at)) in sends.iter().enumerate() {
                 noc.submit(Cycle::new(at), msg(i as u64, src, dst));
             }
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             let mut cycle = Cycle::ZERO;
             for _ in 0..100_000 {
                 match noc.next_activity() {

@@ -237,7 +237,7 @@ mod tests {
             prop_assume!(cols * rows > 1);
             let mesh = MeshShape::new(cols, rows);
             let links = Links::new(mesh);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for y in 0..rows {
                 for x in 0..cols {
                     let here = Coord::new(x, y);
@@ -269,7 +269,7 @@ mod tests {
             let b = CoreId::new(b % tiles);
             let path = links.path(a, b);
             prop_assert_eq!(path.len(), mesh.hops(a, b));
-            let unique: std::collections::HashSet<_> = path.iter().collect();
+            let unique: std::collections::BTreeSet<_> = path.iter().collect();
             prop_assert_eq!(unique.len(), path.len());
         }
     }

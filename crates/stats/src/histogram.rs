@@ -131,7 +131,10 @@ impl Histogram {
             }
             lo = b + 1;
         }
-        // nocstar-lint: allow(sim-unwrap): bounds is non-empty, asserted in the constructor
+        #[expect(
+            clippy::unwrap_used,
+            reason = "bounds is non-empty, asserted in the constructor"
+        )]
         labels.push(format!(">{}", self.bounds.last().unwrap()));
         labels
     }

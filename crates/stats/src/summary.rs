@@ -49,10 +49,12 @@ impl Summary {
             count += 1;
             min = min.min(v);
             max = max.max(v);
+            // nocstar-lint: allow(float-accumulation): folds in the caller's order; every caller passes a series in fixed workload order, and the summary feeds only bench tables
             sum += v;
             if v == 0.0 {
                 any_zero = true;
             } else {
+                // nocstar-lint: allow(float-accumulation): same fixed caller-order fold as `sum` above
                 log_sum += v.ln();
             }
         }

@@ -53,6 +53,10 @@ impl ReplacementState {
     /// Picks the victim way given each way's stamp, in way order: the
     /// last use under LRU, the fill under FIFO, ignored under Random. All
     /// ways must be occupied. Ties go to the lowest way.
+    #[expect(
+        clippy::expect_used,
+        reason = "stamps is non-empty, a caller invariant (debug_assert above)"
+    )]
     pub(crate) fn victim(&mut self, stamps: impl ExactSizeIterator<Item = u64>) -> usize {
         debug_assert!(stamps.len() > 0);
         match self.policy {
@@ -60,7 +64,6 @@ impl ReplacementState {
                 stamps
                     .enumerate()
                     .min_by_key(|&(_, stamp)| stamp)
-                    // nocstar-lint: allow(sim-unwrap): stamps is non-empty, a caller invariant (debug_assert above)
                     .expect("nonempty set")
                     .0
             }

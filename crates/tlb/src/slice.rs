@@ -162,7 +162,10 @@ impl TlbSlice {
         queue_delay: &mut LatencyRecorder,
         queue_wait: &mut Log2Histogram,
     ) -> Cycle {
-        // nocstar-lint: allow(sim-unwrap): port count is at least 1 by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "port count is at least 1 by construction"
+        )]
         let earliest = ports.iter_mut().min().expect("ports are nonzero");
         let issue = now.max(*earliest);
         *earliest = issue + Cycles::ONE;

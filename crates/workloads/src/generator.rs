@@ -126,7 +126,7 @@ impl SyntheticTrace {
     fn pick_page(&mut self, region_pages: u64, hot: Option<Zipf>, cold: Option<Zipf>) -> u64 {
         let go_hot = hot.is_some() && self.rng.gen::<f64>() < self.spec.hot_fraction;
         if go_hot {
-            // nocstar-lint: allow(sim-unwrap): go_hot is only true when hot is Some
+            #[expect(clippy::expect_used, reason = "go_hot is only true when hot is Some")]
             let zipf = hot.expect("checked");
             let rank = zipf.sample(&mut self.rng);
             // Odd stride: hot pages must stay coprime with power-of-two
@@ -205,7 +205,7 @@ impl TraceSource for SyntheticTrace {
 mod tests {
     use super::*;
     use crate::spec::ColdDistribution;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn spec() -> WorkloadSpec {
         WorkloadSpec {
@@ -256,7 +256,7 @@ mod tests {
         let stride = (s.shared_pages / s.hot_pages) | 1; // 79
         let base = t.shared_base().value();
         let sample = accesses(&mut t, 5_000);
-        let mut hot_pages_seen = std::collections::HashSet::new();
+        let mut hot_pages_seen = std::collections::BTreeSet::new();
         let mut shared_hot = 0usize;
         for a in &sample {
             if a.va.value() >= base && a.va.value() < PRIVATE_BASE {
@@ -278,7 +278,7 @@ mod tests {
             "{} hot pages",
             hot_pages_seen.len()
         );
-        let frames: std::collections::HashSet<u64> =
+        let frames: std::collections::BTreeSet<u64> =
             hot_pages_seen.iter().map(|p| (p * 4096) >> 21).collect();
         assert!(frames.len() > 16, "{} hot 2MiB frames", frames.len());
     }
@@ -286,8 +286,8 @@ mod tests {
     #[test]
     fn private_addresses_are_disjoint_across_threads() {
         let s = spec();
-        let mut pages0 = HashSet::new();
-        let mut pages1 = HashSet::new();
+        let mut pages0 = BTreeSet::new();
+        let mut pages1 = BTreeSet::new();
         let mut t0 = s.trace(Asid::new(1), ThreadId::new(0), 3, false);
         let mut t1 = s.trace(Asid::new(1), ThreadId::new(1), 3, false);
         for a in accesses(&mut t0, 2_000) {

@@ -58,7 +58,7 @@ pub fn all_mixes() -> Vec<Mix> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn there_are_exactly_330_mixes() {
@@ -68,10 +68,10 @@ mod tests {
     #[test]
     fn mixes_are_distinct_and_apps_within_a_mix_are_distinct() {
         let mixes = all_mixes();
-        let unique: HashSet<&Mix> = mixes.iter().collect();
+        let unique: BTreeSet<[Preset; 4]> = mixes.iter().map(|m| m.apps).collect();
         assert_eq!(unique.len(), 330);
         for mix in &mixes {
-            let apps: HashSet<_> = mix.apps.iter().collect();
+            let apps: BTreeSet<_> = mix.apps.iter().collect();
             assert_eq!(apps.len(), 4, "{mix}");
         }
     }

@@ -54,7 +54,7 @@ pub const BLOCK_HEADER_LEN: usize = 16;
 /// Why an NCT file could not be read or written.
 ///
 /// Every decode path returns one of these instead of panicking; the
-/// `nocstar-lint` `sim-unwrap` gate polices that.
+/// crate's clippy deny on `unwrap`/`expect` polices that.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NctError {
     /// An underlying I/O operation failed (context and OS error text).

@@ -235,12 +235,12 @@ impl fmt::Display for Preset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn there_are_eleven_presets_with_unique_names() {
         assert_eq!(Preset::ALL.len(), 11);
-        let names: HashSet<&str> = Preset::ALL.iter().map(|p| p.name()).collect();
+        let names: BTreeSet<&str> = Preset::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(names.len(), 11);
     }
 

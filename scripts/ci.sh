@@ -4,8 +4,9 @@
 #
 # Two modes (ROADMAP "CI timing budget"):
 #
-#   ci.sh             fast PR gate: fmt + determinism lint + clippy +
-#                     doc + build + a few-second harness smoke (a
+#   ci.sh             fast PR gate: fmt + float-accumulation lint +
+#                     clippy + the clippy fixture check + doc + build +
+#                     a few-second harness smoke (a
 #                     faulted slice_ubench must report denied setups in
 #                     its --metrics-json file, and a misspelt flag and a
 #                     fault plan naming a link the system lacks must each
@@ -27,6 +28,8 @@
 #                     2,048-case check of the NCT replay reader on
 #                     bit-flipped, truncated and checksum-recomputed
 #                     files against the whole-file decoder, the
+#                     2,048-case never-panic check of the fault-plan,
+#                     recovery-policy, sample-spec and JSON parsers, the
 #                     closed-loop recovery-latency study (the closed loop
 #                     must never lose to the open loop), the 512/1024-core
 #                     hier-vs-mesh scale-up claim and smoke, fault-sweep
@@ -38,12 +41,15 @@
 #                     GUPS, 256-core hier storm and 1024-core sampled
 #                     hier runs, whose report digests must match.
 #
-# The lint step writes JSON + SARIF reports to target/lint/ so CI can
-# upload them as build artifacts; it exits non-zero on any
-# error-severity finding, which fails the gate. It replaces the old
-# clippy unwrap/expect grep gate: the sim-unwrap rule knows about
-# #[cfg(test)] regions and justified suppressions, so the whole
-# workspace is covered, not just three crates' --lib targets.
+# The determinism bans are clippy's (DESIGN.md §10): the root
+# clippy.toml bans hash-ordered collections, host clocks and RandomState,
+# and each sim crate's lib.rs denies unwrap/expect outside test code, so
+# `cargo clippy -- -D warnings` fails on any of them, and on a stale
+# `#[expect]` waiver. nocstar-lint adds the one check clippy lacks,
+# order-sensitive float reduction in sim crates, and fails on any
+# finding. The clippy fixture step proves the bans still bite: every
+# known-bad snippet under crates/lint/tests/clippy_fixtures must draw
+# exactly its marked lints, and every known-good one none.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,14 +64,55 @@ done
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== nocstar-lint (determinism & simulator invariants) =="
-cargo run --release -q -p nocstar-lint -- \
-  --json-out target/lint/report.json \
-  --sarif-out target/lint/report.sarif
-echo "   lint artifacts: target/lint/report.json, target/lint/report.sarif"
+echo "== nocstar-lint (order-sensitive float reduction in sim crates) =="
+cargo run --release -q -p nocstar-lint
 
-echo "== cargo clippy (deny warnings) =="
+echo "== cargo clippy (deny warnings; clippy.toml holds the determinism bans) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== clippy fixtures: each bad snippet draws its marked lints, each good one none =="
+# The fixture package sits outside the workspace; CLIPPY_CONF_DIR points
+# clippy at the root clippy.toml, the configuration the workspace uses.
+# Bad targets fail to build, so clippy's exit status is not the verdict:
+# the diagnostics are. Each `//~ <lint>` marker in a bad.rs must be
+# reported on its line, and nothing else may be reported anywhere.
+CLIPPY_CONF_DIR="$PWD" cargo clippy --offline --quiet \
+  --manifest-path crates/lint/tests/clippy_fixtures/Cargo.toml \
+  --target-dir target/clippy-fixtures --all-targets --keep-going \
+  --message-format=json -- -D warnings >target/clippy-fixtures.json 2>/dev/null || true
+python3 - crates/lint/tests/clippy_fixtures target/clippy-fixtures.json <<'EOF'
+import glob, json, os, sys
+
+root, log = sys.argv[1], sys.argv[2]
+reported = set()
+with open(log) as f:
+    for line in f:
+        msg = json.loads(line)
+        if msg.get("reason") != "compiler-message":
+            continue
+        diag = msg["message"]
+        code = (diag.get("code") or {}).get("code") or diag["message"]
+        for span in diag["spans"]:
+            if span["is_primary"]:
+                path = os.path.relpath(os.path.join(root, span["file_name"]), root)
+                reported.add((path, span["line_start"], code))
+expected = set()
+bad_files = []
+for path in sorted(glob.glob(os.path.join(root, "*", "*.rs"))):
+    rel = os.path.relpath(path, root)
+    with open(path) as f:
+        for n, text in enumerate(f, 1):
+            if "//~" in text:
+                expected.update((rel, n, code) for code in text.split("//~", 1)[1].split())
+    if rel.endswith("bad.rs"):
+        bad_files.append(rel)
+problems = [f"{p}:{n}: expected `{c}`, not reported" for p, n, c in sorted(expected - reported)]
+problems += [f"{p}:{n}: unexpected `{c}`" for p, n, c in sorted(reported - expected)]
+problems += [f"{b}: no `//~` marker" for b in bad_files if not any(e[0] == b for e in expected)]
+if problems or not bad_files:
+    sys.exit("clippy fixtures: FAILED\n  " + "\n  ".join(problems or ["no bad fixtures"]))
+print(f"   clippy fixtures: OK ({len(bad_files)} bad files, {len(expected)} expected lints)")
+EOF
 
 echo "== cargo doc (deny warnings: broken links fail the gate) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
@@ -143,6 +190,9 @@ if [[ "$NIGHTLY" == "1" ]]; then
 
   echo "== nightly: NCT replay reader on damaged files vs the whole-file decoder (2,048 cases) =="
   cargo test -q --release --test nct_reader prop_mutated_files_never_panic_nightly -- --ignored
+
+  echo "== nightly: fault, recovery, sample and JSON grammars never panic (2,048 cases) =="
+  cargo test -q --release --test grammars prop_grammars_never_panic_nightly -- --ignored
 
   echo "== nightly: recovery-latency study =="
   cargo run --release -q -p nocstar-bench --bin recovery -- --quick

@@ -55,6 +55,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub use nocstar_core as core;
 pub use nocstar_energy as energy;
