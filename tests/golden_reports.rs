@@ -285,6 +285,39 @@ fn golden_sampled() {
     check_report("sampled", &report);
 }
 
+/// Cores of the sampled storm golden: enough threads that its second
+/// fast-forward leg warms the caches with over 150,000 accesses.
+const SAMPLED_STORM_CORES: usize = 32;
+/// Long fast-forward legs (`period - warmup - window` accesses per
+/// thread) between two short detailed legs.
+const SAMPLED_STORM_SPEC: &str = "5000:120:30@7";
+const SAMPLED_STORM_SPAN: u64 = 6_000;
+
+#[test]
+fn golden_sampled_storm() {
+    // Sampled fast-forward through every kind of cache warming: data
+    // accesses, variable-latency walks (PWC plus PTE lines), and the PWC
+    // flushes of context switches, with promote/demote shootdowns
+    // changing the page tables under the legs. The detailed windows
+    // start from the caches the legs leave, so the report pins that
+    // state.
+    let spec: SampleSpec = SAMPLED_STORM_SPEC.parse().expect("valid sample spec");
+    assert_eq!(spec.windows(SAMPLED_STORM_SPAN), 2);
+    let config = golden_config_at(SAMPLED_STORM_CORES, TlbOrg::paper_hier(4));
+    assert_eq!(config.walk_latency, WalkLatency::Variable);
+    let workload = WorkloadAssignment::storm(&config, Preset::Canneal, 100, 150);
+    let report = Simulation::new(config, workload).run_sampled(spec, SAMPLED_STORM_SPAN);
+    let sampling = report.sampling.as_ref().expect("sampled report section");
+    assert!(
+        sampling.accesses_fast_forwarded >= 150_000,
+        "fast-forward legs too short to pin: {} accesses",
+        sampling.accesses_fast_forwarded
+    );
+    assert!(report.flushes > 0, "no context-switch flushes to pin");
+    assert!(report.walks > 0, "no walks to pin");
+    check_report("sampled_storm", &report);
+}
+
 #[test]
 fn golden_aborted() {
     // An exact run stopped by its cycle budget inside the measured

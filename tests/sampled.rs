@@ -15,6 +15,7 @@
 //!   `sampling` key, so exact goldens stay byte-identical.
 
 use nocstar::prelude::*;
+use nocstar::workloads::trace::{TraceEvent, TraceSource};
 use std::collections::BTreeMap;
 
 const CORES: usize = 4;
@@ -132,6 +133,69 @@ fn a_single_window_span_degenerates_per_the_spec() {
         assert!(est.interval.is_degenerate());
         assert_eq!(est.interval.lo(), est.interval.hi());
     }
+}
+
+/// A trace that delegates to `inner` and panics when it is asked for its
+/// `panic_at`-th access.
+struct PanickingTrace {
+    inner: Box<dyn TraceSource>,
+    accesses: u64,
+    panic_at: u64,
+}
+
+impl TraceSource for PanickingTrace {
+    fn next_event(&mut self) -> TraceEvent {
+        let event = self.inner.next_event();
+        if matches!(event, TraceEvent::Access(_)) {
+            self.accesses += 1;
+            assert!(self.accesses < self.panic_at, "trace source failed");
+        }
+        event
+    }
+
+    fn backing(&self, va: VirtAddr) -> PageSize {
+        self.inner.backing(va)
+    }
+
+    fn asid(&self) -> Asid {
+        self.inner.asid()
+    }
+}
+
+#[test]
+fn a_trace_panic_inside_a_fast_forward_leg_ends_the_run() {
+    // Thread 1's trace panics 100 accesses into the second fast-forward
+    // leg. The panic must reach the caller as a panic, not a hang.
+    let spec: SampleSpec = SPEC.parse().expect("valid sample spec");
+    assert!(spec.slack() > 100, "the panic must fall inside a leg");
+    let panic_at = spec.offset() + spec.warmup() + spec.window() + 100;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let config = SystemConfig::new(CORES, TlbOrg::paper_nocstar());
+        let mut preset = Preset::Redis.spec();
+        preset.remaps_per_million = 0.0;
+        let traces = (0..config.threads())
+            .map(|t| {
+                let inner = preset.trace(Asid::new(1), ThreadId::new(t), config.seed, config.thp);
+                let panic_at = if t == 1 { panic_at } else { u64::MAX };
+                Box::new(PanickingTrace {
+                    inner: Box::new(inner),
+                    accesses: 0,
+                    panic_at,
+                }) as Box<dyn TraceSource>
+            })
+            .collect();
+        let sim = Simulation::new(config, WorkloadAssignment::custom(traces, "panicking"));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run_sampled(spec, SPAN)));
+        // The receiver outlives this thread unless the test timed out.
+        let _ = done_tx.send(outcome.is_err());
+    });
+    let panicked = done_rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("the run neither returned nor panicked within 120 s");
+    assert!(panicked, "run_sampled returned despite the trace panic");
+    runner.join().expect("the runner caught the panic");
 }
 
 // ----- the SAMPLING.md §5 worked example, parsed from the document -----
