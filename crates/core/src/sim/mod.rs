@@ -27,7 +27,7 @@ use crate::report::SimReport;
 use crate::sampling::WindowSample;
 use nocstar_energy::model::NocDesign;
 use nocstar_faults::{DiagSnapshot, FaultPlan, RecoveryPolicy, SimError};
-use nocstar_mem::hierarchy::{MemoryConfig, MemorySystem};
+use nocstar_mem::hierarchy::{MemoryConfig, MemorySystem, WarmOp};
 use nocstar_stats::metrics::{CounterId, MetricsRegistry};
 use nocstar_stats::tracing::TraceSink;
 use nocstar_tlb::l1::L1Tlb;
@@ -36,7 +36,7 @@ use nocstar_types::{Asid, CoreId, MeshShape, PageSize, VirtAddr, VirtPageNum};
 use nocstar_workloads::sample::SampleSpec;
 use nocstar_workloads::trace::{MemAccess, TraceEvent, TraceSource};
 use rehome::Rehome;
-use sampled::SamplingState;
+use sampled::{SamplingState, WarmFeed};
 use std::collections::BTreeMap;
 use translate::TxState;
 use tx_table::TxTable;
@@ -550,7 +550,7 @@ impl Simulation {
             }
             TraceEvent::ContextSwitch => {
                 self.stats.flushes.incr();
-                self.context_switch_flush(self.threads[t].core);
+                self.context_switch_flush(self.threads[t].core, None);
                 self.events
                     .push(now + CTX_SWITCH_COST, Event::ThreadNext(t));
             }
@@ -589,10 +589,14 @@ impl Simulation {
     /// PWC drop their non-global entries, and so do the L2 structures —
     /// every one under a shared organization (paper §V: every context
     /// switch flushes all shared TLB contents on their x86 model), the
-    /// core's own otherwise.
-    fn context_switch_flush(&mut self, core: CoreId) {
+    /// core's own otherwise. Inside a fast-forward leg the PWC flush is
+    /// queued on the leg's `warm` feed, behind the warming before it.
+    fn context_switch_flush(&mut self, core: CoreId, warm: Option<&mut WarmFeed>) {
         self.l1s[core.index()].flush_non_global();
-        self.mem.flush_pwc(core);
+        match warm {
+            Some(warm) => warm.push(WarmOp::flush_pwc(core)),
+            None => self.mem.flush_pwc(core),
+        }
         if self.config.org.is_shared() {
             self.org.flush_all_non_global();
         } else {

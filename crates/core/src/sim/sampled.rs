@@ -1,17 +1,84 @@
 //! Sampled fast-forward replay (`SAMPLING.md`): functional fast-forward
 //! legs that evolve architectural state without timing it, alternating
 //! with detailed legs that each measure one window.
+//!
+//! A fast-forward leg warms the data caches and paging-structure caches on
+//! one helper thread: the leg's thread keeps the trace feed, the TLBs and
+//! the page tables, and queues every cache effect as a [`WarmOp`] on an
+//! ordered FIFO that the helper applies in push order (`SAMPLING.md §6`).
 
 use super::Simulation;
 use crate::event::Event;
 use crate::sampling::{self, SamplingReport, WindowSample};
 use nocstar_faults::SimError;
+use nocstar_mem::hierarchy::{Caches, WarmOp};
 use nocstar_mem::walker::WalkLatency;
 use nocstar_tlb::entry::TlbEntry;
 use nocstar_types::time::Cycle;
 use nocstar_types::{Asid, VirtPageNum};
 use nocstar_workloads::sample::SampleSpec;
 use nocstar_workloads::trace::{MemAccess, TraceEvent};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+
+/// Warming operations per batch sent to a leg's helper thread.
+const WARM_BATCH: usize = 8192;
+/// Full batches the FIFO holds before the leg's thread waits for the
+/// helper.
+const WARM_QUEUE: usize = 2;
+
+/// The sending end of a fast-forward leg's warming FIFO: operations are
+/// gathered into batches, and the helper returns each spent batch buffer
+/// for reuse.
+pub(super) struct WarmFeed {
+    batch: Vec<WarmOp>,
+    full: SyncSender<Vec<WarmOp>>,
+    spent: Receiver<Vec<WarmOp>>,
+}
+
+impl WarmFeed {
+    /// Queues `op` behind every operation queued before it.
+    pub(super) fn push(&mut self, op: WarmOp) {
+        self.batch.push(op);
+        if self.batch.len() == WARM_BATCH {
+            self.send();
+        }
+    }
+
+    /// Sends the last, partial batch and hangs up, which ends the
+    /// helper's loop once it has applied everything.
+    fn finish(mut self) {
+        self.send();
+    }
+
+    fn send(&mut self) {
+        let empty = self
+            .spent
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(WARM_BATCH));
+        let batch = std::mem::replace(&mut self.batch, empty);
+        // The helper hangs up only by panicking; the leg's join re-raises
+        // that panic, so the batch is not needed.
+        let _ = self.full.send(batch);
+    }
+}
+
+/// A leg's helper thread: applies every batch in arrival order until the
+/// feed hangs up, then hands the caches back.
+fn apply_warming(
+    mut caches: Caches,
+    full: Receiver<Vec<WarmOp>>,
+    spent: mpsc::Sender<Vec<WarmOp>>,
+) -> Caches {
+    for mut batch in full {
+        for &op in &batch {
+            caches.apply(op);
+        }
+        batch.clear();
+        // The feed may already be gone at the end of the leg.
+        let _ = spent.send(batch);
+    }
+    caches
+}
 
 /// Live state of a sampled run: the placement spec, the replayed span,
 /// and how much of it was consumed functionally.
@@ -71,24 +138,58 @@ impl Simulation {
 
     /// Functionally consumes `quota` memory accesses per thread without
     /// advancing simulated time: architectural state (page tables, TLB and
-    /// replica contents, ASID state) evolves exactly as the trace
-    /// dictates, but nothing is timed, counted, or sent over the network.
-    /// Threads are drained round-robin, one access each, in thread-index
-    /// order, so shared-state mutation order is deterministic
+    /// replica contents, ASID state, cache contents) evolves exactly as
+    /// the trace dictates, but nothing is timed, counted, or sent over the
+    /// network. Threads are drained round-robin, one access each, in
+    /// thread-index order, so shared-state mutation order is deterministic
     /// (`SAMPLING.md §6`).
+    ///
+    /// The caches move to a helper thread for the leg and come back when
+    /// it ends; the helper applies the warming operations in the order
+    /// this thread queues them, so they end in the state sequential
+    /// warming leaves. A panic on either thread ends the leg: this
+    /// thread's unwinding drops the feed, which ends the helper, and a
+    /// helper's panic is re-raised here.
     fn fast_forward(&mut self, quota: u64) {
+        if quota > 0 {
+            let caches = self.mem.detach_caches();
+            let caches = std::thread::scope(|scope| {
+                let (full, full_rx) = mpsc::sync_channel(WARM_QUEUE);
+                let (spent_tx, spent) = mpsc::channel();
+                let helper = scope.spawn(move || apply_warming(caches, full_rx, spent_tx));
+                let mut feed = WarmFeed {
+                    batch: Vec::with_capacity(WARM_BATCH),
+                    full,
+                    spent,
+                };
+                self.fast_forward_leg(quota, &mut feed);
+                feed.finish();
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            });
+            self.mem.attach_caches(caches);
+        }
+        if let Some(s) = &mut self.sampling {
+            s.ff_accesses += quota * self.threads.len() as u64;
+        }
+    }
+
+    /// [`fast_forward`](Self::fast_forward)'s trace loop, queueing every
+    /// cache effect on `warm`.
+    fn fast_forward_leg(&mut self, quota: u64, warm: &mut WarmFeed) {
         for _ in 0..quota {
             for t in 0..self.threads.len() {
                 loop {
                     let (event, asid) = self.next_event(t);
                     match event {
                         TraceEvent::Access(a) => {
-                            self.functional_access(t, asid, a);
+                            self.functional_access(t, asid, a, warm);
                             self.threads[t].accesses_done += 1;
                             break;
                         }
                         TraceEvent::ContextSwitch => {
-                            self.context_switch_flush(self.threads[t].core);
+                            self.context_switch_flush(self.threads[t].core, Some(warm));
                         }
                         TraceEvent::Remap(vpn) => {
                             if self.mem.remap(asid, vpn).is_some() {
@@ -112,9 +213,6 @@ impl Simulation {
                 }
             }
         }
-        if let Some(s) = &mut self.sampling {
-            s.ff_accesses += quota * self.threads.len() as u64;
-        }
     }
 
     /// One access, functionally: the stat-free mirror of
@@ -125,19 +223,19 @@ impl Simulation {
     /// from matches what an exact replay would have left behind, up to
     /// timing-dependent interleaving (`SAMPLING.md §2`).
     ///
-    /// The memory side warms functionally too: every access touches the
-    /// data-cache hierarchy at the translated physical address, and every
-    /// would-be walk touches the PWC and PTE cache lines — otherwise each
-    /// measurement window would start from stale-warm caches and charge
-    /// inflated miss latencies the exact replay never sees.
-    fn functional_access(&mut self, t: usize, asid: Asid, access: MemAccess) {
+    /// The memory side warms functionally too: every access queues a touch
+    /// of the data-cache hierarchy at the translated physical address on
+    /// `warm`, and every would-be walk queues touches of the PWC and PTE
+    /// cache lines — otherwise each measurement window would start from
+    /// stale-warm caches and charge inflated miss latencies the exact
+    /// replay never sees.
+    fn functional_access(&mut self, t: usize, asid: Asid, access: MemAccess, warm: &mut WarmFeed) {
         let va = access.va;
         let core = self.threads[t].core;
         if let Some(entry) = self.l1s[core.index()].touch(asid, va) {
             // An L1 entry exists only for a mapped page, and mapped-ness is
             // monotone — the demand-map check below would be a no-op.
-            self.mem
-                .warm_access(core, entry.translate(va), access.is_write);
+            warm.push(WarmOp::access(core, entry.translate(va)));
             return;
         }
         let size = self.traces[t].backing(va);
@@ -147,8 +245,7 @@ impl Simulation {
         let (home_idx, _) = self.org.home_of(home_vpn, core);
         if let Some(entry) = self.org.structure_mut(home_idx).touch(asid, home_vpn) {
             self.l1s[core.index()].insert(entry);
-            self.mem
-                .warm_access(core, entry.translate(va), access.is_write);
+            warm.push(WarmOp::access(core, entry.translate(va)));
             return;
         }
         // Slice miss: a walk would resolve the page-table leaf (demand-
@@ -157,13 +254,14 @@ impl Simulation {
         // only — fixed-latency walks never touch the hierarchy).
         let (vpn, ppn) = self.mem.resolve_mapped(asid, va, size);
         if self.config.walk_latency == WalkLatency::Variable {
-            self.mem.warm_walk(core, asid, va);
+            for op in self.mem.walk_warm_ops(core, asid, va) {
+                warm.push(op);
+            }
         }
         let entry = TlbEntry::new(asid, vpn, ppn);
         self.org.structure_mut(home_idx).insert(entry);
         self.l1s[core.index()].insert(entry);
-        self.mem
-            .warm_access(core, entry.translate(va), access.is_write);
+        warm.push(WarmOp::access(core, entry.translate(va)));
         self.functional_prefetch(home_vpn, asid);
     }
 

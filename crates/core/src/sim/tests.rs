@@ -68,6 +68,37 @@ fn sampled_runs_are_deterministic_across_repeats() {
 }
 
 #[test]
+fn a_panic_on_the_warming_helper_ends_the_run() {
+    // Caches built for one core: the helper's first warming operation
+    // for core 1 indexes past them and panics. The leg's thread must
+    // re-raise that panic instead of hanging or running on.
+    let spec: SampleSpec = "500:40:20@7".parse().expect("valid spec");
+    assert!(spec.offset() > 0, "the first leg must warm");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let config = SystemConfig::new(4, TlbOrg::paper_nocstar());
+        let workload = WorkloadAssignment::preset(&config, Preset::Redis);
+        let mut sim = Simulation::new(config, workload);
+        drop(sim.mem.detach_caches());
+        let one_core = MemorySystem::new(MemoryConfig::haswell(1)).detach_caches();
+        sim.mem.attach_caches(one_core);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_sampled(spec, 2_000)
+        }));
+        let message = outcome
+            .err()
+            .and_then(|panic| panic.downcast_ref::<String>().cloned());
+        let _ = done_tx.send(message);
+    });
+    let message = done_rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("the run neither returned nor panicked within 120 s");
+    let message = message.expect("the run panicked with the helper's message");
+    assert!(message.contains("index out of bounds"), "{message}");
+    runner.join().expect("the runner caught the panic");
+}
+
+#[test]
 fn exact_reports_carry_no_sampling_section() {
     let report = run(4, TlbOrg::paper_nocstar(), 300);
     assert!(report.sampling.is_none());

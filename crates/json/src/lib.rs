@@ -137,11 +137,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] describing the first malformed byte.
+    /// Returns a [`ParseError`] describing the first malformed byte, or
+    /// the first array or object nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -289,9 +291,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts:
+/// the parser recurses once per level, so an unbounded document could
+/// exhaust the stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -336,12 +345,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(self.err(&format!(
+                "arrays and objects nested deeper than {MAX_DEPTH} levels"
+            ))),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -522,6 +545,26 @@ impl Parser<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn nested_arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        assert!(Json::parse(&nested_arrays(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested_arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("128 levels"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "{}" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn a_hundred_thousand_levels_are_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&nested_arrays(100_000)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+    }
 
     #[test]
     fn writes_all_scalar_forms() {

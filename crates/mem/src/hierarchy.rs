@@ -82,6 +82,190 @@ impl MemoryConfig {
     }
 }
 
+/// The cache side of the memory system: every core's private L1D, L2 and
+/// paging-structure cache, and the shared LLC.
+///
+/// [`MemorySystem`] holds one and delegates every cache effect to it.
+/// Sampled fast-forward moves it to a helper thread for a leg
+/// ([`MemorySystem::detach_caches`]) and feeds it [`WarmOp`]s in order,
+/// while the page tables stay behind on the thread that owns the run.
+#[derive(Debug)]
+pub struct Caches {
+    l1s: Vec<Cache>,
+    l2s: Vec<Cache>,
+    llc: Cache,
+    pwcs: Vec<PteCache>,
+    dram_latency: Cycles,
+}
+
+impl Caches {
+    fn new(config: &MemoryConfig) -> Self {
+        Self {
+            l1s: (0..config.cores).map(|_| Cache::new(config.l1d)).collect(),
+            l2s: (0..config.cores).map(|_| Cache::new(config.l2)).collect(),
+            // The private levels are touched densely, the LLC sparsely:
+            // a run fills a few percent of its 2.5 MiB-per-core sets.
+            llc: Cache::first_touch(config.llc),
+            pwcs: (0..config.cores)
+                .map(|_| PteCache::new(DEFAULT_PWC_ENTRIES))
+                .collect(),
+            dram_latency: config.dram_latency,
+        }
+    }
+
+    /// See [`MemorySystem::access`].
+    fn access(&mut self, core: CoreId, pa: PhysAddr) -> AccessResult {
+        let c = core.index();
+        if self.l1s[c].access(pa) {
+            return AccessResult {
+                latency: self.l1s[c].latency(),
+                serviced_by: ServicedBy::L1,
+            };
+        }
+        if self.l2s[c].access(pa) {
+            return AccessResult {
+                latency: self.l2s[c].latency(),
+                serviced_by: ServicedBy::L2,
+            };
+        }
+        if self.llc.access(pa) {
+            return AccessResult {
+                latency: self.llc.latency(),
+                serviced_by: ServicedBy::Llc,
+            };
+        }
+        AccessResult {
+            latency: self.llc.latency() + self.dram_latency,
+            serviced_by: ServicedBy::Dram,
+        }
+    }
+
+    /// See [`MemorySystem::warm_access`].
+    fn warm_access(&mut self, core: CoreId, pa: PhysAddr) {
+        let c = core.index();
+        if !self.l1s[c].touch(pa) && !self.l2s[c].touch(pa) {
+            self.llc.touch(pa);
+        }
+    }
+
+    /// One PTE read of a variable-latency walk by `core`: an upper-level
+    /// PTE is served by the core's paging-structure cache when present,
+    /// in one cycle; the leaf PTE always reads the memory hierarchy.
+    pub(crate) fn read_pte(
+        &mut self,
+        core: CoreId,
+        pa: PhysAddr,
+        upper_level: bool,
+    ) -> AccessResult {
+        if upper_level && self.pwcs[core.index()].access(pa) {
+            return AccessResult {
+                latency: Cycles::ONE,
+                serviced_by: ServicedBy::Pwc,
+            };
+        }
+        self.access(core, pa)
+    }
+
+    /// See [`MemorySystem::flush_pwc`].
+    fn flush_pwc(&mut self, core: CoreId) {
+        self.pwcs[core.index()].flush();
+    }
+
+    /// Applies one warming operation: the fills and recency updates of
+    /// the access, walk read or flush it stands for, with no statistics.
+    pub fn apply(&mut self, op: WarmOp) {
+        let (core, pa) = (op.core(), op.pa());
+        match op.kind() {
+            WarmKind::Access => self.warm_access(core, pa),
+            WarmKind::UpperPte => {
+                if !self.pwcs[core.index()].touch(pa) {
+                    self.warm_access(core, pa);
+                }
+            }
+            WarmKind::FlushPwc => self.flush_pwc(core),
+        }
+    }
+}
+
+/// One functional warming operation on [`Caches`] (`SAMPLING.md §2`),
+/// packed into 8 bytes: applied in order, a sequence of them leaves
+/// exactly the cache state the [`MemorySystem::warm_access`],
+/// [`MemorySystem::warm_walk`] and [`MemorySystem::flush_pwc`] calls they
+/// stand for would.
+///
+/// The word holds the kind in its low 2 bits, the core in the next 20,
+/// and the physical address in 8-byte units in the top 42, so it holds
+/// cores below 2^20 and addresses below 32 TiB. The dropped low three
+/// address bits select neither a cache line nor a PTE.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WarmOp(u64);
+
+const KIND_BITS: u32 = 2;
+const CORE_BITS: u32 = 20;
+const ADDR_SHIFT: u32 = KIND_BITS + CORE_BITS;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WarmKind {
+    /// A data access or a leaf PTE read: L1D, then L2, then the LLC.
+    Access = 0,
+    /// An upper-level PTE read: the PWC, then the caches on a PWC miss.
+    UpperPte = 1,
+    /// A context switch's PWC flush.
+    FlushPwc = 2,
+}
+
+impl WarmOp {
+    /// # Panics
+    ///
+    /// Panics if `core` needs more than `CORE_BITS` bits or `pa` more than
+    /// `64 - ADDR_SHIFT + 3`, 45.
+    fn new(core: CoreId, pa: PhysAddr, kind: WarmKind) -> Self {
+        let core = core.index() as u64;
+        let unit = pa.value() >> 3;
+        assert!(
+            core >> CORE_BITS == 0 && unit >> (64 - ADDR_SHIFT) == 0,
+            "core {core} or {pa} is beyond a warming operation's range"
+        );
+        Self((unit << ADDR_SHIFT) | (core << KIND_BITS) | kind as u64)
+    }
+
+    /// [`MemorySystem::warm_access`] of `pa` by `core`.
+    pub fn access(core: CoreId, pa: PhysAddr) -> Self {
+        Self::new(core, pa, WarmKind::Access)
+    }
+
+    /// One PTE read of [`MemorySystem::warm_walk`] by `core`.
+    pub(crate) fn pte(core: CoreId, pa: PhysAddr, upper_level: bool) -> Self {
+        let kind = if upper_level {
+            WarmKind::UpperPte
+        } else {
+            WarmKind::Access
+        };
+        Self::new(core, pa, kind)
+    }
+
+    /// [`MemorySystem::flush_pwc`] of `core`.
+    pub fn flush_pwc(core: CoreId) -> Self {
+        Self::new(core, PhysAddr::new(0), WarmKind::FlushPwc)
+    }
+
+    fn kind(self) -> WarmKind {
+        match self.0 & ((1 << KIND_BITS) - 1) {
+            0 => WarmKind::Access,
+            1 => WarmKind::UpperPte,
+            _ => WarmKind::FlushPwc,
+        }
+    }
+
+    fn core(self) -> CoreId {
+        CoreId::new(((self.0 >> KIND_BITS) & ((1 << CORE_BITS) - 1)) as usize)
+    }
+
+    fn pa(self) -> PhysAddr {
+        PhysAddr::new((self.0 >> ADDR_SHIFT) << 3)
+    }
+}
+
 /// The full memory system.
 ///
 /// # Examples
@@ -103,13 +287,11 @@ impl MemoryConfig {
 #[derive(Debug)]
 pub struct MemorySystem {
     config: MemoryConfig,
-    l1s: Vec<Cache>,
-    l2s: Vec<Cache>,
-    llc: Cache,
+    /// `None` while [detached](Self::detach_caches).
+    caches: Option<Caches>,
     phys: PhysMemory,
     /// Per-address-space page tables, created on first touch.
     pub(crate) tables: BTreeMap<Asid, PageTable>,
-    pwcs: Vec<PteCache>,
     /// Distribution of completed page-walk latencies (cycles).
     pub(crate) walk_latency: Log2Histogram,
     /// Distribution of PWC-serviced PTE reads per walk (0–3).
@@ -126,16 +308,9 @@ impl MemorySystem {
         assert!(config.cores > 0, "need at least one core");
         Self {
             config,
-            l1s: (0..config.cores).map(|_| Cache::new(config.l1d)).collect(),
-            l2s: (0..config.cores).map(|_| Cache::new(config.l2)).collect(),
-            // The private levels are touched densely, the LLC sparsely:
-            // a run fills a few percent of its 2.5 MiB-per-core sets.
-            llc: Cache::first_touch(config.llc),
+            caches: Some(Caches::new(&config)),
             phys: PhysMemory::new(config.phys_capacity),
             tables: BTreeMap::new(),
-            pwcs: (0..config.cores)
-                .map(|_| PteCache::new(DEFAULT_PWC_ENTRIES))
-                .collect(),
             walk_latency: Log2Histogram::new(),
             pwc_hits_per_walk: Log2Histogram::new(),
         }
@@ -144,6 +319,38 @@ impl MemorySystem {
     /// The configuration this system was built with.
     pub fn config(&self) -> &MemoryConfig {
         &self.config
+    }
+
+    /// Moves the caches out, for a fast-forward leg that warms them on
+    /// another thread. Until [`attach_caches`](Self::attach_caches) gives
+    /// them back, every method with a cache effect panics; the page
+    /// tables and the physical allocator stay usable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the caches are already detached.
+    pub fn detach_caches(&mut self) -> Caches {
+        self.caches
+            .take()
+            .unwrap_or_else(|| panic!("caches detached twice"))
+    }
+
+    /// Puts back the caches [`detach_caches`](Self::detach_caches) took.
+    pub fn attach_caches(&mut self, caches: Caches) {
+        debug_assert!(self.caches.is_none(), "caches attached twice");
+        self.caches = Some(caches);
+    }
+
+    fn caches(&self) -> &Caches {
+        self.caches
+            .as_ref()
+            .unwrap_or_else(|| panic!("the caches are detached for a fast-forward leg"))
+    }
+
+    pub(crate) fn caches_mut(&mut self) -> &mut Caches {
+        self.caches
+            .as_mut()
+            .unwrap_or_else(|| panic!("the caches are detached for a fast-forward leg"))
     }
 
     /// One data (or PTE) access by `core` to physical address `pa`,
@@ -156,29 +363,7 @@ impl MemorySystem {
     /// Panics if `core` is out of range, or if `pa` is beyond a level's
     /// tag range (see [`Cache::probe`]).
     pub fn access(&mut self, core: CoreId, pa: PhysAddr, _write: bool) -> AccessResult {
-        let c = core.index();
-        if self.l1s[c].access(pa) {
-            return AccessResult {
-                latency: self.l1s[c].latency(),
-                serviced_by: ServicedBy::L1,
-            };
-        }
-        if self.l2s[c].access(pa) {
-            return AccessResult {
-                latency: self.l2s[c].latency(),
-                serviced_by: ServicedBy::L2,
-            };
-        }
-        if self.llc.access(pa) {
-            return AccessResult {
-                latency: self.llc.latency(),
-                serviced_by: ServicedBy::Llc,
-            };
-        }
-        AccessResult {
-            latency: self.llc.latency() + self.config.dram_latency,
-            serviced_by: ServicedBy::Dram,
-        }
+        self.caches_mut().access(core, pa)
     }
 
     /// Functional warming of the data-cache hierarchy (`SAMPLING.md §2`):
@@ -192,14 +377,7 @@ impl MemorySystem {
     ///
     /// Panics as [`access`](Self::access) does.
     pub fn warm_access(&mut self, core: CoreId, pa: PhysAddr, _write: bool) {
-        let c = core.index();
-        if self.l1s[c].touch(pa) {
-            return;
-        }
-        if self.l2s[c].touch(pa) {
-            return;
-        }
-        self.llc.touch(pa);
+        self.caches_mut().warm_access(core, pa);
     }
 
     /// Ensures `va` is mapped at the given page size (an OS demand-paging
@@ -266,26 +444,25 @@ impl MemorySystem {
 
     /// Per-level hit/miss statistics: `(l1_combined, l2_combined, llc)`.
     pub fn cache_stats(&self) -> (HitMiss, HitMiss, HitMiss) {
+        let caches = self.caches();
         let mut l1 = HitMiss::new();
-        for c in &self.l1s {
+        for c in &caches.l1s {
             l1.merge(c.stats());
         }
         let mut l2 = HitMiss::new();
-        for c in &self.l2s {
+        for c in &caches.l2s {
             l2.merge(c.stats());
         }
-        (l1, l2, self.llc.stats())
+        (l1, l2, caches.llc.stats())
     }
 
     /// Clears cache statistics on every level, plus the walk histograms.
     pub fn reset_cache_stats(&mut self) {
-        for c in &mut self.l1s {
+        let caches = self.caches_mut();
+        for c in caches.l1s.iter_mut().chain(&mut caches.l2s) {
             c.reset_stats();
         }
-        for c in &mut self.l2s {
-            c.reset_stats();
-        }
-        self.llc.reset_stats();
+        caches.llc.reset_stats();
         self.walk_latency = Log2Histogram::new();
         self.pwc_hits_per_walk = Log2Histogram::new();
     }
@@ -305,14 +482,9 @@ impl MemorySystem {
         &self.phys
     }
 
-    /// The paging-structure cache of one core.
-    pub fn pwc_mut(&mut self, core: CoreId) -> &mut PteCache {
-        &mut self.pwcs[core.index()]
-    }
-
     /// Flushes one core's paging-structure cache (context switch).
     pub fn flush_pwc(&mut self, core: CoreId) {
-        self.pwcs[core.index()].flush();
+        self.caches_mut().flush_pwc(core);
     }
 }
 
@@ -343,7 +515,7 @@ mod tests {
     #[test]
     fn llc_allocates_a_set_on_its_first_fill_only() {
         let mut mem = MemorySystem::new(MemoryConfig::haswell(256));
-        assert_eq!(mem.llc.blocks(), 0);
+        assert_eq!(mem.caches().llc.blocks(), 0);
         let sets = mem.config.llc.capacity / 64 / mem.config.llc.ways as u64;
         let line = |set: u64, tag: u64| PhysAddr::new((tag * sets + set) * 64);
         for k in 0..40 {
@@ -354,10 +526,81 @@ mod tests {
             mem.warm_access(core, line(k * 1000, 1), false);
             mem.access(core, line(k * 1000, 0), false);
         }
-        assert_eq!(mem.llc.blocks(), 40);
-        assert_eq!(mem.llc.occupancy(), 80);
+        assert_eq!(mem.caches().llc.blocks(), 40);
+        assert_eq!(mem.caches().llc.occupancy(), 80);
         // The private levels keep the flat layout.
-        assert_eq!(mem.l2s[0].blocks(), 512); // 256 KiB of 8-way sets
+        assert_eq!(mem.caches().l2s[0].blocks(), 512); // 256 KiB of 8-way sets
+    }
+
+    #[test]
+    fn warm_ops_pack_into_eight_bytes_and_round_trip() {
+        assert_eq!(std::mem::size_of::<WarmOp>(), 8);
+        let core = CoreId::new((1 << CORE_BITS) - 1);
+        let pa = PhysAddr::new((1 << 45) - 8);
+        let op = WarmOp::pte(core, pa, true);
+        assert_eq!(
+            (op.core(), op.pa(), op.kind()),
+            (core, pa, WarmKind::UpperPte)
+        );
+        let op = WarmOp::access(CoreId::new(3), PhysAddr::new(0x1234_5678));
+        // The low three address bits select no line and no PTE.
+        assert_eq!(op.pa(), PhysAddr::new(0x1234_5678 & !7));
+        assert_eq!(op.kind(), WarmKind::Access);
+        assert_eq!(WarmOp::flush_pwc(core).kind(), WarmKind::FlushPwc);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond a warming operation's range")]
+    fn warm_ops_refuse_addresses_they_cannot_hold() {
+        WarmOp::access(CoreId::new(0), PhysAddr::new(1 << 45));
+    }
+
+    #[test]
+    fn applied_warm_ops_leave_the_state_of_the_calls_they_stand_for() {
+        // Two systems with the same page tables: one warms through the
+        // methods, the other through detached caches fed the same work as
+        // operations. Timed walks and accesses afterwards must agree.
+        let (mut calls, mut ops) = (system(2), system(2));
+        let asid = Asid::new(1);
+        let vas: Vec<_> = (0..64u64)
+            .map(|i| VirtAddr::new(0x4000_0000 + i * 0x3_1000))
+            .collect();
+        for mem in [&mut calls, &mut ops] {
+            for &va in &vas {
+                mem.ensure_mapped(asid, va, PageSize::Size4K);
+            }
+        }
+        let mut caches = ops.detach_caches();
+        for (i, &va) in vas.iter().enumerate() {
+            let core = CoreId::new(i % 2);
+            let pa = PhysAddr::new(va.value() ^ 0x5_0000);
+            calls.warm_walk(core, asid, va);
+            calls.warm_access(core, pa, false);
+            for op in ops.walk_warm_ops(core, asid, va) {
+                caches.apply(op);
+            }
+            caches.apply(WarmOp::access(core, pa));
+            if i % 7 == 0 {
+                calls.flush_pwc(core);
+                caches.apply(WarmOp::flush_pwc(core));
+            }
+        }
+        ops.attach_caches(caches);
+        for (i, &va) in vas.iter().enumerate().rev() {
+            let core = CoreId::new((i + 1) % 2);
+            assert_eq!(calls.walk(core, asid, va), ops.walk(core, asid, va));
+            let pa = PhysAddr::new(va.value() ^ 0x5_0000);
+            assert_eq!(calls.access(core, pa, false), ops.access(core, pa, false));
+        }
+        assert_eq!(calls.cache_stats(), ops.cache_stats());
+    }
+
+    #[test]
+    #[should_panic(expected = "detached for a fast-forward leg")]
+    fn detached_caches_refuse_timed_accesses() {
+        let mut mem = system(1);
+        let _caches = mem.detach_caches();
+        mem.access(CoreId::new(0), PhysAddr::new(0), false);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! 10/20/40/80 cycles, which [`WalkLatency::Fixed`] models by skipping the
 //! cache traversal.
 
-use crate::hierarchy::{MemorySystem, ServicedBy};
+use crate::hierarchy::{MemorySystem, ServicedBy, WarmOp};
 use nocstar_types::time::{Cycle, Cycles};
 use nocstar_types::{Asid, CoreId, PhysPageNum, VirtAddr, VirtPageNum};
 
@@ -144,16 +144,9 @@ impl MemorySystem {
                 let mut latency = Cycles::ZERO;
                 let mut pte_reads = Vec::with_capacity(outcome.pte_addrs.len());
                 let leaf = outcome.pte_addrs.len() - 1;
-                for (level, pa) in outcome.pte_addrs.iter().enumerate() {
-                    // Upper-level PTEs are served by the per-core paging-
-                    // structure cache when present; the leaf PTE always
-                    // reads the memory hierarchy.
-                    if level < leaf && self.pwc_mut(core).access(*pa) {
-                        latency += Cycles::ONE;
-                        pte_reads.push(ServicedBy::Pwc);
-                        continue;
-                    }
-                    let r = self.access(core, *pa, false);
+                let caches = self.caches_mut();
+                for (level, pa) in outcome.pte_addrs.into_iter().enumerate() {
+                    let r = caches.read_pte(core, pa, level < leaf);
                     latency += r.latency;
                     pte_reads.push(r.serviced_by);
                 }
@@ -185,20 +178,29 @@ impl MemorySystem {
     /// no latency or hit/miss statistics. Unmapped addresses are ignored
     /// — fast-forward resolves the mapping before warming.
     pub fn warm_walk(&mut self, core: CoreId, asid: Asid, va: VirtAddr) {
-        let outcome = match self.tables.get(&asid) {
-            Some(table) => table.walk(va),
-            None => return,
+        for op in self.walk_warm_ops(core, asid, va) {
+            self.caches_mut().apply(op);
+        }
+    }
+
+    /// The [`warm_walk`](Self::warm_walk) of `va` as warming operations,
+    /// one per PTE read in walk order, with the PTE addresses read from
+    /// the page tables now; none for an unmapped address.
+    pub fn walk_warm_ops(
+        &self,
+        core: CoreId,
+        asid: Asid,
+        va: VirtAddr,
+    ) -> impl Iterator<Item = WarmOp> + use<> {
+        let pte_addrs = match self.tables.get(&asid).map(|table| table.walk(va)) {
+            Some(outcome) if outcome.mapping.is_some() => outcome.pte_addrs,
+            _ => Vec::new(),
         };
-        if outcome.mapping.is_none() || outcome.pte_addrs.is_empty() {
-            return;
-        }
-        let leaf = outcome.pte_addrs.len() - 1;
-        for (level, pa) in outcome.pte_addrs.iter().enumerate() {
-            if level < leaf && self.pwc_mut(core).touch(*pa) {
-                continue;
-            }
-            self.warm_access(core, *pa, false);
-        }
+        let leaf = pte_addrs.len().saturating_sub(1);
+        pte_addrs
+            .into_iter()
+            .enumerate()
+            .map(move |(level, pa)| WarmOp::pte(core, pa, level < leaf))
     }
 }
 

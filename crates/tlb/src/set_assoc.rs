@@ -137,7 +137,30 @@ pub struct SetAssocTlb {
     valid: usize,
     state: ReplacementState,
     stats: HitMiss,
-    index_divisor: u64,
+    index: SetIndex,
+}
+
+/// How a VPN selects its set: `(vpn / divisor) % sets`.
+#[derive(Debug, Clone, Copy)]
+enum SetIndex {
+    /// Divisor and set count are both powers of two: a shift and a mask.
+    Pow2 { shift: u32, mask: u64 },
+    /// Anything else: two divisions.
+    Div { divisor: u64, sets: u64 },
+}
+
+impl SetIndex {
+    fn new(divisor: u64, sets: usize) -> Self {
+        let sets = sets as u64;
+        if divisor.is_power_of_two() && sets.is_power_of_two() {
+            SetIndex::Pow2 {
+                shift: divisor.trailing_zeros(),
+                mask: sets - 1,
+            }
+        } else {
+            SetIndex::Div { divisor, sets }
+        }
+    }
 }
 
 impl SetAssocTlb {
@@ -164,7 +187,7 @@ impl SetAssocTlb {
             valid: 0,
             state: ReplacementState::new(policy),
             stats: HitMiss::new(),
-            index_divisor: 1,
+            index: SetIndex::new(1, entries / ways),
         }
     }
 
@@ -180,7 +203,7 @@ impl SetAssocTlb {
     /// Panics if `divisor` is zero.
     pub fn set_index_divisor(&mut self, divisor: u64) {
         assert!(divisor > 0, "index divisor must be nonzero");
-        self.index_divisor = divisor;
+        self.index = SetIndex::new(divisor, self.num_sets());
     }
 
     /// Total entry capacity.
@@ -205,7 +228,11 @@ impl SetAssocTlb {
 
     #[inline]
     fn set_index(&self, vpn: VirtPageNum) -> usize {
-        ((vpn.number() / self.index_divisor) % self.lens.len() as u64) as usize
+        let vpn = vpn.number();
+        (match self.index {
+            SetIndex::Pow2 { shift, mask } => (vpn >> shift) & mask,
+            SetIndex::Div { divisor, sets } => (vpn / divisor) % sets,
+        }) as usize
     }
 
     /// The valid ways of `set`.

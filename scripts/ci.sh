@@ -10,7 +10,9 @@
 #                     faulted slice_ubench must report denied setups in
 #                     its --metrics-json file, and a misspelt flag and a
 #                     fault plan naming a link the system lacks must each
-#                     exit 2) + tier-1 tests.
+#                     exit 2) + tier-1 tests + the sampled goldens
+#                     and tests/sampled.rs pinned to one CPU (skipped
+#                     where taskset is missing).
 #                     `cargo test --workspace`
 #                     runs every non-ignored test once, including the
 #                     golden-report, determinism, chaos and NCT trace
@@ -168,6 +170,18 @@ scripts/loc.sh --total crates
 
 echo "== tier-1 tests =="
 cargo test -q --workspace
+
+echo "== sampled goldens and tests/sampled.rs on one CPU =="
+# A fast-forward leg warms the caches on a helper thread; pinned to one
+# CPU, the helper and the leg's own thread take turns, so the reports
+# must stay byte-identical and every run (a panicking one included) must
+# still finish.
+if command -v taskset >/dev/null 2>&1; then
+  taskset -c 0 cargo test -q --test golden_reports sampled
+  taskset -c 0 cargo test -q --test sampled
+else
+  echo "   skipped: taskset not found"
+fi
 
 if [[ "$NIGHTLY" == "1" ]]; then
   echo "== nightly: 1024-core hierarchical-fabric chaos (cluster outage) =="
