@@ -181,6 +181,38 @@ fn golden_hier_xbar() {
     check_report("hier_xbar", &report);
 }
 
+/// Cores of the crossbar storm golden: eight clusters of four, so the
+/// overlay is a 3x3 mesh and shootdown relays cross it in every
+/// direction.
+const HIER_XBAR_STORM_CORES: usize = 32;
+
+#[test]
+fn golden_hier_xbar_storm() {
+    // The crossbar under cross-cluster shootdown traffic, with cluster
+    // 1's gateway tile offline for the whole run: every leg into or out
+    // of that cluster runs through the elected gateway.
+    let org = TlbOrg::Hier {
+        slice_entries: 1024,
+        cluster_size: 4,
+        intra: IntraKind::Xbar,
+        inter: InterKind::Mesh,
+    };
+    let config = golden_config_at(HIER_XBAR_STORM_CORES, org);
+    let workload = WorkloadAssignment::storm(&config, Preset::Canneal, 100, 150);
+    let plan = FaultPlan::parse("slice:4@0-1000000").expect("valid plan");
+    let report = Simulation::new(config, workload)
+        .with_faults(plan)
+        .with_recovery(RecoveryPolicy::all())
+        .run_measured(WARMUP, MEASURE);
+    assert!(report.shootdowns > 512, "no promote shootdowns to pin");
+    let failovers = report
+        .metrics
+        .counter("recovery.gateway_failovers")
+        .unwrap_or(0);
+    assert!(failovers > 0, "no gateway failovers to pin");
+    check_report("hier_xbar_storm", &report);
+}
+
 /// A 16-core hier storm over `inter` with one overlay link dead for the
 /// whole run, another degraded, and a brief whole-overlay outage, under
 /// the full recovery policy: the shootdown relays that cross clusters
