@@ -8,15 +8,15 @@
 //!
 //! This module holds the run entry points, the event loop and the thread
 //! lifecycle; `translate`, `rehome`, `sampled` and `harvest` hold the
-//! translation path, slice re-homing, sampled replay and report assembly,
-//! and `tx_table` the in-flight transactions they share.
+//! translation path, slice re-homing, sampled replay and report assembly.
+//! The in-flight transactions they share sit in an [`IdTable`] keyed by
+//! message id.
 
 mod harvest;
 mod rehome;
 mod sampled;
 mod tests;
 mod translate;
-mod tx_table;
 
 use crate::assignment::WorkloadAssignment;
 use crate::config::{SystemConfig, TlbOrg};
@@ -32,14 +32,13 @@ use nocstar_stats::metrics::{CounterId, MetricsRegistry};
 use nocstar_stats::tracing::TraceSink;
 use nocstar_tlb::l1::L1Tlb;
 use nocstar_types::time::{Cycle, Cycles};
-use nocstar_types::{Asid, CoreId, MeshShape, PageSize, VirtAddr, VirtPageNum};
+use nocstar_types::{Asid, CoreId, IdTable, MeshShape, PageSize, VirtAddr, VirtPageNum};
 use nocstar_workloads::sample::SampleSpec;
 use nocstar_workloads::trace::{MemAccess, TraceEvent, TraceSource};
 use rehome::Rehome;
 use sampled::{SamplingState, WarmFeed};
 use std::collections::BTreeMap;
 use translate::TxState;
-use tx_table::TxTable;
 
 pub(crate) use harvest::RunStats;
 
@@ -137,7 +136,7 @@ pub struct Simulation {
     threads: Vec<ThreadState>,
     walker_free: Vec<Cycle>,
     events: EventQueue,
-    txs: TxTable<TxState>,
+    txs: IdTable<TxState>,
     next_tx: u64,
     now: Cycle,
     target: u64,
@@ -242,7 +241,7 @@ impl Simulation {
                 .collect(),
             walker_free: vec![Cycle::ZERO; config.cores],
             events: EventQueue::new(),
-            txs: TxTable::new(),
+            txs: IdTable::new(),
             next_tx: 0,
             now: Cycle::ZERO,
             target: 0,

@@ -12,7 +12,7 @@ use crate::event::Event;
 use crate::sampling::{self, SamplingReport, WindowSample};
 use nocstar_faults::SimError;
 use nocstar_mem::hierarchy::{Caches, WarmOp};
-use nocstar_mem::walker::WalkLatency;
+use nocstar_mem::walker::{pte_warm_ops, WalkLatency};
 use nocstar_tlb::entry::TlbEntry;
 use nocstar_types::time::Cycle;
 use nocstar_types::{Asid, VirtPageNum};
@@ -218,7 +218,7 @@ impl Simulation {
     /// One access, functionally: the stat-free mirror of
     /// [`issue`](Self::issue)'s translation path. L1 and home-slice
     /// contents update through the stat-free `touch` entry points, misses
-    /// demand-map and fill through `MemorySystem::resolve_mapped`, and the
+    /// demand-map and fill through `MemorySystem::resolve_walk`, and the
     /// same adjacent-page prefetch fills fire — so the TLB state a measurement window starts
     /// from matches what an exact replay would have left behind, up to
     /// timing-dependent interleaving (`SAMPLING.md §2`).
@@ -252,9 +252,9 @@ impl Simulation {
         // mapping on first touch), fill both levels, and pull the PTE
         // lines through the walking core's caches (variable-latency walks
         // only — fixed-latency walks never touch the hierarchy).
-        let (vpn, ppn) = self.mem.resolve_mapped(asid, va, size);
+        let (vpn, ppn, pte_addrs) = self.mem.resolve_walk(asid, va, size);
         if self.config.walk_latency == WalkLatency::Variable {
-            for op in self.mem.walk_warm_ops(core, asid, va) {
+            for op in pte_warm_ops(core, pte_addrs) {
                 warm.push(op);
             }
         }

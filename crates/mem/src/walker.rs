@@ -9,8 +9,9 @@
 //! cache traversal.
 
 use crate::hierarchy::{MemorySystem, ServicedBy, WarmOp};
+use crate::page_table::PerLevel;
 use nocstar_types::time::{Cycle, Cycles};
-use nocstar_types::{Asid, CoreId, PhysPageNum, VirtAddr, VirtPageNum};
+use nocstar_types::{Asid, CoreId, PhysAddr, PhysPageNum, VirtAddr, VirtPageNum};
 
 /// How page-walk latency is charged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,7 +35,7 @@ pub struct WalkResult {
     /// Total walk latency.
     pub latency: Cycles,
     /// Which level serviced each PTE read (empty for fixed-latency walks).
-    pub pte_reads: Vec<ServicedBy>,
+    pub pte_reads: PerLevel<ServicedBy>,
 }
 
 impl WalkResult {
@@ -138,14 +139,14 @@ impl MemorySystem {
                 vpn,
                 ppn,
                 latency,
-                pte_reads: Vec::new(),
+                pte_reads: PerLevel::new(ServicedBy::Pwc),
             },
             WalkLatency::Variable => {
                 let mut latency = Cycles::ZERO;
-                let mut pte_reads = Vec::with_capacity(outcome.pte_addrs.len());
+                let mut pte_reads = PerLevel::new(ServicedBy::Pwc);
                 let leaf = outcome.pte_addrs.len() - 1;
                 let caches = self.caches_mut();
-                for (level, pa) in outcome.pte_addrs.into_iter().enumerate() {
+                for (level, &pa) in outcome.pte_addrs.iter().enumerate() {
                     let r = caches.read_pte(core, pa, level < leaf);
                     latency += r.latency;
                     pte_reads.push(r.serviced_by);
@@ -194,14 +195,18 @@ impl MemorySystem {
     ) -> impl Iterator<Item = WarmOp> + use<> {
         let pte_addrs = match self.tables.get(&asid).map(|table| table.walk(va)) {
             Some(outcome) if outcome.mapping.is_some() => outcome.pte_addrs,
-            _ => Vec::new(),
+            _ => PerLevel::new(PhysAddr::new(0)),
         };
-        let leaf = pte_addrs.len().saturating_sub(1);
-        pte_addrs
-            .into_iter()
-            .enumerate()
-            .map(move |(level, pa)| WarmOp::pte(core, pa, level < leaf))
+        pte_warm_ops(core, pte_addrs)
     }
+}
+
+/// The warming operations of a walk on `core` that reads `pte_addrs`:
+/// PWC fills for the upper levels and cache fills for every read, as a
+/// [`WalkLatency::Variable`] walk makes them.
+pub fn pte_warm_ops(core: CoreId, pte_addrs: PerLevel<PhysAddr>) -> impl Iterator<Item = WarmOp> {
+    let leaf = pte_addrs.len().saturating_sub(1);
+    (0..pte_addrs.len()).map(move |level| WarmOp::pte(core, pte_addrs[level], level < leaf))
 }
 
 #[cfg(test)]
@@ -239,8 +244,8 @@ mod tests {
         let warm = mem.walk(CoreId::new(0), asid, va);
         // Upper levels hit the PWC (1 cycle each); the leaf PTE hits L1.
         assert_eq!(
-            warm.pte_reads,
-            vec![
+            warm.pte_reads[..],
+            [
                 ServicedBy::Pwc,
                 ServicedBy::Pwc,
                 ServicedBy::Pwc,
@@ -353,8 +358,8 @@ mod tests {
         // prior real walk would have left: PWC upper levels, L1 leaf.
         let warm = mem.walk(CoreId::new(0), asid, va);
         assert_eq!(
-            warm.pte_reads,
-            vec![
+            warm.pte_reads[..],
+            [
                 ServicedBy::Pwc,
                 ServicedBy::Pwc,
                 ServicedBy::Pwc,

@@ -5,9 +5,11 @@
 //!   `(arrival cycle, push order)` order. A local message is pushed at
 //!   submit like any other, so it lands after everything scheduled
 //!   before it for the same cycle.
-//! * [`Lane`] and [`land`] (bus, crossbar) serve one-cycle media. A
-//!   fabric lands its local lane first, then the medium's arrival, so a
-//!   local message leaves before a same-cycle remote one.
+//! * [`Lane`] and [`land`] serve the bus, a one-cycle medium: it lands
+//!   its local lane first, then the medium's arrival, so a local message
+//!   leaves before a same-cycle remote one. The hierarchical fabric's
+//!   cluster arbiters keep that order, and its end-to-end deliveries go
+//!   through [`land`].
 
 use crate::message::{Delivery, Message};
 use crate::NocStats;

@@ -7,9 +7,9 @@
 //! existing fabric models into a two-level topology:
 //!
 //! * an **intra-cluster fabric** per cluster of `cluster_size` contiguous
-//!   tiles — a shared [`BusNoc`] (1-cycle arbitration + broadcast) or a
-//!   non-blocking [`XbarNoc`] (per-output-port arbitration, 1-cycle
-//!   traversal);
+//!   tiles — a shared bus (1-cycle arbitration + broadcast, as
+//!   [`BusNoc`](crate::bus::BusNoc) with no faults) or a non-blocking
+//!   crossbar (per-output-port arbitration, 1-cycle traversal);
 //! * an **inter-cluster overlay** connecting one gateway tile per cluster
 //!   — a contended [`MeshNoc`] or a SMART bypass [`MeshNoc`] over the
 //!   cluster grid.
@@ -24,9 +24,18 @@
 //! Member fabrics see one leg at a time under the original message id
 //! (ids are only used for arbitration tie-breaks, and a message occupies
 //! one leg at any instant, so ids stay unique per fabric). `HierNoc`
-//! tracks leg progress in a route table and reports *end-to-end*
-//! statistics: `latency` is submit-to-final-arrival, and `no_contention`
-//! counts messages that matched their route's zero-queueing floor.
+//! tracks leg progress in a route table keyed by id and reports
+//! *end-to-end* statistics: `latency` is submit-to-final-arrival, and
+//! `no_contention` counts messages that matched their route's
+//! zero-queueing floor. The cluster fabrics are compact arbiters with no
+//! statistics or fault block of their own.
+//!
+//! `HierNoc` keeps an activity index: each member's next activity (the
+//! clusters', then the overlay's) and their minimum. A cycle advances
+//! only the members due at it, and `next_activity` reads the cached
+//! minimum. Skipping the others is exact, since a member advanced before
+//! its next activity does nothing (DESIGN.md §13, "How `HierNoc`
+//! advances").
 //!
 //! Fault plans target the overlay: `link:L` clauses index the overlay
 //! mesh's directed links (the cluster-local wires are short, wide and
@@ -37,16 +46,18 @@
 //! clause, which the *simulator* maps to slice offline windows — the
 //! network itself keeps routing.
 
-use crate::arrivals::{land, Lane};
-use crate::bus::BusNoc;
+use crate::arrivals::land;
 use crate::mesh::MeshNoc;
 use crate::message::{Delivery, Message};
 use crate::{FaultState, Interconnect, NocStats};
+use cluster::ClusterArbiter;
 use nocstar_faults::DiagSnapshot;
 use nocstar_types::cluster::ClusterMap;
 use nocstar_types::time::{Cycle, Cycles};
-use nocstar_types::{CoreId, MeshShape};
-use std::collections::BTreeMap;
+use nocstar_types::{CoreId, IdTable, MeshShape};
+
+mod cluster;
+mod reference;
 
 /// Intra-cluster fabric choice (`--cluster-intra`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,133 +77,6 @@ pub enum InterKind {
     Mesh,
     /// SMART bypass mesh with the given HPCmax.
     Smart(usize),
-}
-
-/// A non-blocking crossbar: every output port arbitrates independently
-/// (oldest message first, ids breaking ties) and a granted message takes
-/// one cycle to traverse. Contention only arises when two inputs target
-/// the same output. Used as the intra-cluster fabric of [`HierNoc`];
-/// injected faults are handled at the overlay level, so this model keeps
-/// no fault state.
-#[derive(Debug, Clone)]
-pub struct XbarNoc {
-    /// First core index served by this crossbar (ports are addressed as
-    /// `dst - base`).
-    base: usize,
-    /// Index-addressed output ports — the flat arena replacing per-tile
-    /// allocations at 1024-core scale.
-    ports: Vec<OutPort>,
-    local: Lane,
-    stats: NocStats,
-}
-
-#[derive(Debug, Clone, Default)]
-struct OutPort {
-    /// Waiting messages: (message, submitted_at).
-    pending: Vec<(Message, Cycle)>,
-    /// The granted traversal: (message, arrival, submitted_at).
-    in_flight: Option<(Message, Cycle, Cycle)>,
-}
-
-impl XbarNoc {
-    /// A crossbar serving cores `[base, base + ports)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ports` is zero.
-    pub fn new(base: usize, ports: usize) -> Self {
-        assert!(ports > 0, "a crossbar needs at least one port");
-        Self {
-            base,
-            ports: vec![OutPort::default(); ports],
-            local: Lane::default(),
-            stats: NocStats::with_links(ports),
-        }
-    }
-
-    fn port_of(&self, dst: CoreId) -> usize {
-        dst.index() - self.base
-    }
-}
-
-impl Interconnect for XbarNoc {
-    fn submit(&mut self, now: Cycle, msg: Message) {
-        if msg.is_local() {
-            self.local.push(msg, now, now);
-            return;
-        }
-        let port = self.port_of(msg.dst);
-        self.ports[port].pending.push((msg, now));
-    }
-
-    fn advance(&mut self, cycle: Cycle) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        self.local.land_due(cycle, &mut self.stats, &mut out);
-        for (p, port) in self.ports.iter_mut().enumerate() {
-            if let Some((msg, at, submitted)) = port.in_flight {
-                if at <= cycle {
-                    port.in_flight = None;
-                    land(&mut self.stats, msg, at, submitted, Cycles::ONE, &mut out);
-                }
-            }
-            if port.in_flight.is_none() {
-                // Oldest waiter wins the output port, ids breaking ties.
-                let next = port
-                    .pending
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &(_, at))| at <= cycle)
-                    .min_by_key(|(_, &(msg, at))| (at, msg.id))
-                    .map(|(i, _)| i);
-                if let Some(i) = next {
-                    let (msg, submitted) = port.pending.remove(i);
-                    port.in_flight = Some((msg, cycle + Cycles::ONE, submitted));
-                    self.stats.grants += 1;
-                    self.stats.link_busy[p] += 1;
-                }
-            }
-        }
-        out
-    }
-
-    fn next_activity(&self) -> Option<Cycle> {
-        let flights = self
-            .ports
-            .iter()
-            .filter_map(|p| p.in_flight.map(|(_, at, _)| at));
-        // A queued message behind an occupied output port cannot win
-        // arbitration until the in-flight transfer lands, so clamp its
-        // reported activity to that arrival (see BusNoc::next_activity).
-        let queued = self.ports.iter().flat_map(|p| {
-            let busy = p.in_flight.map(|(_, at, _)| at);
-            p.pending
-                .iter()
-                .map(move |&(_, at)| busy.map_or(at, |b| at.max(b)))
-        });
-        flights.chain(queued).chain(self.local.next_at()).min()
-    }
-
-    fn stats(&self) -> &NocStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    fn diagnostics(&self, cycle: Cycle) -> DiagSnapshot {
-        let pending_messages = self
-            .ports
-            .iter()
-            .flat_map(|p| p.pending.iter())
-            .map(|&(msg, submitted_at)| msg.pending(submitted_at, 0))
-            .collect();
-        DiagSnapshot {
-            cycle: cycle.value(),
-            pending_messages,
-            ..DiagSnapshot::default()
-        }
-    }
 }
 
 /// Which leg of its route a message is riding.
@@ -225,13 +109,32 @@ struct Route {
 pub struct HierNoc {
     map: ClusterMap,
     overlay_shape: MeshShape,
-    /// Index-addressed per-cluster fabrics: buses or crossbars.
-    intra: Vec<Box<dyn Interconnect>>,
+    intra: IntraKind,
+    /// Index-addressed per-cluster arbiters.
+    clusters: Vec<ClusterArbiter>,
     /// The overlay: a contended mesh or SMART over the cluster grid.
     inter: MeshNoc,
-    routes: BTreeMap<u64, Route>,
+    routes: IdTable<Route>,
+    /// The activity index, always equal to what each member would
+    /// report: every cluster's next activity as a cycle value, or
+    /// [`IDLE`], and the overlay's.
+    cluster_next: Vec<u64>,
+    overlay_next: Option<Cycle>,
+    /// The earliest of `cluster_next`; stale only inside `advance`,
+    /// which rescans it at its end if the cluster that held it moved
+    /// later.
+    clusters_earliest: u64,
+    stale: bool,
+    /// The legs landed by one pass over the due members (reused).
+    legs: Vec<Delivery>,
     stats: NocStats,
 }
+
+/// A cluster with no work in the activity index. An arbiter's activity
+/// is a submit cycle or the cycle after a grant, so it never reaches
+/// `u64::MAX` itself (the overlay's saturating fault penalties can, which
+/// is why its entry stays an `Option`).
+const IDLE: u64 = u64::MAX;
 
 impl HierNoc {
     /// Builds the fabric for `cores` tiles in clusters of `cluster_size`.
@@ -243,25 +146,58 @@ impl HierNoc {
     pub fn new(cores: usize, cluster_size: usize, intra: IntraKind, inter: InterKind) -> Self {
         let map = ClusterMap::new(cores, cluster_size);
         let overlay_shape = MeshShape::square_for(map.clusters());
-        let intra = (0..map.clusters())
-            .map(|k| -> Box<dyn Interconnect> {
-                match intra {
-                    IntraKind::Bus => Box::new(BusNoc::new(overlay_shape)),
-                    IntraKind::Xbar => Box::new(XbarNoc::new(map.base(k), cluster_size)),
-                }
-            })
-            .collect();
+        let ports = match intra {
+            IntraKind::Bus => 1,
+            IntraKind::Xbar => cluster_size,
+        };
+        let clusters = vec![ClusterArbiter::new(ports); map.clusters()];
         let inter = match inter {
             InterKind::Mesh => MeshNoc::contended(overlay_shape),
             InterKind::Smart(hpc) => MeshNoc::new(overlay_shape, hpc),
         };
         Self {
+            cluster_next: vec![IDLE; clusters.len()],
+            overlay_next: None,
             map,
             overlay_shape,
             intra,
+            clusters,
             inter,
-            routes: BTreeMap::new(),
+            routes: IdTable::new(),
+            clusters_earliest: IDLE,
+            stale: false,
+            legs: Vec::new(),
             stats: NocStats::with_links(0),
+        }
+    }
+
+    /// Cluster `k`'s next activity is now `at`, no later than before.
+    fn lower(&mut self, k: usize, at: Cycle) {
+        let at = at.value();
+        self.cluster_next[k] = self.cluster_next[k].min(at);
+        self.clusters_earliest = self.clusters_earliest.min(at);
+    }
+
+    /// Cluster `k` was advanced and its next activity is now `at`, which
+    /// may be later than before.
+    fn refresh(&mut self, k: usize, at: Option<Cycle>) {
+        let at = at.map_or(IDLE, Cycle::value);
+        let was = std::mem::replace(&mut self.cluster_next[k], at);
+        if at < self.clusters_earliest {
+            self.clusters_earliest = at;
+        } else if was == self.clusters_earliest && at != was {
+            self.stale = true;
+        }
+    }
+
+    /// Queues `leg` on cluster `k`'s arbiter at `now`.
+    fn submit_leg(&mut self, k: usize, now: Cycle, leg: Message) {
+        let port = match self.intra {
+            IntraKind::Bus => 0,
+            IntraKind::Xbar => leg.dst.index() - self.map.base(k),
+        };
+        if let Some(at) = self.clusters[k].submit(now, leg, port, self.intra) {
+            self.lower(k, at);
         }
     }
 
@@ -315,7 +251,7 @@ impl HierNoc {
     /// Routes one member-fabric delivery: forwards the next leg (true) or
     /// emits the final end-to-end delivery into `out` (false).
     fn step_route(&mut self, d: Delivery, out: &mut Vec<Delivery>) -> bool {
-        let Some(route) = self.routes.get_mut(&d.msg.id) else {
+        let Some(route) = self.routes.get_mut(d.msg.id) else {
             debug_assert!(false, "delivery for unrouted message {}", d.msg.id);
             return false;
         };
@@ -324,7 +260,7 @@ impl HierNoc {
         match route.stage {
             Stage::Direct | Stage::IntraDst => {
                 let submitted_at = route.submitted_at;
-                self.routes.remove(&d.msg.id);
+                self.routes.remove(d.msg.id);
                 land(&mut self.stats, msg, d.at(), submitted_at, floor, out);
                 return false;
             }
@@ -335,12 +271,14 @@ impl HierNoc {
                 let cs = CoreId::new(self.map.cluster_of(msg.src));
                 let leg = Message::new(msg.id, cs, CoreId::new(cd), msg.kind);
                 self.inter.submit(d.at(), leg);
+                // The leg is a new flight, ready at `d.at()`.
+                self.overlay_next = Some(self.overlay_next.map_or(d.at(), |at| at.min(d.at())));
             }
             Stage::Overlay => {
                 // At the destination gateway: final intra leg.
                 route.stage = Stage::IntraDst;
                 let gw = self.gateway_at(cd, d.at());
-                self.intra[cd].submit(d.at(), Message::new(msg.id, gw, msg.dst, msg.kind));
+                self.submit_leg(cd, d.at(), Message::new(msg.id, gw, msg.dst, msg.kind));
             }
         }
         self.stats.grants += 1;
@@ -368,39 +306,52 @@ impl Interconnect for HierNoc {
             floor,
         };
         self.routes.insert(msg.id, route);
-        self.intra[cs].submit(now, leg);
+        self.submit_leg(cs, now, leg);
     }
 
     fn advance(&mut self, cycle: Cycle) -> Vec<Delivery> {
         let mut out = Vec::new();
-        // A leg completing this cycle may hand off to a member fabric
-        // that was already advanced, so cascade: re-advance until no leg
-        // was forwarded. Member fabrics tolerate repeated same-cycle
-        // advances (flights are gated on `ready_at`), and a message has
-        // at most three legs, so this terminates quickly.
+        let mut legs = std::mem::take(&mut self.legs);
+        // A leg completing this cycle may hand off to a member that was
+        // already advanced, so cascade: re-advance the due members until
+        // no leg was forwarded. Members tolerate repeated same-cycle
+        // advances (flights are gated on their ready cycle), and a
+        // message has at most three legs, so this terminates quickly.
         loop {
-            let mut legs: Vec<Delivery> = Vec::new();
-            for f in &mut self.intra {
-                legs.extend(f.advance(cycle));
+            legs.clear();
+            for k in 0..self.clusters.len() {
+                if self.cluster_next[k] <= cycle.value() {
+                    self.clusters[k].advance(cycle, self.intra, &mut legs);
+                    let at = self.clusters[k].next_activity(self.intra);
+                    self.refresh(k, at);
+                }
             }
-            legs.extend(self.inter.advance(cycle));
+            if self.overlay_next.is_some_and(|at| at <= cycle) {
+                self.inter.advance_into(cycle, &mut legs);
+                self.overlay_next = self.inter.next_activity();
+            }
             let mut forwarded = false;
-            for d in legs {
+            for &d in &legs {
                 forwarded |= self.step_route(d, &mut out);
             }
             if !forwarded {
                 break;
             }
         }
+        self.legs = legs;
+        if self.stale {
+            self.clusters_earliest = self.cluster_next.iter().copied().min().unwrap_or(IDLE);
+            self.stale = false;
+        }
         out
     }
 
     fn next_activity(&self) -> Option<Cycle> {
-        self.intra
-            .iter()
-            .filter_map(|f| f.next_activity())
-            .chain(self.inter.next_activity())
-            .min()
+        let clusters = (self.clusters_earliest != IDLE).then(|| Cycle::new(self.clusters_earliest));
+        match (clusters, self.overlay_next) {
+            (Some(c), Some(o)) => Some(c.min(o)),
+            (c, o) => c.or(o),
+        }
     }
 
     fn stats(&self) -> &NocStats {
@@ -409,9 +360,6 @@ impl Interconnect for HierNoc {
 
     fn reset_stats(&mut self) {
         self.stats.reset();
-        for f in &mut self.intra {
-            f.reset_stats();
-        }
         self.inter.reset_stats();
     }
 
@@ -435,8 +383,8 @@ impl Interconnect for HierNoc {
     fn diagnostics(&self, cycle: Cycle) -> DiagSnapshot {
         let pending_messages = self
             .routes
-            .values()
-            .map(|r| r.msg.pending(r.submitted_at, 0))
+            .iter()
+            .map(|(_, r)| r.msg.pending(r.submitted_at, 0))
             .collect();
         DiagSnapshot {
             pending_messages,
@@ -524,17 +472,6 @@ mod tests {
         let d = drain(&mut noc, Cycle::ZERO);
         assert_eq!(d.len(), 4);
         assert!(d.iter().all(|d| d.at() == Cycle::new(1)));
-    }
-
-    #[test]
-    fn xbar_same_cycle_local_delivery_precedes_the_port_arrival() {
-        let mut xbar = XbarNoc::new(0, 4);
-        xbar.submit(Cycle::ZERO, msg(1, 0, 3));
-        assert!(xbar.advance(Cycle::ZERO).is_empty());
-        xbar.submit(Cycle::new(1), msg(2, 2, 2));
-        let d = xbar.advance(Cycle::new(1));
-        let order: Vec<(u64, u64)> = d.iter().map(|d| (d.msg.id, d.at().value())).collect();
-        assert_eq!(order, [(2, 1), (1, 1)]);
     }
 
     #[test]
@@ -650,7 +587,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_clears_members_too() {
+    fn reset_stats_restarts_the_end_to_end_counters() {
         let mut noc = hier(64, 16);
         noc.submit(Cycle::ZERO, msg(1, 5, 50));
         drain(&mut noc, Cycle::ZERO);

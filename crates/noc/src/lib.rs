@@ -15,7 +15,7 @@
 //! * [`arbiter`] — NOCSTAR's per-link arbiters: static priority, rotated
 //!   round-robin every 1000 cycles to prevent starvation (§III-B2).
 //! * [`hier`] — a two-level hierarchical fabric for 1000+ tiles: per-cluster
-//!   bus/crossbar fabrics stitched together by a mesh or SMART overlay
+//!   bus/crossbar arbiters stitched together by a mesh or SMART overlay
 //!   between cluster gateways.
 //! * [`circuit`] — the NOCSTAR fabric itself: latchless switches,
 //!   same-cycle full-path acquisition (AND of per-link grants), retry on
@@ -32,11 +32,12 @@
 //!
 //! The plumbing around arbitration exists once. A private `arrivals`
 //! module holds the two delivery disciplines: circuit, mesh and SMART pop
-//! one arrival queue in `(arrival cycle, push order)` order, while bus and
-//! crossbar land their local lane before the medium's same-cycle arrival.
-//! Mesh, SMART, circuit and bus keep their fault plan, recovery policy and
-//! the counters of both in one [`FaultState`]; the hierarchical fabric
-//! uses its overlay's block and counts its gateway failovers there.
+//! one arrival queue in `(arrival cycle, push order)` order, while the bus
+//! lands its local lane before the medium's same-cycle arrival (as the
+//! hierarchical fabric's cluster arbiters do). Mesh, SMART, circuit and
+//! bus keep their fault plan, recovery policy and the counters of both in
+//! one [`FaultState`]; the hierarchical fabric uses its overlay's block
+//! and counts its gateway failovers there.
 //!
 //! # Examples
 //!
@@ -73,7 +74,7 @@ pub mod traffic;
 
 pub use bus::BusNoc;
 pub use circuit::CircuitFabric;
-pub use hier::{HierNoc, InterKind, IntraKind, XbarNoc};
+pub use hier::{HierNoc, InterKind, IntraKind};
 pub use mesh::MeshNoc;
 pub use message::{Delivery, Message, MsgKind};
 pub use smart::SmartNoc;

@@ -12,10 +12,14 @@
 //! * [`geometry`] — 2-D mesh tile coordinates and XY-routing hop math.
 //! * [`cluster`] — index-addressed partitioning of tiles into equal
 //!   clusters (hierarchical interconnects).
+//! * [`id_table`] — live entries addressed by ids from a monotone
+//!   counter (in-flight transactions and hierarchical routes).
 //!
-//! Everything here is plain data: `Copy`, `Ord`, `Hash`, `serde`-serializable
-//! and free of behaviour beyond small arithmetic helpers, so the simulator
-//! crates can exchange values without depending on each other.
+//! Everything here except [`IdTable`] is plain data: `Copy`, `Ord`, `Hash`,
+//! `serde`-serializable and free of behaviour beyond small arithmetic
+//! helpers, so the simulator crates can exchange values without depending
+//! on each other. [`IdTable`] lives here because the simulation loop and
+//! the hierarchical fabric both key their in-flight state by message id.
 //!
 //! # Examples
 //!
@@ -39,11 +43,13 @@
 pub mod addr;
 pub mod cluster;
 pub mod geometry;
+pub mod id_table;
 pub mod ids;
 pub mod time;
 
 pub use addr::{PageSize, PhysAddr, PhysPageNum, VirtAddr, VirtPageNum};
 pub use cluster::ClusterMap;
 pub use geometry::{Coord, MeshShape};
+pub use id_table::IdTable;
 pub use ids::{Asid, BankId, CoreId, SliceId, ThreadId};
 pub use time::{Cycle, Cycles};

@@ -23,6 +23,9 @@
 #                     (ignored in tier-1), the 2,048-case differential
 #                     check of the flit-mesh engine (contended mesh and
 #                     SMART) against its test-only reference, the
+#                     2,048-case differential check of the hier
+#                     fabric's cluster arbiters against the bus and
+#                     crossbar they replaced, the
 #                     2,048-case differential check of the LLC's
 #                     first-touch sets against the flat layout, the
 #                     2,048-case differential check of the flat TLB
@@ -195,6 +198,9 @@ if [[ "$NIGHTLY" == "1" ]]; then
 
   echo "== nightly: flit-mesh engine vs its two-stepper reference (2,048 cases) =="
   cargo test -q --release -p nocstar-noc --lib prop_engine_matches_reference_nightly -- --ignored
+
+  echo "== nightly: hier cluster arbiters vs the bus and crossbar they replaced (2,048 cases) =="
+  cargo test -q --release -p nocstar-noc --lib prop_arbiter_matches_reference_nightly -- --ignored
 
   echo "== nightly: first-touch cache sets vs the flat layout (2,048 cases) =="
   cargo test -q --release -p nocstar-mem --lib prop_first_touch_matches_flat_nightly -- --ignored
