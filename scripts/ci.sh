@@ -10,7 +10,10 @@
 #                     faulted slice_ubench must report denied setups in
 #                     its --metrics-json file, and a misspelt flag and a
 #                     fault plan naming a link the system lacks must each
-#                     exit 2) + tier-1 tests + the sampled goldens
+#                     exit 2, and `ablation --quick` must rewrite
+#                     tests/golden/ablation_bus.csv byte for byte: the
+#                     only run that drives the shared bus outside its
+#                     unit tests) + tier-1 tests + the sampled goldens
 #                     and tests/sampled.rs pinned to one CPU (skipped
 #                     where taskset is missing).
 #                     `cargo test --workspace`
@@ -167,6 +170,15 @@ if [[ "$status" != 2 ]]; then
   exit 1
 fi
 echo "   harness smoke: OK (out-of-range fault plan refused with exit 2)"
+
+echo "== harness smoke: the bus-vs-fabric ablation matches its golden CSV =="
+# The shared bus has no organization of its own, so this sweep of uniform
+# random traffic is the only run that reaches BusNoc outside its tests.
+rm -rf target/ablation-smoke
+NOCSTAR_OUT=target/ablation-smoke cargo run --release -q -p nocstar-bench --bin ablation -- \
+  --quick >/dev/null
+diff tests/golden/ablation_bus.csv target/ablation-smoke/ablation_bus.csv
+echo "   harness smoke: OK (ablation_bus.csv unchanged)"
 
 echo "== non-test lines under crates/ (information only, not a gate) =="
 scripts/loc.sh --total crates

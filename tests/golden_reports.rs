@@ -122,6 +122,46 @@ fn golden_nocstar_roundtrip() {
     check_report("nocstar_roundtrip", &report);
 }
 
+/// Asserts at least one setup retry per delivered message, so a golden
+/// pins a fabric under contention rather than an idle one.
+fn assert_contended(report: &SimReport) {
+    let net = report.network.as_ref().expect("a circuit fabric");
+    assert!(
+        net.retries >= net.delivered,
+        "{} retries for {} deliveries: not contended",
+        net.retries,
+        net.delivered
+    );
+}
+
+#[test]
+fn golden_nocstar_contended() {
+    // The one-way circuit at 256 cores under Redis: every delivery waits
+    // out several lost setups, so the report pins arbitration order,
+    // priority rotation and retry counts.
+    let report =
+        build(golden_config_at(256, TlbOrg::paper_nocstar())).run_measured(WARMUP, MEASURE);
+    assert_contended(&report);
+    check_report("nocstar_contended", &report);
+}
+
+#[test]
+fn golden_nocstar_roundtrip_contended() {
+    // Round-trip acquisition at 64 cores under GUPS: held reservations
+    // deny forward and reverse links to every other requester.
+    let org = TlbOrg::Nocstar {
+        slice_entries: 920,
+        hpc_max: 16,
+        acquire: AcquireMode::RoundTrip,
+        ideal_fabric: false,
+    };
+    let config = golden_config_at(64, org);
+    let workload = WorkloadAssignment::preset(&config, Preset::Gups);
+    let report = Simulation::new(config, workload).run_measured(WARMUP, MEASURE);
+    assert_contended(&report);
+    check_report("nocstar_roundtrip_contended", &report);
+}
+
 #[test]
 fn golden_nocstar_faulted() {
     // A one-way circuit under setup denial, a link outage and a link
