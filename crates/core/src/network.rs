@@ -138,6 +138,14 @@ impl NetworkModel {
         }
     }
 
+    /// Advances to `cycle`, appending its deliveries to `out` (see
+    /// [`Interconnect::advance_into`]).
+    pub fn advance_into(&mut self, cycle: Cycle, out: &mut Vec<Delivery>) {
+        if let Some(n) = self.as_dyn_mut() {
+            n.advance_into(cycle, out);
+        }
+    }
+
     /// Advances to `cycle`, returning deliveries.
     pub fn advance(&mut self, cycle: Cycle) -> Vec<Delivery> {
         self.as_dyn_mut()

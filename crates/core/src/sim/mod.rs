@@ -28,6 +28,7 @@ use crate::sampling::WindowSample;
 use nocstar_energy::model::NocDesign;
 use nocstar_faults::{DiagSnapshot, FaultPlan, RecoveryPolicy, SimError};
 use nocstar_mem::hierarchy::{MemoryConfig, MemorySystem, WarmOp};
+use nocstar_noc::message::Delivery;
 use nocstar_stats::metrics::{CounterId, MetricsRegistry};
 use nocstar_stats::tracing::TraceSink;
 use nocstar_tlb::l1::L1Tlb;
@@ -132,6 +133,9 @@ pub struct Simulation {
     l1s: Vec<L1Tlb>,
     org: OrgState,
     net: NetworkModel,
+    /// The network cycle's deliveries, drained before the next cycle
+    /// (reused, so advancing the network allocates nothing).
+    deliveries: Vec<Delivery>,
     traces: Vec<Box<dyn TraceSource>>,
     threads: Vec<ThreadState>,
     walker_free: Vec<Cycle>,
@@ -229,6 +233,7 @@ impl Simulation {
             l1s: (0..config.cores).map(|_| L1Tlb::new(l1_config)).collect(),
             org,
             net,
+            deliveries: Vec::new(),
             traces: workload.into_traces(),
             threads: (0..config.threads())
                 .map(|t| ThreadState {
@@ -500,9 +505,13 @@ impl Simulation {
                 self.handle_event(event)?;
             }
             if self.net.next_activity().is_some_and(|a| a <= self.now) {
-                for d in self.net.advance(self.now) {
-                    self.handle_delivery(d)?;
-                }
+                let mut deliveries = std::mem::take(&mut self.deliveries);
+                self.net.advance_into(self.now, &mut deliveries);
+                let handled = deliveries
+                    .drain(..)
+                    .try_for_each(|d| self.handle_delivery(d));
+                self.deliveries = deliveries;
+                handled?;
             }
         }
         Ok(())

@@ -1,15 +1,13 @@
-//! How messages leave a fabric: the two delivery disciplines the models
-//! share.
+//! How messages leave a fabric.
 //!
 //! * [`Arrivals`] (circuit, flit mesh, SMART) pops scheduled messages in
 //!   `(arrival cycle, push order)` order. A local message is pushed at
 //!   submit like any other, so it lands after everything scheduled
 //!   before it for the same cycle.
-//! * [`Lane`] and [`land`] serve the bus, a one-cycle medium: it lands
-//!   its local lane first, then the medium's arrival, so a local message
-//!   leaves before a same-cycle remote one. The hierarchical fabric's
-//!   cluster arbiters keep that order, and its end-to-end deliveries go
-//!   through [`land`].
+//! * [`land`] counts a delivery against its route's zero-queueing floor,
+//!   for the fabrics that time messages as they land rather than when
+//!   they are scheduled: the bus and the hierarchical fabric's
+//!   end-to-end deliveries.
 
 use crate::message::{Delivery, Message};
 use crate::NocStats;
@@ -82,46 +80,17 @@ impl<T> Arrivals<T> {
     }
 }
 
-/// Messages that land by themselves once due, in submission order:
-/// `(message, arrival, submitted_at)`.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Lane(Vec<(Message, Cycle, Cycle)>);
-
-impl Lane {
-    /// Queues `msg`, submitted at `submitted_at`, to land at `at`.
-    pub(crate) fn push(&mut self, msg: Message, at: Cycle, submitted_at: Cycle) {
-        self.0.push((msg, at, submitted_at));
-    }
-
-    /// The earliest queued arrival.
-    pub(crate) fn next_at(&self) -> Option<Cycle> {
-        self.0.iter().map(|&(_, at, _)| at).min()
-    }
-
-    /// [`land`]s every message due by `cycle`, in submission order, on a
-    /// one-cycle floor.
-    pub(crate) fn land_due(&mut self, cycle: Cycle, stats: &mut NocStats, out: &mut Vec<Delivery>) {
-        self.0.retain(|&(msg, at, submitted_at)| {
-            let due = at <= cycle;
-            if due {
-                land(stats, msg, at, submitted_at, Cycles::ONE, out);
-            }
-            !due
-        });
-    }
-}
-
-/// Delivers `msg` at `at` and counts it: a latency within `floor`, the
-/// route's zero-queueing time, is contention-free, and anything longer
-/// counts one retry. A one-cycle medium's floor is one cycle.
+/// Counts `msg`'s delivery at `at` and returns it: a latency within
+/// `floor`, the route's zero-queueing time, is contention-free, and
+/// anything longer counts one retry. A one-cycle medium's floor is one
+/// cycle.
 pub(crate) fn land(
     stats: &mut NocStats,
     msg: Message,
     at: Cycle,
     submitted_at: Cycle,
     floor: Cycles,
-    out: &mut Vec<Delivery>,
-) {
+) -> Delivery {
     let latency = at - submitted_at;
     stats.delivered += 1;
     stats.latency.record(latency);
@@ -130,5 +99,5 @@ pub(crate) fn land(
     } else {
         stats.retries += 1;
     }
-    out.push(Delivery::new(msg, at));
+    Delivery::new(msg, at)
 }

@@ -6,10 +6,15 @@
 //! every transfer swings the full bus — the paper's "+/−" latency/bandwidth
 //! marks. Included as a measurable baseline for the Table I comparison and
 //! for ablation against the NOCSTAR fabric at matching load.
+//!
+//! The bus is a fault-free baseline: no simulated organization runs over
+//! it, so it takes no fault plan and no recovery policy. A local
+//! (same-tile) message lands before the medium's same-cycle arrival, as
+//! it does in the hierarchical fabric's cluster arbiters.
 
-use crate::arrivals::{land, Lane};
+use crate::arrivals::land;
 use crate::message::{Delivery, Message};
-use crate::{FaultState, Interconnect, NocStats};
+use crate::{Interconnect, NocStats};
 use nocstar_faults::DiagSnapshot;
 use nocstar_types::time::{Cycle, Cycles};
 use nocstar_types::MeshShape;
@@ -33,19 +38,13 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct BusNoc {
-    /// FIFO of (message, submitted_at, fault_attempts) awaiting the bus.
-    pending: VecDeque<(Message, Cycle, u64)>,
+    /// FIFO of (message, submitted_at) awaiting the bus.
+    pending: VecDeque<(Message, Cycle)>,
     /// The broadcast in flight, if any: (message, arrival, submitted_at).
     in_flight: Option<(Message, Cycle, Cycle)>,
     /// Local (same-tile) messages, delivered without touching the bus.
     local: Lane,
-    /// Messages escaping a faulted bus over the maintenance wires.
-    escaped: Lane,
-    /// Earliest cycle the arbiter may grant again after a fault block
-    /// (keeps time advancing during an outage instead of busy-spinning).
-    next_try: Cycle,
     stats: NocStats,
-    faults: FaultState,
 }
 
 impl BusNoc {
@@ -56,11 +55,8 @@ impl BusNoc {
             pending: VecDeque::new(),
             in_flight: None,
             local: Lane::default(),
-            escaped: Lane::default(),
-            next_try: Cycle::ZERO,
             // The shared medium is modelled as a single link (index 0).
             stats: NocStats::with_links(1),
-            faults: FaultState::default(),
         }
     }
 }
@@ -68,65 +64,31 @@ impl BusNoc {
 impl Interconnect for BusNoc {
     fn submit(&mut self, now: Cycle, msg: Message) {
         if msg.is_local() {
-            self.local.push(msg, now, now);
+            self.local.push(msg, now);
             return;
         }
-        self.pending.push_back((msg, now, 0));
+        self.pending.push_back((msg, now));
     }
 
-    fn advance(&mut self, cycle: Cycle) -> Vec<Delivery> {
-        let mut out = Vec::new();
+    fn advance_into(&mut self, cycle: Cycle, out: &mut Vec<Delivery>) {
         // Local messages bypass the bus entirely.
-        self.local.land_due(cycle, &mut self.stats, &mut out);
+        self.local.land_due(cycle, &mut self.stats, out);
         // Deliver the completed broadcast.
         if let Some((msg, at, submitted)) = self.in_flight {
             if at <= cycle {
                 self.in_flight = None;
-                land(&mut self.stats, msg, at, submitted, Cycles::ONE, &mut out);
+                out.push(land(&mut self.stats, msg, at, submitted, Cycles::ONE));
             }
         }
-        self.escaped.land_due(cycle, &mut self.stats, &mut out);
-        // Grant the bus to the oldest waiter.
-        if self.in_flight.is_none() && cycle >= self.next_try {
-            if let Some(&(msg, submitted, attempts)) = self.pending.front() {
-                if submitted <= cycle {
-                    let plan = &self.faults.plan;
-                    if plan.link_outage(0, cycle.value()) {
-                        // The shared medium is down this cycle: stall the
-                        // grant one cycle (so time keeps advancing) and,
-                        // past the retry budget, escape over the
-                        // point-to-point maintenance wires.
-                        let budget = plan.retry.max_attempts;
-                        self.faults.stats.link_blocked += 1;
-                        self.stats.retries += 1;
-                        let attempts = attempts + 1;
-                        if let Some(front) = self.pending.front_mut() {
-                            front.2 = attempts;
-                        }
-                        if budget.is_some_and(|m| attempts >= u64::from(m)) {
-                            self.pending.pop_front();
-                            self.faults.stats.fallbacks += 1;
-                            self.faults.stats.retries_per_fallback.record(attempts);
-                            self.escaped.push(msg, cycle + Cycles::new(2), submitted);
-                        } else {
-                            self.next_try = cycle + Cycles::ONE;
-                        }
-                    } else {
-                        self.pending.pop_front();
-                        let extra = self.faults.plan.link_degrade(0, cycle.value());
-                        if extra > 0 {
-                            self.faults.stats.degraded_traversals += 1;
-                        }
-                        let held = extra.saturating_add(1);
-                        self.in_flight =
-                            Some((msg, cycle.saturating_add(Cycles::new(held)), submitted));
-                        self.stats.grants += 1;
-                        self.stats.link_busy[0] = self.stats.link_busy[0].saturating_add(held);
-                    }
-                }
+        // Grant the free bus to the oldest waiter.
+        let due = self.pending.front().is_some_and(|&(_, at)| at <= cycle);
+        if self.in_flight.is_none() && due {
+            if let Some((msg, submitted)) = self.pending.pop_front() {
+                self.in_flight = Some((msg, cycle + Cycles::ONE, submitted));
+                self.stats.grants += 1;
+                self.stats.link_busy[0] += 1;
             }
         }
-        out
     }
 
     fn next_activity(&self) -> Option<Cycle> {
@@ -135,11 +97,11 @@ impl Interconnect for BusNoc {
         // bus, so its earliest activity is the in-flight arrival: reporting
         // it at its submit cycle would make an event loop that trusts
         // next_activity() spin without progress.
-        let queue = self.pending.front().map(|&(_, at, _)| {
-            let at = at.max(self.next_try);
-            flight.map_or(at, |f| at.max(f))
-        });
-        [flight, queue, self.local.next_at(), self.escaped.next_at()]
+        let queue = self
+            .pending
+            .front()
+            .map(|&(_, at)| flight.map_or(at, |f| at.max(f)));
+        [flight, queue, self.local.next_at()]
             .into_iter()
             .flatten()
             .min()
@@ -151,35 +113,52 @@ impl Interconnect for BusNoc {
 
     fn reset_stats(&mut self) {
         self.stats.reset();
-        self.faults.reset_stats();
-    }
-
-    fn fault_state(&self) -> Option<&FaultState> {
-        Some(&self.faults)
-    }
-
-    fn fault_state_mut(&mut self) -> Option<&mut FaultState> {
-        Some(&mut self.faults)
-    }
-
-    /// The shared medium is link 0.
-    fn fault_links(&self) -> usize {
-        1
     }
 
     fn diagnostics(&self, cycle: Cycle) -> DiagSnapshot {
-        let mut pending_messages: Vec<_> = self
+        let pending_messages = self
             .pending
             .iter()
-            .map(|&(msg, submitted_at, attempts)| msg.pending(submitted_at, attempts))
+            .map(|&(msg, submitted_at)| msg.pending(submitted_at, 0))
+            .chain(
+                self.in_flight
+                    .map(|(msg, _, submitted)| msg.pending(submitted, 0)),
+            )
             .collect();
-        pending_messages.extend(
-            self.in_flight
-                .map(|(msg, _, submitted)| msg.pending(submitted, 0)),
-        );
-        let busy_until = self.in_flight.map_or(0, |(_, at, _)| at.value());
-        self.faults
-            .snapshot(cycle, pending_messages, 1, |_| (busy_until, None))
+        DiagSnapshot {
+            cycle: cycle.value(),
+            pending_messages,
+            ..DiagSnapshot::default()
+        }
+    }
+}
+
+/// Same-tile messages, which land once submitted, in submission order:
+/// `(message, submitted_at)`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Lane(Vec<(Message, Cycle)>);
+
+impl Lane {
+    /// Queues `msg`, submitted at `now`.
+    pub(crate) fn push(&mut self, msg: Message, now: Cycle) {
+        self.0.push((msg, now));
+    }
+
+    /// The earliest queued arrival.
+    pub(crate) fn next_at(&self) -> Option<Cycle> {
+        self.0.iter().map(|&(_, at)| at).min()
+    }
+
+    /// [`land`]s every message due by `cycle` into `out`, in submission
+    /// order.
+    pub(crate) fn land_due(&mut self, cycle: Cycle, stats: &mut NocStats, out: &mut Vec<Delivery>) {
+        self.0.retain(|&(msg, at)| {
+            let due = at <= cycle;
+            if due {
+                out.push(land(stats, msg, at, at, Cycles::ONE));
+            }
+            !due
+        });
     }
 }
 
@@ -195,27 +174,6 @@ mod tests {
 
     fn drain(bus: &mut BusNoc, from: Cycle) -> Vec<Delivery> {
         crate::drain_until_idle(bus, from, 10_000).expect("bus did not quiesce")
-    }
-
-    #[test]
-    fn outage_stalls_the_bus_then_traffic_resumes() {
-        let mut bus = BusNoc::new(MeshShape::square_for(16));
-        bus.install_faults("link:0@0-30=off; retry=inf".parse().unwrap());
-        bus.submit(Cycle::ZERO, msg(1, 0, 5));
-        let d = drain(&mut bus, Cycle::ZERO);
-        assert_eq!(d.len(), 1);
-        assert!(d[0].at() >= Cycle::new(30));
-        assert!(bus.fault_stats().unwrap().link_blocked > 0);
-    }
-
-    #[test]
-    fn permanent_outage_escapes_after_retry_budget() {
-        let mut bus = BusNoc::new(MeshShape::square_for(16));
-        bus.install_faults("link:0@0-1000000=off; retry=5".parse().unwrap());
-        bus.submit(Cycle::ZERO, msg(1, 0, 5));
-        let d = drain(&mut bus, Cycle::ZERO);
-        assert_eq!(d.len(), 1, "escape path must deliver");
-        assert_eq!(bus.fault_stats().unwrap().fallbacks, 1);
     }
 
     #[test]

@@ -429,19 +429,17 @@ impl Interconnect for CircuitFabric {
         self.next_depart = Some(self.next_depart.map_or(now, |d| d.min(now)));
     }
 
-    fn advance(&mut self, cycle: Cycle) -> Vec<Delivery> {
+    fn advance_into(&mut self, cycle: Cycle, out: &mut Vec<Delivery>) {
         let epoch = self.prio.epoch(cycle);
         if epoch > self.last_epoch {
             self.stats.rotations += epoch - self.last_epoch;
             self.last_epoch = epoch;
         }
         self.arbitrate(cycle);
-        let mut out = Vec::new();
         while let Some((d, ())) = self.arrivals.pop_due(cycle) {
             self.stats.delivered += 1;
             out.push(d);
         }
-        out
     }
 
     fn next_activity(&self) -> Option<Cycle> {

@@ -125,8 +125,6 @@ pub struct HierNoc {
     /// later.
     clusters_earliest: u64,
     stale: bool,
-    /// The legs landed by one pass over the due members (reused).
-    legs: Vec<Delivery>,
     stats: NocStats,
 }
 
@@ -166,7 +164,6 @@ impl HierNoc {
             routes: IdTable::new(),
             clusters_earliest: IDLE,
             stale: false,
-            legs: Vec::new(),
             stats: NocStats::with_links(0),
         }
     }
@@ -248,12 +245,12 @@ impl HierNoc {
         Cycles::new(leg1 + leg3) + overlay
     }
 
-    /// Routes one member-fabric delivery: forwards the next leg (true) or
-    /// emits the final end-to-end delivery into `out` (false).
-    fn step_route(&mut self, d: Delivery, out: &mut Vec<Delivery>) -> bool {
+    /// Routes one member-fabric delivery: forwards the next leg (`None`)
+    /// or returns the final end-to-end delivery.
+    fn step_route(&mut self, d: Delivery) -> Option<Delivery> {
         let Some(route) = self.routes.get_mut(d.msg.id) else {
             debug_assert!(false, "delivery for unrouted message {}", d.msg.id);
-            return false;
+            return None;
         };
         let Route { msg, floor, .. } = *route;
         let cd = self.map.cluster_of(msg.dst);
@@ -261,8 +258,7 @@ impl HierNoc {
             Stage::Direct | Stage::IntraDst => {
                 let submitted_at = route.submitted_at;
                 self.routes.remove(d.msg.id);
-                land(&mut self.stats, msg, d.at(), submitted_at, floor, out);
-                return false;
+                return Some(land(&mut self.stats, msg, d.at(), submitted_at, floor));
             }
             Stage::IntraSrc => {
                 // At the source gateway: hop onto the overlay, addressed
@@ -282,7 +278,7 @@ impl HierNoc {
             }
         }
         self.stats.grants += 1;
-        true
+        None
     }
 }
 
@@ -309,41 +305,46 @@ impl Interconnect for HierNoc {
         self.submit_leg(cs, now, leg);
     }
 
-    fn advance(&mut self, cycle: Cycle) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        let mut legs = std::mem::take(&mut self.legs);
-        // A leg completing this cycle may hand off to a member that was
-        // already advanced, so cascade: re-advance the due members until
-        // no leg was forwarded. Members tolerate repeated same-cycle
-        // advances (flights are gated on their ready cycle), and a
-        // message has at most three legs, so this terminates quickly.
+    fn advance_into(&mut self, cycle: Cycle, out: &mut Vec<Delivery>) {
+        // The due members append their landed legs to `out` past `start`.
+        // Each pass then rewrites final legs in place as end-to-end
+        // deliveries and drops the forwarded ones. A leg completing this
+        // cycle may hand off to a member that was already advanced, so
+        // cascade: re-advance the due members until no leg was forwarded.
+        // Members tolerate repeated same-cycle advances (flights are gated
+        // on their ready cycle), and a message has at most three legs, so
+        // this terminates quickly.
+        let mut start = out.len();
         loop {
-            legs.clear();
             for k in 0..self.clusters.len() {
                 if self.cluster_next[k] <= cycle.value() {
-                    self.clusters[k].advance(cycle, self.intra, &mut legs);
+                    self.clusters[k].advance(cycle, self.intra, out);
                     let at = self.clusters[k].next_activity(self.intra);
                     self.refresh(k, at);
                 }
             }
             if self.overlay_next.is_some_and(|at| at <= cycle) {
-                self.inter.advance_into(cycle, &mut legs);
+                self.inter.advance_into(cycle, out);
                 self.overlay_next = self.inter.next_activity();
             }
-            let mut forwarded = false;
-            for &d in &legs {
-                forwarded |= self.step_route(d, &mut out);
+            let landed = out.len();
+            let mut kept = start;
+            for i in start..landed {
+                if let Some(d) = self.step_route(out[i]) {
+                    out[kept] = d;
+                    kept += 1;
+                }
             }
-            if !forwarded {
+            out.truncate(kept);
+            if kept == landed {
                 break;
             }
+            start = kept;
         }
-        self.legs = legs;
         if self.stale {
             self.clusters_earliest = self.cluster_next.iter().copied().min().unwrap_or(IDLE);
             self.stale = false;
         }
-        out
     }
 
     fn next_activity(&self) -> Option<Cycle> {

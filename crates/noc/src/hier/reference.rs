@@ -8,8 +8,8 @@
 
 use super::cluster::ClusterArbiter;
 use super::IntraKind;
-use crate::arrivals::{land, Lane};
-use crate::bus::BusNoc;
+use crate::arrivals::land;
+use crate::bus::{BusNoc, Lane};
 use crate::message::{Delivery, Message, MsgKind};
 use crate::{Interconnect, NocStats};
 use nocstar_faults::DiagSnapshot;
@@ -68,21 +68,20 @@ impl XbarNoc {
 impl Interconnect for XbarNoc {
     fn submit(&mut self, now: Cycle, msg: Message) {
         if msg.is_local() {
-            self.local.push(msg, now, now);
+            self.local.push(msg, now);
             return;
         }
         let port = self.port_of(msg.dst);
         self.ports[port].pending.push((msg, now));
     }
 
-    fn advance(&mut self, cycle: Cycle) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        self.local.land_due(cycle, &mut self.stats, &mut out);
+    fn advance_into(&mut self, cycle: Cycle, out: &mut Vec<Delivery>) {
+        self.local.land_due(cycle, &mut self.stats, out);
         for (p, port) in self.ports.iter_mut().enumerate() {
             if let Some((msg, at, submitted)) = port.in_flight {
                 if at <= cycle {
                     port.in_flight = None;
-                    land(&mut self.stats, msg, at, submitted, Cycles::ONE, &mut out);
+                    out.push(land(&mut self.stats, msg, at, submitted, Cycles::ONE));
                 }
             }
             if port.in_flight.is_none() {
@@ -102,7 +101,6 @@ impl Interconnect for XbarNoc {
                 }
             }
         }
-        out
     }
 
     fn next_activity(&self) -> Option<Cycle> {

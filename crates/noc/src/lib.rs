@@ -5,7 +5,8 @@
 //!
 //! * [`message`] — single-flit TLB request/response/invalidation messages.
 //! * [`topology`] — directed mesh links and XY path-to-link mapping.
-//! * [`bus`] — a shared-bus baseline (latency-friendly, bandwidth-starved).
+//! * [`bus`] — a fault-free shared-bus baseline (latency-friendly,
+//!   bandwidth-starved).
 //! * [`mesh`] — a traditional multi-hop mesh (1-cycle router + 1-cycle
 //!   link per hop), with per-link contention or the paper's generous
 //!   contention-free variant used for the `distributed` baseline.
@@ -26,18 +27,20 @@
 //!
 //! All network models implement [`Interconnect`], a cycle-batch API: the
 //! simulator submits messages, then advances the network one active cycle
-//! at a time, collecting deliveries. Same-cycle arbitration is resolved for
-//! all competing messages together, which is what makes NOCSTAR's
-//! "all links in one cycle or retry" semantics exact.
+//! at a time with [`Interconnect::advance_into`], which appends the
+//! cycle's deliveries to one buffer the simulator reuses. Same-cycle
+//! arbitration is resolved for all competing messages together, which is
+//! what makes NOCSTAR's "all links in one cycle or retry" semantics exact.
 //!
 //! The plumbing around arbitration exists once. A private `arrivals`
-//! module holds the two delivery disciplines: circuit, mesh and SMART pop
-//! one arrival queue in `(arrival cycle, push order)` order, while the bus
-//! lands its local lane before the medium's same-cycle arrival (as the
-//! hierarchical fabric's cluster arbiters do). Mesh, SMART, circuit and
-//! bus keep their fault plan, recovery policy and the counters of both in
-//! one [`FaultState`]; the hierarchical fabric uses its overlay's block
-//! and counts its gateway failovers there.
+//! module holds the arrival queue that circuit, mesh and SMART pop in
+//! `(arrival cycle, push order)` order, and the landing rule the bus and
+//! the hierarchical fabric count their deliveries by; the bus lands its
+//! local lane before the medium's same-cycle arrival, as the hierarchical
+//! fabric's cluster arbiters do. Mesh, SMART and circuit keep their fault
+//! plan, recovery policy and the counters of both in one [`FaultState`];
+//! the hierarchical fabric uses its overlay's block and counts its gateway
+//! failovers there. The bus is a fault-free baseline and has none.
 //!
 //! # Examples
 //!
@@ -88,19 +91,28 @@ use nocstar_types::time::{Cycle, Cycles};
 
 /// Cycle-batch interface shared by every network model.
 ///
-/// Contract: `advance(c)` must be called with non-decreasing cycles, and a
-/// message must be submitted with `now` no later than the next `advance`
-/// cycle. `next_activity` tells the event-driven simulator the earliest
-/// cycle at which calling `advance` can make progress, so idle stretches
-/// are skipped.
+/// Contract: `advance_into(c, ..)` must be called with non-decreasing
+/// cycles, and a message must be submitted with `now` no later than the
+/// next advanced cycle. `next_activity` tells the event-driven simulator
+/// the earliest cycle at which advancing can make progress, so idle
+/// stretches are skipped.
 pub trait Interconnect: std::fmt::Debug {
     /// Submits a message that wants to depart at `now` (or as soon after
     /// as arbitration allows).
     fn submit(&mut self, now: Cycle, msg: Message);
 
-    /// Resolves one cycle of network activity; returns messages delivered
-    /// at or before `cycle` (local messages deliver in the same cycle).
-    fn advance(&mut self, cycle: Cycle) -> Vec<Delivery>;
+    /// Resolves one cycle of network activity, appending the messages
+    /// delivered at or before `cycle` to `out` in delivery order (local
+    /// messages deliver in the same cycle). `out` is never cleared, so
+    /// one buffer serves every cycle.
+    fn advance_into(&mut self, cycle: Cycle, out: &mut Vec<Delivery>);
+
+    /// [`advance_into`](Self::advance_into) a fresh vector.
+    fn advance(&mut self, cycle: Cycle) -> Vec<Delivery> {
+        let mut out = Vec::new();
+        self.advance_into(cycle, &mut out);
+        out
+    }
 
     /// The earliest cycle at which the network has work to do, if any.
     fn next_activity(&self) -> Option<Cycle>;
@@ -189,7 +201,7 @@ pub fn drain_until_idle<N: Interconnect + ?Sized>(
             None => return Ok(out),
             Some(next) => {
                 cycle = cycle.max(next);
-                out.extend(noc.advance(cycle));
+                noc.advance_into(cycle, &mut out);
                 cycle += Cycles::ONE;
             }
         }

@@ -151,20 +151,6 @@ impl MeshNoc {
         })
     }
 
-    /// [`advance`](Interconnect::advance), appending the deliveries to
-    /// `out` (the hierarchical fabric's reused leg buffer).
-    pub(crate) fn advance_into(&mut self, cycle: Cycle, out: &mut Vec<Delivery>) {
-        self.step_flights(cycle);
-        while let Some((d, (submitted_at, stalled))) = self.arrivals.pop_due(cycle) {
-            self.stats.delivered += 1;
-            self.stats.latency.record(d.at() - submitted_at);
-            if !stalled {
-                self.stats.no_contention += 1;
-            }
-            out.push(d);
-        }
-    }
-
     fn step_flights(&mut self, cycle: Cycle) {
         if self.flights.is_empty() {
             return;
@@ -414,10 +400,16 @@ impl Interconnect for MeshNoc {
         });
     }
 
-    fn advance(&mut self, cycle: Cycle) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        self.advance_into(cycle, &mut out);
-        out
+    fn advance_into(&mut self, cycle: Cycle, out: &mut Vec<Delivery>) {
+        self.step_flights(cycle);
+        while let Some((d, (submitted_at, stalled))) = self.arrivals.pop_due(cycle) {
+            self.stats.delivered += 1;
+            self.stats.latency.record(d.at() - submitted_at);
+            if !stalled {
+                self.stats.no_contention += 1;
+            }
+            out.push(d);
+        }
     }
 
     fn next_activity(&self) -> Option<Cycle> {

@@ -240,9 +240,8 @@ pub mod mesh {
             });
         }
 
-        fn advance(&mut self, cycle: Cycle) -> Vec<Delivery> {
+        fn advance_into(&mut self, cycle: Cycle, out: &mut Vec<Delivery>) {
             self.step_flights(cycle);
-            let mut out = Vec::new();
             while self.scheduled.peek().is_some_and(|top| top.at <= cycle) {
                 let Some(s) = self.scheduled.pop() else { break };
                 self.stats.delivered += 1;
@@ -252,7 +251,6 @@ pub mod mesh {
                 }
                 out.push(Delivery::new(s.msg, s.at));
             }
-            out
         }
 
         fn next_activity(&self) -> Option<Cycle> {
@@ -561,9 +559,8 @@ pub mod smart {
             });
         }
 
-        fn advance(&mut self, cycle: Cycle) -> Vec<Delivery> {
+        fn advance_into(&mut self, cycle: Cycle, out: &mut Vec<Delivery>) {
             self.step_flights(cycle);
-            let mut out = Vec::new();
             while self.scheduled.peek().is_some_and(|top| top.at <= cycle) {
                 let Some(s) = self.scheduled.pop() else { break };
                 self.stats.delivered += 1;
@@ -573,7 +570,6 @@ pub mod smart {
                 }
                 out.push(Delivery::new(s.msg, s.at));
             }
-            out
         }
 
         fn next_activity(&self) -> Option<Cycle> {

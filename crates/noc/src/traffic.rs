@@ -55,6 +55,9 @@ pub fn run_uniform_random<I: Interconnect>(
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut injected = 0u64;
     let mut next_id = 0u64;
+    // Deliveries are counted by the network's stats, so one buffer is
+    // emptied after every cycle.
+    let mut delivered = Vec::new();
 
     for c in 0..cycles {
         let now = Cycle::new(c);
@@ -77,7 +80,8 @@ pub fn run_uniform_random<I: Interconnect>(
                 injected += 1;
             }
         }
-        noc.advance(now);
+        noc.advance_into(now, &mut delivered);
+        delivered.clear();
     }
 
     // Drain: keep advancing until the network is quiescent.
@@ -86,7 +90,8 @@ pub fn run_uniform_random<I: Interconnect>(
     while let Some(next) = noc.next_activity() {
         now = now.max(next);
         assert!(now < drain_limit, "network failed to drain: deadlock?");
-        noc.advance(now);
+        noc.advance_into(now, &mut delivered);
+        delivered.clear();
         now += Cycles::ONE;
     }
 

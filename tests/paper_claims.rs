@@ -31,6 +31,29 @@ fn claim_nocstar_beats_private_and_distributed_beats_monolithic() {
 }
 
 #[test]
+fn claim_monolithic_loses_at_realistic_latency_and_gains_as_latency_falls() {
+    // Fig 4, at 16 cores: a monolithic shared TLB behind a free
+    // interconnect, at a realistic 25-cycle access, degrades performance
+    // against private L2 TLBs, and cutting its latency to an unrealizable
+    // 9 cycles does not make it worse.
+    let monolithic = |latency| TlbOrg::Monolithic {
+        entries_per_core: 1024,
+        banks: 4,
+        net: MonolithicNet::Ideal,
+        latency_override: Some(Cycles::new(latency)),
+    };
+    for preset in [Preset::Canneal, Preset::Gups] {
+        let realistic = speedup(16, monolithic(25), preset);
+        let unrealizable = speedup(16, monolithic(9), preset);
+        assert!(realistic < 1.0, "{preset}: {realistic} at 25 cycles");
+        assert!(
+            unrealizable >= realistic,
+            "{preset}: {unrealizable} at 9 cycles < {realistic} at 25"
+        );
+    }
+}
+
+#[test]
 fn claim_nocstar_within_95_percent_of_ideal() {
     let nocstar = speedup(16, TlbOrg::paper_nocstar(), Preset::Canneal);
     let ideal = speedup(16, TlbOrg::paper_ideal(), Preset::Canneal);
