@@ -6,14 +6,16 @@
 //! parameters can be tuned against them. Pass `--no-thp` for the 4 KiB-
 //! only mode, `--quick` for short runs.
 
+use crate::{parallel_map, settings, Effort, Flag};
 use nocstar::prelude::*;
-use nocstar_bench::{has_flag, parallel_map, settings_accepting, Effort, Flag};
 
-fn main() {
-    settings_accepting(&[Flag::Bare("--no-thp")]);
-    let effort = Effort::from_env();
-    let args: Vec<String> = std::env::args().collect();
-    let thp = !has_flag(&args, "--no-thp");
+/// The flag `calibrate` accepts besides the harness's own.
+pub const FLAGS: &[Flag] = &[Flag::Bare("--no-thp")];
+
+/// Prints the calibration table (no CSV: it tunes presets, it is not a
+/// result).
+pub fn run(effort: Effort) {
+    let thp = !settings().has("--no-thp");
     println!(
         "calibration at {} accesses/thread (warmup {}), THP {}\n",
         effort.accesses,

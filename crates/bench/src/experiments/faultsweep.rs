@@ -4,10 +4,11 @@
 //! run must complete the same work (no translation is ever lost), paying
 //! only cycles.
 //!
-//! The sweep sets each run's fault plan itself, so it exits with code 2
-//! when given `--faults`, `--recovery` or `--sample`.
+//! The sweep sets each run's fault plan itself, so
+//! `nocstar-bench faultsweep` exits with code 2 when given `--faults`,
+//! `--recovery` or `--sample`.
 
-use crate::{emit, parallel_map, refuse_study_flags, settings, Effort, Settings};
+use crate::{emit, parallel_map, settings, Effort, Settings};
 use nocstar::prelude::*;
 
 /// The fault ladder: one spec per row, windows sized in cycles so even
@@ -35,7 +36,6 @@ fn run_one(effort: Effort, cores: usize, spec: &str) -> SimReport {
 
 /// Regenerates the fault-degradation sweep.
 pub fn run(effort: Effort) {
-    refuse_study_flags("faultsweep");
     let mut table = Table::new(["fault plan", "spec", "cycles", "slowdown", "walks"]);
     for cores in [16usize] {
         let baseline = run_one(effort, cores, "");

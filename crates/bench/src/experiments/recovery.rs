@@ -6,10 +6,11 @@
 //! dead cluster's sets from a backup), and the detect→recovered
 //! percentiles quantify how quickly it reacts.
 //!
-//! The study sets each run's outage plan and recovery policy itself, so it
-//! exits with code 2 when given `--faults`, `--recovery` or `--sample`.
+//! The study sets each run's outage plan and recovery policy itself, so
+//! `nocstar-bench recovery` exits with code 2 when given `--faults`,
+//! `--recovery` or `--sample`.
 
-use crate::{emit, parallel_map, refuse_study_flags, settings, Effort, Settings};
+use crate::{emit, parallel_map, settings, Effort, Settings};
 use nocstar::prelude::*;
 
 /// One scenario per fabric × scale: a label, the organization, the core
@@ -82,7 +83,6 @@ fn counter(r: &SimReport, name: &str) -> u64 {
 
 /// Regenerates the closed-loop recovery-latency study.
 pub fn run(effort: Effort) {
-    refuse_study_flags("recovery");
     let mut table = Table::new([
         "scenario",
         "cores",

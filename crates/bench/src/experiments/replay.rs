@@ -15,13 +15,12 @@
 //! * `--warmup <n>` / `--measure <n>` — override the effort's per-thread
 //!   access counts.
 
-use crate::{bail, emit, flag_value, out_dir, Effort, Flag};
+use crate::{bail, emit, out_dir, settings, Effort, Flag};
 use nocstar::prelude::*;
 
-/// The flags `replay` accepts besides the harness's own; the binary
-/// declares them through [`settings_accepting`](crate::settings_accepting)
-/// before anything reads the settings, so a missing value or an
-/// undeclared flag exits 2 there.
+/// The flags `replay` accepts besides the harness's own; its
+/// [`Step`](super::Step) declares them, so a missing value or an
+/// undeclared flag exits 2 before the run.
 pub const FLAGS: &[Flag] = &[
     Flag::Value("--cores"),
     Flag::Value("--org"),
@@ -30,8 +29,8 @@ pub const FLAGS: &[Flag] = &[
     Flag::Value("--measure"),
 ];
 
-fn parse_count(args: &[String], flag: &str) -> Option<u64> {
-    flag_value(args, flag).map(|v| {
+fn parse_count(flag: &str) -> Option<u64> {
+    settings().value(flag).map(|v| {
         v.parse::<u64>()
             .unwrap_or_else(|e| bail(format_args!("bad {flag} value {v:?}: {e}")))
     })
@@ -52,15 +51,14 @@ fn parse_org(name: &str, cores: usize) -> TlbOrg {
 
 /// Runs the single configured simulation and persists its report.
 pub fn run(effort: Effort) {
-    let args: Vec<String> = std::env::args().collect();
-    let cores = parse_count(&args, "--cores").unwrap_or(16) as usize;
-    let org = parse_org(flag_value(&args, "--org").unwrap_or("nocstar"), cores);
-    let preset_name = flag_value(&args, "--preset").unwrap_or("redis");
+    let cores = parse_count("--cores").unwrap_or(16) as usize;
+    let org = parse_org(settings().value("--org").unwrap_or("nocstar"), cores);
+    let preset_name = settings().value("--preset").unwrap_or("redis");
     let preset = Preset::from_name(preset_name)
         .unwrap_or_else(|| bail(format_args!("unknown --preset {preset_name:?}")));
     let effort = Effort {
-        warmup: parse_count(&args, "--warmup").unwrap_or(effort.warmup),
-        accesses: parse_count(&args, "--measure").unwrap_or(effort.accesses),
+        warmup: parse_count("--warmup").unwrap_or(effort.warmup),
+        accesses: parse_count("--measure").unwrap_or(effort.accesses),
         ..effort
     };
 
@@ -97,7 +95,7 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<Settings, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        Settings::parse(&args, FLAGS, |_| None)
+        Settings::parse(&args, FLAGS)
     }
 
     #[test]

@@ -16,15 +16,14 @@
 //! rare-event caveat of `SAMPLING.md §7` — so the validation isolates the
 //! steady-state rates sampling is actually for.
 //!
-//! The study sets each run's sampling itself, so it exits with code 2 when
-//! given `--sample`, `--faults` or `--recovery`.
+//! The study sets each run's sampling itself, so `nocstar-bench sampled`
+//! exits with code 2 when given `--sample`, `--faults` or `--recovery`.
 
-use crate::{emit, refuse_study_flags, settings, Effort, Settings};
+use crate::{emit, settings, Effort, Settings};
 use nocstar::prelude::*;
 
 /// Exact-vs-sampled validation on a remap-free redis spec under NOCSTAR.
 pub fn run(effort: Effort) {
-    refuse_study_flags("sampled");
     let cores = 4;
     let (span, exact_warmup, spec) = if effort.quick {
         (4_000u64, 400u64, "800:40:20@7")

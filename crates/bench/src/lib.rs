@@ -1,6 +1,6 @@
-//! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the paper (see `DESIGN.md` for the per-experiment index,
-//! and `src/bin/` for one binary per figure).
+//! Shared harness for the `nocstar-bench` binary, which regenerates every
+//! table and figure of the paper (see `DESIGN.md` for the per-experiment
+//! index, and [`experiments::STEPS`] for the steps the binary runs).
 //!
 //! Every simulation an experiment runs goes through one entry point,
 //! [`simulate`]: it applies the process-wide [`Settings`] (run length,
@@ -25,36 +25,35 @@ use std::sync::{Mutex, OnceLock};
 /// quick run without bloating the emitted JSON.
 const TRACE_CAPACITY: usize = 4096;
 
-/// The harness settings every experiment binary honours. Each has a flag
-/// and an environment variable; the flag wins when both are given.
+/// The harness settings every experiment honours, one flag each:
 ///
-/// * `--quick` (`NOCSTAR_QUICK=1`) — CI-sized runs (see [`Effort`]).
-/// * `--metrics-json <path>` (`NOCSTAR_METRICS_JSON`) — collect each run's
-///   metrics and write the reports to `<path>` as JSON, besides the
-///   per-experiment `<name>.metrics.json` files next to the CSVs;
-///   `NOCSTAR_METRICS=1` collects into the per-experiment files only.
-/// * `--trace` (`NOCSTAR_TRACE=1`) — also record a bounded cycle-level
+/// * `--quick` — CI-sized runs (see [`Effort`]).
+/// * `--metrics` — collect each run's metrics and write them as
+///   `<name>.metrics.json` next to each CSV.
+/// * `--metrics-json <path>` — `--metrics`, and also write every report
+///   the process emits to `<path>` as one JSON array.
+/// * `--trace` — `--metrics`, and also record a bounded cycle-level
 ///   event trace per run into the same JSON.
-/// * `--faults <spec>` (`NOCSTAR_FAULTS`) — install a deterministic
-///   [`FaultPlan`] (grammar in its docs, e.g.
-///   `"link:*@1000-5000=off; deny@0-2000; retry=8"`) into every run.
-/// * `--recovery <spec>` (`NOCSTAR_RECOVERY`) — install a
-///   [`RecoveryPolicy`] (`"reroute; rehome; failover; escalate=N"`, or
-///   `"all"`) into every run.
-/// * `--max-cycles <n>` (`NOCSTAR_MAX_CYCLES`) — abort any run that would
-///   pass simulated cycle `n`, keeping its partial report.
-/// * `--trace-file <path>` (`NOCSTAR_TRACE_FILE`) — drive every run's
-///   address streams from a captured `.nct` file (`TRACE_FORMAT.md`)
-///   instead of the experiment's generators.
-/// * `--sample <spec>` (`NOCSTAR_SAMPLE`) — replace every run's exact
-///   replay with sampled fast-forward replay (`SAMPLING.md`); the spec is
+/// * `--faults <spec>` — install a deterministic [`FaultPlan`] (grammar
+///   in its docs, e.g. `"link:*@1000-5000=off; deny@0-2000; retry=8"`)
+///   into every run.
+/// * `--recovery <spec>` — install a [`RecoveryPolicy`]
+///   (`"reroute; rehome; failover; escalate=N"`, or `"all"`) into every
+///   run.
+/// * `--max-cycles <n>` — abort any run that would pass simulated cycle
+///   `n`, keeping its partial report.
+/// * `--trace-file <path>` — drive every run's address streams from a
+///   captured `.nct` file (`TRACE_FORMAT.md`) instead of the experiment's
+///   generators.
+/// * `--sample <spec>` — replace every run's exact replay with sampled
+///   fast-forward replay (`SAMPLING.md`); the spec is
 ///   `<period>:<window>:<warmup>[@<seed>]` in accesses per thread, and a
 ///   run's warmup plus measured accesses become its sampled span.
 ///
 /// A malformed or missing value is an error naming its flag, and so is
 /// `--sample` with `--faults` or `--recovery`: fault windows are
 /// cycle-based and fast-forward does not advance cycles. So is any other
-/// `--` argument, unless the binary declared it (see [`Flag`]).
+/// `--` argument, unless the step declared it (see [`Flag`]).
 #[derive(Debug, Clone, Default)]
 pub struct Settings {
     /// Abbreviated (CI-sized) runs.
@@ -75,10 +74,12 @@ pub struct Settings {
     pub trace_file: Option<PathBuf>,
     /// The sampling spec every run uses (`None` = exact replay).
     pub sample: Option<SampleSpec>,
+    /// The parsed arguments, where a step finds its own flags.
+    args: Vec<String>,
 }
 
-/// A flag a binary accepts besides the harness's own, declared through
-/// [`settings_accepting`] so that [`Settings::parse`] does not reject it.
+/// A flag a step accepts besides the harness's own, declared in its
+/// [`experiments::Step`] so that [`Settings::parse`] does not reject it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flag {
     /// A switch without a value, e.g. `--no-thp`.
@@ -95,9 +96,10 @@ impl Flag {
     }
 }
 
-/// The flags of [`Settings`], which every binary accepts.
-const HARNESS_FLAGS: [Flag; 8] = [
+/// The flags of [`Settings`], which every step accepts.
+const HARNESS_FLAGS: [Flag; 9] = [
     Flag::Bare("--quick"),
+    Flag::Bare("--metrics"),
     Flag::Bare("--trace"),
     Flag::Value("--metrics-json"),
     Flag::Value("--faults"),
@@ -109,7 +111,7 @@ const HARNESS_FLAGS: [Flag; 8] = [
 
 /// The value following `flag` in `args`, if the flag is there (after
 /// [`Settings::parse`] has checked that every value flag has one).
-pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     let i = args.iter().position(|a| a == flag)?;
     args.get(i + 1).map(String::as_str)
 }
@@ -135,21 +137,17 @@ fn check_flags(args: &[String], own: &[Flag]) -> Result<(), String> {
     Ok(())
 }
 
-/// Whether the bare `flag` is among `args`.
-pub fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// Parses `raw`, the value given for `flag`, into a `T`.
-fn parse_value<T: FromStr>(raw: Option<String>, flag: &str) -> Result<Option<T>, String>
+/// Parses the value given for `flag` in `args`, if any, into a `T`.
+fn parse_value<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String>
 where
     T::Err: Display,
 {
-    raw.map(|v| {
-        v.parse()
-            .map_err(|e| format!("bad {flag} value {v:?}: {e}"))
-    })
-    .transpose()
+    flag_value(args, flag)
+        .map(|v| {
+            v.parse()
+                .map_err(|e| format!("bad {flag} value {v:?}: {e}"))
+        })
+        .transpose()
 }
 
 /// Prints `error: <msg>` and exits with code 2: a bad harness input must
@@ -160,41 +158,30 @@ pub(crate) fn bail(msg: impl Display) -> ! {
 }
 
 impl Settings {
-    /// Parses the settings from the command-line `args` (without the
-    /// program name), accepting the binary's `own` flags besides the
-    /// harness's, and the environment lookup `env`.
+    /// Parses the settings from a step's command-line `args` (after the
+    /// step name), accepting the step's `own` flags besides the harness's.
     ///
     /// # Errors
     ///
     /// A message naming the flag whose value is malformed or missing, or
     /// the unknown `--` argument, or rejecting `--sample` together with
     /// `--faults` or `--recovery`.
-    pub fn parse(
-        args: &[String],
-        own: &[Flag],
-        env: impl Fn(&str) -> Option<String>,
-    ) -> Result<Self, String> {
+    pub fn parse(args: &[String], own: &[Flag]) -> Result<Self, String> {
         check_flags(args, own)?;
-        let value = |flag: &str, var: &str| {
-            flag_value(args, flag)
-                .map(str::to_owned)
-                .or_else(|| env(var))
-        };
-        let on = |var: &str| env(var).is_some_and(|v| v != "0");
-        let metrics_json = value("--metrics-json", "NOCSTAR_METRICS_JSON").map(PathBuf::from);
-        let trace = has_flag(args, "--trace") || on("NOCSTAR_TRACE");
+        let has = |flag: &str| args.iter().any(|a| a == flag);
+        let metrics_json = flag_value(args, "--metrics-json").map(PathBuf::from);
+        let trace = has("--trace");
         let settings = Self {
-            quick: has_flag(args, "--quick") || on("NOCSTAR_QUICK"),
-            metrics: metrics_json.is_some() || trace || on("NOCSTAR_METRICS"),
+            quick: has("--quick"),
+            metrics: metrics_json.is_some() || trace || has("--metrics"),
             metrics_json,
             trace,
-            faults: parse_value(value("--faults", "NOCSTAR_FAULTS"), "--faults")?
-                .unwrap_or_default(),
-            recovery: parse_value(value("--recovery", "NOCSTAR_RECOVERY"), "--recovery")?
-                .unwrap_or_default(),
-            max_cycles: parse_value(value("--max-cycles", "NOCSTAR_MAX_CYCLES"), "--max-cycles")?,
-            trace_file: value("--trace-file", "NOCSTAR_TRACE_FILE").map(PathBuf::from),
-            sample: parse_value(value("--sample", "NOCSTAR_SAMPLE"), "--sample")?,
+            faults: parse_value(args, "--faults")?.unwrap_or_default(),
+            recovery: parse_value(args, "--recovery")?.unwrap_or_default(),
+            max_cycles: parse_value(args, "--max-cycles")?,
+            trace_file: flag_value(args, "--trace-file").map(PathBuf::from),
+            sample: parse_value(args, "--sample")?,
+            args: args.to_vec(),
         };
         if settings.sample.is_some()
             && (!settings.faults.is_empty() || settings.recovery.is_enabled())
@@ -204,6 +191,16 @@ impl Settings {
                 .into());
         }
         Ok(settings)
+    }
+
+    /// The value given for the step's own value `flag`, if any.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        flag_value(&self.args, flag)
+    }
+
+    /// Whether the step's own bare `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.args.iter().any(|a| a == flag)
     }
 
     /// The first of `--faults`, `--recovery` and `--sample` that is set.
@@ -287,25 +284,56 @@ impl Settings {
         }
         report
     }
+
+    /// Prints a table under a heading and saves it as CSV in
+    /// [`out_dir`]`/<name>.csv`. With metrics on, the reports collected
+    /// since the previous `emit` are also written as `<name>.metrics.json`
+    /// next to the CSV, and the `--metrics-json` path, when given, is
+    /// rewritten with every report emitted so far in the process.
+    pub fn emit(&self, name: &str, title: &str, table: &Table) {
+        println!("== {title} ==\n");
+        println!("{table}");
+        let path = out_dir().join(format!("{name}.csv"));
+        std::fs::write(&path, table.to_csv()).expect("write csv");
+        println!("(saved {})\n", path.display());
+        if !self.metrics {
+            return;
+        }
+        let batch: Vec<Json> = drain_collected().into_iter().map(|(_, j)| j).collect();
+        if batch.is_empty() {
+            return;
+        }
+        let mpath = out_dir().join(format!("{name}.metrics.json"));
+        let text = Json::Arr(batch).to_string_pretty();
+        std::fs::write(&mpath, &text).expect("write metrics json");
+        println!("(saved {})\n", mpath.display());
+        if let Some(explicit) = &self.metrics_json {
+            // A pretty array is `[\n`, its items joined by `,\n`, then
+            // `\n]\n`, so the items of several arrays join into one.
+            let items = text
+                .strip_prefix("[\n")
+                .and_then(|t| t.strip_suffix("\n]\n"))
+                .expect("a non-empty pretty array");
+            let mut emitted = EMITTED.lock().expect("poisoned");
+            if !emitted.is_empty() {
+                emitted.push_str(",\n");
+            }
+            emitted.push_str(items);
+            std::fs::write(explicit, format!("[\n{emitted}\n]\n")).expect("write metrics json");
+            println!("(saved {})\n", explicit.display());
+        }
+    }
 }
 
-/// The process-wide settings, parsed from the command line and the
-/// environment on first use; a parse error (an unknown `--` argument is
-/// one) exits with code 2.
+/// The process-wide settings: those the `nocstar-bench` command line
+/// gave (see [`experiments::run_command_line`]), or the defaults when
+/// the library runs without it.
 pub fn settings() -> &'static Settings {
-    settings_accepting(&[])
+    SETTINGS.get_or_init(Settings::default)
 }
 
-/// [`settings`] for a binary with flags of its own: the first call parses
-/// the command line accepting `own` besides the harness flags, so such a
-/// binary calls this before anything else reads the settings.
-pub fn settings_accepting(own: &[Flag]) -> &'static Settings {
-    static SETTINGS: OnceLock<Settings> = OnceLock::new();
-    SETTINGS.get_or_init(|| {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Settings::parse(&args, own, |var| std::env::var(var).ok()).unwrap_or_else(|e| bail(e))
-    })
-}
+/// Set once, by [`experiments::run_command_line`], before any step runs.
+static SETTINGS: OnceLock<Settings> = OnceLock::new();
 
 /// [`Settings::simulate`] under the process-wide [`settings`].
 pub fn simulate(
@@ -315,18 +343,6 @@ pub fn simulate(
     measure: u64,
 ) -> SimReport {
     settings().simulate(config, workload, warmup, measure)
-}
-
-/// Exits with code 2 if `study` — faultsweep, recovery or sampled, which
-/// set faults, recovery and sampling per run themselves — was given
-/// `--faults`, `--recovery` or `--sample` (see [`Settings::study_flag`]).
-pub(crate) fn refuse_study_flags(study: &str) {
-    if let Some(flag) = settings().study_flag() {
-        bail(format_args!(
-            "{study} sets its own fault plans, recovery and sampling per run; \
-             drop {flag} (or its environment variable)"
-        ));
-    }
 }
 
 /// Reports collected since the last [`emit`], serialized eagerly so the
@@ -346,6 +362,10 @@ fn drain_collected() -> Vec<(String, Json)> {
     drained
 }
 
+/// Every report emitted so far, in emit order, as the pretty-printed
+/// items of the array the `--metrics-json` file holds.
+static EMITTED: Mutex<String> = Mutex::new(String::new());
+
 /// Run-length and sweep-size settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Effort {
@@ -358,13 +378,8 @@ pub struct Effort {
 }
 
 impl Effort {
-    /// The run length the process-wide [`settings`] select: `--quick` or
-    /// `NOCSTAR_QUICK=1` selects the abbreviated mode.
-    pub fn from_env() -> Self {
-        Self::for_settings(settings())
-    }
-
-    /// The run length `settings` select.
+    /// The run length `settings` select: `--quick` selects the
+    /// abbreviated mode.
     fn for_settings(settings: &Settings) -> Self {
         let quick = settings.quick;
         Self {
@@ -451,37 +466,17 @@ pub fn out_dir() -> PathBuf {
     dir
 }
 
-/// Prints a table under a heading and saves it as CSV in
-/// [`out_dir`]`/<name>.csv`. When metrics collection is on, the per-run
-/// reports gathered since the previous `emit` are additionally written as
-/// `<name>.metrics.json` next to the CSV (and to the `--metrics-json`
-/// path, when one was given).
+/// [`Settings::emit`] under the process-wide [`settings`].
 pub fn emit(name: &str, title: &str, table: &Table) {
-    println!("== {title} ==\n");
-    println!("{table}");
-    let path = out_dir().join(format!("{name}.csv"));
-    std::fs::write(&path, table.to_csv()).expect("write csv");
-    println!("(saved {})\n", path.display());
-    let settings = settings();
-    if settings.metrics {
-        let drained = drain_collected();
-        if !drained.is_empty() {
-            let doc = Json::Arr(drained.into_iter().map(|(_, j)| j).collect());
-            let text = doc.to_string_pretty();
-            let mpath = out_dir().join(format!("{name}.metrics.json"));
-            std::fs::write(&mpath, &text).expect("write metrics json");
-            println!("(saved {})\n", mpath.display());
-            if let Some(explicit) = &settings.metrics_json {
-                std::fs::write(explicit, &text).expect("write metrics json");
-                println!("(saved {})\n", explicit.display());
-            }
-        }
-    }
+    settings().emit(name, title, table);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serialises the tests that drain the process-wide report collector.
+    static COLLECTOR: Mutex<()> = Mutex::new(());
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -491,52 +486,41 @@ mod tests {
 
     #[test]
     fn effort_defaults_to_full() {
-        let e = Effort::for_settings(&parse(&[], &[]).unwrap());
+        let e = Effort::for_settings(&parse(&[]).unwrap());
         assert!(!e.quick && e.accesses >= 4_000);
-        assert!(Effort::for_settings(&parse(&["--quick"], &[]).unwrap()).quick);
+        assert!(Effort::for_settings(&parse(&["--quick"]).unwrap()).quick);
     }
 
-    fn parse(args: &[&str], env: &[(&str, &str)]) -> Result<Settings, String> {
-        parse_accepting(args, &[], env)
+    fn parse(args: &[&str]) -> Result<Settings, String> {
+        parse_accepting(args, &[])
     }
 
-    fn parse_accepting(
-        args: &[&str],
-        own: &[Flag],
-        env: &[(&str, &str)],
-    ) -> Result<Settings, String> {
+    fn parse_accepting(args: &[&str], own: &[Flag]) -> Result<Settings, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        Settings::parse(&args, own, |var| {
-            env.iter()
-                .find(|(k, _)| *k == var)
-                .map(|(_, v)| v.to_string())
-        })
+        Settings::parse(&args, own)
     }
 
     #[test]
-    fn a_flag_wins_over_its_environment_variable() {
-        let env = [
-            ("NOCSTAR_MAX_CYCLES", "100"),
-            ("NOCSTAR_TRACE_FILE", "env.nct"),
-        ];
-        let s = parse(&["--max-cycles", "7", "--trace-file", "flag.nct"], &env).unwrap();
+    fn each_flag_sets_its_setting() {
+        let s = parse(&[]).unwrap();
+        assert!(!s.quick && !s.metrics && !s.trace && s.max_cycles.is_none());
+        let s = parse(&["--max-cycles", "7", "--trace-file", "flag.nct"]).unwrap();
         assert_eq!(s.max_cycles, Some(7));
         assert_eq!(s.trace_file, Some(PathBuf::from("flag.nct")));
-        let s = parse(&[], &env).unwrap();
-        assert_eq!(s.max_cycles, Some(100));
-        assert!(!s.quick && !s.metrics);
-        let s = parse(&["--quick", "--trace"], &[("NOCSTAR_QUICK", "0")]).unwrap();
+        let s = parse(&["--quick", "--trace"]).unwrap();
         assert!(s.quick && s.trace && s.metrics);
+        let s = parse(&["--metrics"]).unwrap();
+        assert!(s.metrics && !s.trace && s.metrics_json.is_none());
+        let s = parse(&["--metrics-json", "out.json"]).unwrap();
+        assert!(s.metrics && s.metrics_json == Some(PathBuf::from("out.json")));
     }
 
     #[test]
     fn malformed_values_name_their_flag() {
         for flag in ["--faults", "--sample", "--max-cycles", "--recovery"] {
-            let err = parse(&[flag, "bogus@@"], &[]).unwrap_err();
+            let err = parse(&[flag, "bogus@@"]).unwrap_err();
             assert!(err.contains(flag), "{flag}: {err}");
         }
-        let err = parse(&[], &[("NOCSTAR_SAMPLE", "nope")]).unwrap_err();
-        assert!(err.contains("--sample"), "{err}");
     }
 
     #[test]
@@ -549,45 +533,42 @@ mod tests {
             "--trace-file",
             "--metrics-json",
         ] {
-            let err = parse(&["--quick", flag], &[]).unwrap_err();
+            let err = parse(&["--quick", flag]).unwrap_err();
             assert_eq!(err, format!("{flag} needs a value"));
-            let err = parse(&[flag, "--quick"], &[]).unwrap_err();
+            let err = parse(&[flag, "--quick"]).unwrap_err();
             assert_eq!(err, format!("{flag} needs a value"));
         }
     }
 
     #[test]
     fn unknown_arguments_are_rejected_unless_declared() {
-        let err = parse(&["--quick", "--fualts", "deny@0-100000000"], &[]).unwrap_err();
+        let err = parse(&["--quick", "--fualts", "deny@0-100000000"]).unwrap_err();
         assert!(err.contains("--fualts"), "{err}");
-        let err = parse(&["--no-thp"], &[]).unwrap_err();
+        let err = parse(&["--no-thp"]).unwrap_err();
         assert!(err.contains("--no-thp"), "{err}");
         let own = [Flag::Bare("--no-thp"), Flag::Value("--org")];
-        let s = parse_accepting(&["--no-thp", "--quick", "--org", "ideal"], &own, &[]).unwrap();
-        assert!(s.quick);
+        let s = parse_accepting(&["--no-thp", "--quick", "--org", "ideal"], &own).unwrap();
+        assert!(s.quick && s.has("--no-thp") && s.value("--org") == Some("ideal"));
         // Values and bare words are not flags, even when they look odd.
-        assert!(parse(&["--faults", "deny@0-10", "stray"], &[]).is_ok());
+        assert!(parse(&["--faults", "deny@0-10", "stray"]).is_ok());
     }
 
     #[test]
     fn sample_with_faults_or_recovery_is_rejected_when_parsed() {
-        let err = parse(&["--sample", "1000:60:30", "--faults", "deny@0-10"], &[]).unwrap_err();
+        let err = parse(&["--sample", "1000:60:30", "--faults", "deny@0-10"]).unwrap_err();
         assert!(
             err.contains("--sample") && err.contains("--faults"),
             "{err}"
         );
-        assert!(parse(&["--sample", "1000:60:30"], &[("NOCSTAR_RECOVERY", "all")]).is_err());
-        let s = parse(&["--sample", "1000:60:30"], &[]).unwrap();
+        assert!(parse(&["--sample", "1000:60:30", "--recovery", "all"]).is_err());
+        let s = parse(&["--sample", "1000:60:30"]).unwrap();
         assert_eq!(s.study_flag(), Some("--sample"));
     }
 
     #[test]
     fn simulate_applies_the_settings_to_any_workload_and_queues_the_report() {
-        let settings = parse(
-            &["--faults", "deny@0-100000000"],
-            &[("NOCSTAR_METRICS", "1")],
-        )
-        .unwrap();
+        let _serial = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
+        let settings = parse(&["--faults", "deny@0-100000000", "--metrics"]).unwrap();
         assert_eq!(settings.study_flag(), Some("--faults"));
         let config = SystemConfig::new(16, TlbOrg::paper_nocstar());
         let workload = WorkloadAssignment::slice_hammer(&config, Preset::Canneal, 256);
@@ -595,5 +576,27 @@ mod tests {
         assert!(report.metrics.counter("faults.denied_setups").unwrap_or(0) > 0);
         let queued = report.to_json().to_string();
         assert!(drain_collected().iter().any(|(text, _)| *text == queued));
+    }
+
+    #[test]
+    fn metrics_json_holds_every_report_the_process_emits() {
+        let _serial = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = std::env::temp_dir().join(format!("nocstar-bench-emit-{}", std::process::id()));
+        std::env::set_var("NOCSTAR_OUT", &dir);
+        let explicit = dir.join("all.json");
+        let settings = parse(&["--metrics-json", explicit.to_str().unwrap()]).unwrap();
+        let table = Table::new(["value"]);
+        for (name, reports) in [("first", ["a", "b"]), ("second", ["c", "d"])] {
+            COLLECTED.lock().unwrap().extend(reports.map(Json::str));
+            settings.emit(name, name, &table);
+        }
+        let read = |file: &str| std::fs::read_to_string(dir.join(file)).unwrap();
+        let pretty = |items: &[&str]| {
+            Json::Arr(items.iter().map(|i| Json::str(*i)).collect()).to_string_pretty()
+        };
+        assert_eq!(read("all.json"), pretty(&["a", "b", "c", "d"]));
+        assert_eq!(read("second.metrics.json"), pretty(&["c", "d"]));
+        std::env::remove_var("NOCSTAR_OUT");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,16 +6,18 @@
 #
 #   ci.sh             fast PR gate: fmt + float-accumulation lint +
 #                     clippy + the clippy fixture check + doc + build +
-#                     a few-second harness smoke (a
-#                     faulted slice_ubench must report denied setups in
-#                     its --metrics-json file, and a misspelt flag and a
-#                     fault plan naming a link the system lacks must each
-#                     exit 2, and `ablation --quick` must rewrite
-#                     tests/golden/ablation_bus.csv byte for byte: the
-#                     only run that drives the shared bus outside its
-#                     unit tests) + tier-1 tests + the sampled goldens
-#                     and tests/sampled.rs pinned to one CPU (skipped
-#                     where taskset is missing).
+#                     a few-second smoke of the one bench binary,
+#                     `nocstar-bench <step> [flags]` (a faulted
+#                     slice_ubench must report denied setups in its
+#                     --metrics-json file; a misspelt flag, a fault plan
+#                     naming a link the system lacks, an unknown step,
+#                     no step, and another step's flag (`fig02 --cores
+#                     4`) must each exit 2; and `ablation --quick` must
+#                     rewrite tests/golden/ablation_bus.csv byte for
+#                     byte: the only run that drives the shared bus
+#                     outside its unit tests) + tier-1 tests + the
+#                     sampled goldens and tests/sampled.rs pinned to one
+#                     CPU (skipped where taskset is missing).
 #                     `cargo test --workspace`
 #                     runs every non-ignored test once, including the
 #                     golden-report, determinism, chaos and NCT trace
@@ -133,7 +135,7 @@ echo "== harness smoke: a paper figure honours --faults and --metrics-json =="
 # whole-run setup-denial plan must reach slice_ubench's NOCSTAR runs and
 # show up in the per-run reports written to the --metrics-json path.
 rm -rf target/bench-smoke
-NOCSTAR_OUT=target/bench-smoke cargo run --release -q -p nocstar-bench --bin slice_ubench -- \
+NOCSTAR_OUT=target/bench-smoke cargo run --release -q -p nocstar-bench -- slice_ubench \
   --quick --faults 'deny@0-100000000' --metrics-json target/bench-smoke/slice_ubench.json >/dev/null
 python3 - target/bench-smoke/slice_ubench.json <<'EOF'
 import json, sys
@@ -148,34 +150,31 @@ if max(denied) == 0:
 print(f"   harness smoke: OK ({len(reports)} reports, up to {max(denied)} denied setups)")
 EOF
 
-echo "== harness smoke: a misspelt flag is refused =="
-# An unknown flag must stop the run with exit 2, not run fault-free.
-status=0
-NOCSTAR_OUT=target/bench-smoke cargo run --release -q -p nocstar-bench --bin slice_ubench -- \
-  --quick --fualts 'deny@0-100000000' >/dev/null 2>&1 || status=$?
-if [[ "$status" != 2 ]]; then
-  echo "harness smoke: FAILED — slice_ubench --fualts exited $status, not 2" >&2
-  exit 1
-fi
-echo "   harness smoke: OK (--fualts refused with exit 2)"
-
-echo "== harness smoke: a fault plan naming a missing link is refused =="
-# A clause outside the simulated system would inject nothing; the run
-# must stop with exit 2 instead of reporting a fault-free result.
-status=0
-NOCSTAR_OUT=target/bench-smoke cargo run --release -q -p nocstar-bench --bin slice_ubench -- \
-  --quick --faults 'link:99999@0-100=off' >/dev/null 2>&1 || status=$?
-if [[ "$status" != 2 ]]; then
-  echo "harness smoke: FAILED — slice_ubench --faults 'link:99999@0-100=off' exited $status, not 2" >&2
-  exit 1
-fi
-echo "   harness smoke: OK (out-of-range fault plan refused with exit 2)"
+echo "== harness smoke: bad command lines are refused with exit 2 =="
+# A misspelt flag must stop the run, not run fault-free; a fault-plan
+# clause outside the simulated system would inject nothing; an unknown
+# step, no step and another step's flag must each be named before any run.
+refused() {
+  local status=0 line="nocstar-bench ${*:-(no step)}"
+  NOCSTAR_OUT=target/bench-smoke cargo run --release -q -p nocstar-bench -- "$@" \
+    >/dev/null 2>&1 || status=$?
+  if [[ "$status" != 2 ]]; then
+    echo "harness smoke: FAILED — $line exited $status, not 2" >&2
+    exit 1
+  fi
+  echo "   harness smoke: OK ($line refused with exit 2)"
+}
+refused slice_ubench --quick --fualts 'deny@0-100000000'
+refused slice_ubench --quick --faults 'link:99999@0-100=off'
+refused fig99 --quick
+refused
+refused fig02 --quick --cores 4
 
 echo "== harness smoke: the bus-vs-fabric ablation matches its golden CSV =="
 # The shared bus has no organization of its own, so this sweep of uniform
 # random traffic is the only run that reaches BusNoc outside its tests.
 rm -rf target/ablation-smoke
-NOCSTAR_OUT=target/ablation-smoke cargo run --release -q -p nocstar-bench --bin ablation -- \
+NOCSTAR_OUT=target/ablation-smoke cargo run --release -q -p nocstar-bench -- ablation \
   --quick >/dev/null
 diff tests/golden/ablation_bus.csv target/ablation-smoke/ablation_bus.csv
 echo "   harness smoke: OK (ablation_bus.csv unchanged)"
@@ -227,7 +226,7 @@ if [[ "$NIGHTLY" == "1" ]]; then
   cargo test -q --release --test grammars prop_grammars_never_panic_nightly -- --ignored
 
   echo "== nightly: recovery-latency study =="
-  cargo run --release -q -p nocstar-bench --bin recovery -- --quick
+  cargo run --release -q -p nocstar-bench -- recovery --quick
   # The closed loop must never lose to the open loop: every scenario's
   # latency saving must be positive.
   python3 - bench_results/recovery.csv <<'EOF'
@@ -249,30 +248,30 @@ EOF
   cargo test -q --release --test paper_claims claim_hier_beats_flat_mesh_at_scale -- --ignored
 
   echo "== nightly: 1024-core scale-up smoke =="
-  cargo run --release -q -p nocstar-bench --bin scaleup -- --quick
+  cargo run --release -q -p nocstar-bench -- scaleup --quick
 
   echo "== nightly: fault-sweep smoke =="
-  cargo run --release -q -p nocstar-bench --bin faultsweep -- --quick
+  cargo run --release -q -p nocstar-bench -- faultsweep --quick
 
   echo "== nightly: trace-replay equivalence (live vs recorded, real binaries) =="
   # Capture the redis preset with the simulator's defaults, then run the
-  # replay binary twice — once live, once from the file — and demand
+  # replay step twice — once live, once from the file — and demand
   # byte-identical report JSON. Proves the whole record -> NCT ->
   # FileTrace -> SimReport pipeline outside the test harness.
   TRACE_TMP="$(mktemp -d)"
   trap 'rm -rf "$TRACE_TMP"' EXIT
   cargo run --release -q -p nocstar-trace -- record \
     --preset redis --threads 4 --events 1200 --out "$TRACE_TMP/redis.nct"
-  NOCSTAR_OUT="$TRACE_TMP/live" cargo run --release -q -p nocstar-bench --bin replay -- \
+  NOCSTAR_OUT="$TRACE_TMP/live" cargo run --release -q -p nocstar-bench -- replay \
     --cores 4 --org nocstar --preset redis --warmup 200 --measure 500 >/dev/null
-  NOCSTAR_OUT="$TRACE_TMP/replayed" cargo run --release -q -p nocstar-bench --bin replay -- \
+  NOCSTAR_OUT="$TRACE_TMP/replayed" cargo run --release -q -p nocstar-bench -- replay \
     --cores 4 --org nocstar --warmup 200 --measure 500 \
     --trace-file "$TRACE_TMP/redis.nct" >/dev/null
   diff "$TRACE_TMP/live/replay.report.json" "$TRACE_TMP/replayed/replay.report.json"
   echo "   live and replayed reports are byte-identical"
 
   echo "== nightly: golden fixture replays to the golden report =="
-  NOCSTAR_OUT="$TRACE_TMP/fixture" cargo run --release -q -p nocstar-bench --bin replay -- \
+  NOCSTAR_OUT="$TRACE_TMP/fixture" cargo run --release -q -p nocstar-bench -- replay \
     --cores 4 --org nocstar --warmup 200 --measure 500 \
     --trace-file tests/golden/example.nct >/dev/null
   diff "$TRACE_TMP/fixture/replay.report.json" tests/golden/replay_example.json
