@@ -13,7 +13,7 @@
 
 use crate::{emit, parallel_map, simulate, Effort};
 use nocstar::prelude::*;
-use nocstar::stats::histogram::ConcurrencyBins;
+use nocstar::stats::concurrency::ConcurrencyBins;
 
 /// Non-memory-work multiplier restoring the paper's access intensity.
 pub(crate) const GAP_SCALE: u64 = 32;
@@ -28,7 +28,7 @@ pub fn run(effort: Effort) {
         spec.mem_op_gap *= GAP_SCALE;
         let workload = WorkloadAssignment::homogeneous(&config, spec);
         let report = simulate(config, workload, effort.warmup, effort.accesses);
-        (preset, report.chip_concurrency.clone())
+        (preset, report.chip_concurrency)
     });
 
     let mut headers = vec!["workload".to_string()];

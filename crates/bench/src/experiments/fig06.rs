@@ -8,7 +8,7 @@
 
 use crate::{emit, parallel_map, simulate, Effort};
 use nocstar::prelude::*;
-use nocstar::stats::histogram::ConcurrencyBins;
+use nocstar::stats::concurrency::ConcurrencyBins;
 
 /// The workload subset averaged in each bar (a representative mix of
 /// memory intensities, keeping 512-core runs tractable).

@@ -93,16 +93,6 @@ impl NetworkModel {
         }
     }
 
-    /// True when requests reserve a round-trip path (NOCSTAR round-trip
-    /// acquire mode): responses must use
-    /// [`respond`](Self::respond) instead of `submit`.
-    pub fn is_round_trip(&self) -> bool {
-        matches!(
-            self,
-            NetworkModel::Circuit(f) if f.mode() == AcquireMode::RoundTrip
-        )
-    }
-
     /// Submits a message (no-op immediate delivery is impossible here:
     /// callers must not submit through `None`).
     ///
@@ -265,15 +255,10 @@ mod tests {
             assert_eq!(variant, expected, "{}", org.label());
         }
         let round_trip = nocstar(AcquireMode::RoundTrip, false);
-        assert!(NetworkModel::for_config(&SystemConfig::new(16, round_trip)).is_round_trip());
-    }
-
-    #[test]
-    fn round_trip_detection() {
-        let mesh = MeshShape::square_for(16);
-        assert!(!NetworkModel::nocstar(mesh, 16, AcquireMode::OneWay, false).is_round_trip());
-        assert!(NetworkModel::nocstar(mesh, 16, AcquireMode::RoundTrip, false).is_round_trip());
-        assert!(!NetworkModel::None.is_round_trip());
+        assert!(matches!(
+            NetworkModel::for_config(&SystemConfig::new(16, round_trip)),
+            NetworkModel::Circuit(f) if f.mode() == AcquireMode::RoundTrip
+        ));
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl OrgState {
         }
     }
 
-    /// The organization these structures implement.
-    pub fn org(&self) -> TlbOrg {
-        self.org
-    }
-
     /// Number of structures (cores, banks, or slices).
     pub fn count(&self) -> usize {
         self.structures.len()

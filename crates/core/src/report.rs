@@ -3,8 +3,8 @@
 use nocstar_energy::account::EnergyAccount;
 use nocstar_json::Json;
 use nocstar_noc::NocStats;
+use nocstar_stats::concurrency::ConcurrencyBins;
 use nocstar_stats::counter::HitMiss;
-use nocstar_stats::histogram::ConcurrencyBins;
 use nocstar_stats::latency::LatencyRecorder;
 use nocstar_stats::metrics::{MetricValue, MetricsSnapshot};
 use nocstar_stats::summary;
@@ -425,7 +425,9 @@ mod tests {
         let c = reg.counter("core.0.stall.walk_cycles");
         reg.add(c, 42);
         let h = reg.histogram("mem.walk_latency_cycles");
-        reg.observe(h, 9);
+        let mut walk = Log2Histogram::new();
+        walk.record(9);
+        reg.merge_histogram(h, &walk);
         r.metrics = reg.snapshot();
         r.trace = vec![TraceRecord {
             cycle: 7,

@@ -11,8 +11,8 @@
 use crate::sim::RunStats;
 use nocstar_json::Json;
 use nocstar_noc::NocStats;
+use nocstar_stats::concurrency::ConcurrencyBins;
 use nocstar_stats::counter::HitMiss;
-use nocstar_stats::histogram::ConcurrencyBins;
 use nocstar_stats::interval::Interval;
 
 /// Everything one measurement window measured, captured at its end
@@ -166,19 +166,19 @@ pub(crate) fn estimates(
         MetricEstimate::of("l2_miss_rate", per(&|w| w.l2.miss_rate())),
         MetricEstimate::of(
             "walks_per_access",
-            per(&|w| w.stats.walks.get() as f64 / measured),
+            per(&|w| w.stats.walks as f64 / measured),
         ),
         MetricEstimate::of(
             "walks_llc_or_mem_per_access",
-            per(&|w| w.stats.walks_llc_or_mem.get() as f64 / measured),
+            per(&|w| w.stats.walks_llc_or_mem as f64 / measured),
         ),
         MetricEstimate::of(
             "shootdowns_per_access",
-            per(&|w| w.stats.shootdowns.get() as f64 / measured),
+            per(&|w| w.stats.shootdowns as f64 / measured),
         ),
         MetricEstimate::of(
             "flushes_per_access",
-            per(&|w| w.stats.flushes.get() as f64 / measured),
+            per(&|w| w.stats.flushes as f64 / measured),
         ),
         MetricEstimate::of(
             "translation_latency_mean",
@@ -197,7 +197,7 @@ mod tests {
 
     fn window(runtime: u64, walks: u64) -> WindowSample {
         let mut stats = RunStats::default();
-        stats.walks.add(walks);
+        stats.walks += walks;
         WindowSample {
             durations: vec![runtime],
             runtime,

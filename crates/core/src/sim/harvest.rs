@@ -8,8 +8,8 @@ use crate::report::SimReport;
 use crate::sampling::WindowSample;
 use nocstar_energy::account::EnergyAccount;
 use nocstar_noc::NocStats;
-use nocstar_stats::counter::{Counter, HitMiss};
-use nocstar_stats::histogram::ConcurrencyBins;
+use nocstar_stats::concurrency::ConcurrencyBins;
+use nocstar_stats::counter::HitMiss;
 use nocstar_stats::latency::LatencyRecorder;
 use nocstar_stats::metrics::Log2Histogram;
 
@@ -20,17 +20,17 @@ use nocstar_stats::metrics::Log2Histogram;
 pub(crate) struct RunStats {
     pub(crate) energy: EnergyAccount,
     pub(crate) translation_latency: LatencyRecorder,
-    pub(crate) walks: Counter,
-    pub(crate) walks_llc_or_mem: Counter,
-    pub(crate) shootdowns: Counter,
-    pub(crate) flushes: Counter,
-    pub(crate) fault_slice_misses: Counter,
-    pub(crate) fault_walk_spikes: Counter,
-    pub(crate) fault_storm_relays: Counter,
-    pub(crate) recovered_translations: Counter,
-    pub(crate) degraded_translations: Counter,
-    pub(crate) rehome_activations: Counter,
-    pub(crate) rehome_homebacks: Counter,
+    pub(crate) walks: u64,
+    pub(crate) walks_llc_or_mem: u64,
+    pub(crate) shootdowns: u64,
+    pub(crate) flushes: u64,
+    pub(crate) fault_slice_misses: u64,
+    pub(crate) fault_walk_spikes: u64,
+    pub(crate) fault_storm_relays: u64,
+    pub(crate) recovered_translations: u64,
+    pub(crate) degraded_translations: u64,
+    pub(crate) rehome_activations: u64,
+    pub(crate) rehome_homebacks: u64,
     pub(crate) rehome_handoff_entries: Log2Histogram,
     pub(crate) detect_to_recovered: Log2Histogram,
 }
@@ -41,24 +41,17 @@ impl RunStats {
     fn merge(&mut self, other: &RunStats) {
         self.energy.merge(&other.energy);
         self.translation_latency.merge(&other.translation_latency);
-        for (mine, theirs) in [
-            (&mut self.walks, other.walks),
-            (&mut self.walks_llc_or_mem, other.walks_llc_or_mem),
-            (&mut self.shootdowns, other.shootdowns),
-            (&mut self.flushes, other.flushes),
-            (&mut self.fault_slice_misses, other.fault_slice_misses),
-            (&mut self.fault_walk_spikes, other.fault_walk_spikes),
-            (&mut self.fault_storm_relays, other.fault_storm_relays),
-            (
-                &mut self.recovered_translations,
-                other.recovered_translations,
-            ),
-            (&mut self.degraded_translations, other.degraded_translations),
-            (&mut self.rehome_activations, other.rehome_activations),
-            (&mut self.rehome_homebacks, other.rehome_homebacks),
-        ] {
-            mine.merge(theirs);
-        }
+        self.walks += other.walks;
+        self.walks_llc_or_mem += other.walks_llc_or_mem;
+        self.shootdowns += other.shootdowns;
+        self.flushes += other.flushes;
+        self.fault_slice_misses += other.fault_slice_misses;
+        self.fault_walk_spikes += other.fault_walk_spikes;
+        self.fault_storm_relays += other.fault_storm_relays;
+        self.recovered_translations += other.recovered_translations;
+        self.degraded_translations += other.degraded_translations;
+        self.rehome_activations += other.rehome_activations;
+        self.rehome_homebacks += other.rehome_homebacks;
         self.rehome_handoff_entries
             .merge(&other.rehome_handoff_entries);
         self.detect_to_recovered.merge(&other.detect_to_recovered);
@@ -94,7 +87,7 @@ impl Simulation {
             l2: self.org.merged_stats(),
             per_structure: self.org.per_structure_stats(),
             stats: self.stats,
-            chip_concurrency: self.org.chip_tracker.bins().clone(),
+            chip_concurrency: *self.org.chip_tracker.bins(),
             slice_concurrency,
             network: self.net.stats().cloned(),
         });
@@ -184,12 +177,9 @@ impl Simulation {
         let stats = self.stats;
         if !self.faults.is_empty() {
             for (name, v) in [
-                (
-                    "faults.slice_offline_lookups",
-                    stats.fault_slice_misses.get(),
-                ),
-                ("faults.walk_spikes", stats.fault_walk_spikes.get()),
-                ("faults.storm_relays", stats.fault_storm_relays.get()),
+                ("faults.slice_offline_lookups", stats.fault_slice_misses),
+                ("faults.walk_spikes", stats.fault_walk_spikes),
+                ("faults.storm_relays", stats.fault_storm_relays),
             ] {
                 let c = self.metrics.counter(name);
                 self.metrics.add(c, v);
@@ -216,17 +206,14 @@ impl Simulation {
             for (name, v) in [
                 (
                     "recovery.translations_recovered",
-                    stats.recovered_translations.get(),
+                    stats.recovered_translations,
                 ),
                 (
                     "recovery.translations_degraded",
-                    stats.degraded_translations.get(),
+                    stats.degraded_translations,
                 ),
-                (
-                    "recovery.rehome_activations",
-                    stats.rehome_activations.get(),
-                ),
-                ("recovery.rehome_homebacks", stats.rehome_homebacks.get()),
+                ("recovery.rehome_activations", stats.rehome_activations),
+                ("recovery.rehome_homebacks", stats.rehome_homebacks),
             ] {
                 let c = self.metrics.counter(name);
                 self.metrics.add(c, v);
@@ -288,8 +275,7 @@ impl Simulation {
         // static power is ~1/4 of the SRAM's (Fig 9), so static terms are
         // nearly org-invariant and, at this simulator's footprint-scaled
         // event counts, would only drown the walk-elimination effect the
-        // paper's Fig 14 (right) isolates. `EnergyAccount::add_static`
-        // remains available for whole-chip studies.
+        // paper's Fig 14 (right) isolates.
         let mut cycles = 0u64;
         let mut accesses = 0u64;
         let mut per_thread_finish = vec![0u64; self.threads.len()];
@@ -339,10 +325,10 @@ impl Simulation {
             l2,
             per_structure,
             l2_occupancy: self.org.occupancy(),
-            walks: stats.walks.get(),
-            walks_llc_or_mem: stats.walks_llc_or_mem.get(),
-            shootdowns: stats.shootdowns.get(),
-            flushes: stats.flushes.get(),
+            walks: stats.walks,
+            walks_llc_or_mem: stats.walks_llc_or_mem,
+            shootdowns: stats.shootdowns,
+            flushes: stats.flushes,
             chip_concurrency,
             slice_concurrency,
             translation_latency: stats.translation_latency,

@@ -557,7 +557,7 @@ impl Simulation {
                 self.events.push(now + a.gap, Event::Issue(t));
             }
             TraceEvent::ContextSwitch => {
-                self.stats.flushes.incr();
+                self.stats.flushes += 1;
                 self.context_switch_flush(self.threads[t].core, None);
                 self.events
                     .push(now + CTX_SWITCH_COST, Event::ThreadNext(t));

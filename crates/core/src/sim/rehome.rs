@@ -124,7 +124,7 @@ impl Simulation {
             self.handoff(home_idx);
         }
         let backup_idx = self.backup_slice(home_idx, now)?;
-        self.stats.rehome_activations.incr();
+        self.stats.rehome_activations += 1;
         self.rehomed.insert(
             home_idx,
             Rehome {
@@ -142,7 +142,7 @@ impl Simulation {
     /// so no stale copy outlives the redirect once traffic homes back.
     fn maybe_home_back(&mut self, home_idx: usize) {
         if !self.rehomed.is_empty() && self.rehomed.contains_key(&home_idx) {
-            self.stats.rehome_homebacks.incr();
+            self.stats.rehome_homebacks += 1;
             self.handoff(home_idx);
         }
     }

@@ -151,7 +151,7 @@ impl Simulation {
             let off = self.faults.slice_offline(lookup.home.idx, at.value());
             self.org.structure_mut(lookup.home.idx).set_offline(off);
             if off {
-                self.stats.fault_slice_misses.incr();
+                self.stats.fault_slice_misses += 1;
                 self.trace.emit(TraceRecord {
                     cycle: at.value(),
                     component: SLICE_COMPONENT_BASE + lookup.home.idx as u32,
@@ -271,7 +271,7 @@ impl Simulation {
             self.faults.walk_multiplier(self.now.value())
         };
         if multiplier > 1 {
-            self.stats.fault_walk_spikes.incr();
+            self.stats.fault_walk_spikes += 1;
             self.trace.emit(TraceRecord {
                 cycle: self.now.value(),
                 component: walk_core.index() as u32,
@@ -287,9 +287,9 @@ impl Simulation {
             self.config.walk_latency,
             multiplier,
         );
-        self.stats.walks.incr();
+        self.stats.walks += 1;
         if result.touched_llc_or_memory() {
-            self.stats.walks_llc_or_mem.incr();
+            self.stats.walks_llc_or_mem += 1;
         }
         for read in result.pte_reads.iter() {
             self.stats.energy.add_walk_access(match read {
@@ -422,7 +422,7 @@ impl Simulation {
             b: total.value(),
         });
         if lookup.home.rehomed {
-            self.stats.recovered_translations.incr();
+            self.stats.recovered_translations += 1;
             if let Some(r) = self.rehomed.get_mut(&lookup.home.orig_idx) {
                 if !r.first_served {
                     r.first_served = true;
@@ -432,7 +432,7 @@ impl Simulation {
                 }
             }
         } else if lookup.home.degraded {
-            self.stats.degraded_translations.incr();
+            self.stats.degraded_translations += 1;
         }
         self.l1s[lookup.requester.index()].insert(entry);
         let pa = entry.translate(lookup.va);
@@ -485,7 +485,7 @@ impl Simulation {
             !ipi_broadcast && !self.faults.is_empty() && self.faults.storm_active(self.now.value());
         let ipi_broadcast = ipi_broadcast || storm_forced;
         if storm_forced {
-            self.stats.fault_storm_relays.incr();
+            self.stats.fault_storm_relays += 1;
             self.trace.emit(TraceRecord {
                 cycle: self.now.value(),
                 component: initiator.index() as u32,
@@ -494,7 +494,7 @@ impl Simulation {
                 b: 0,
             });
         }
-        self.stats.shootdowns.incr();
+        self.stats.shootdowns += 1;
         // IPIs reach every core: private L1s drop the stale translation.
         for l1 in &mut self.l1s {
             l1.invalidate(asid, vpn);

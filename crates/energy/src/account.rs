@@ -1,29 +1,24 @@
 //! The running energy tally a simulation accumulates into.
 
-use crate::area::TileCosts;
 use crate::model;
-use nocstar_types::time::Cycles;
 use std::fmt;
 
 /// Address-translation energy of one run, split by where it was spent.
 ///
 /// All values in picojoules. The paper's Fig 14 (right) compares total
-/// address-translation energy across TLB organizations; the dominant terms
-/// are page-walk cache/DRAM accesses and static energy over runtime, which
-/// is why eliminating walks (higher shared-TLB hit rate) and shortening
-/// runtime (NOCSTAR's low access latency) both save energy.
+/// *dynamic* address-translation energy across TLB organizations; the
+/// dominant term is page-walk cache/DRAM accesses, which is why eliminating
+/// walks (higher shared-TLB hit rate) saves energy.
 ///
 /// # Examples
 ///
 /// ```
 /// use nocstar_energy::account::EnergyAccount;
-/// use nocstar_types::Cycles;
 ///
 /// let mut acct = EnergyAccount::default();
 /// acct.add_l1_lookup();
 /// acct.add_walk_access(nocstar_energy::model::LLC_CACHE_PJ);
-/// acct.add_static(Cycles::new(1000), 10.0);
-/// assert!(acct.total_pj() > 5000.0);
+/// assert!(acct.total_pj() > 500.0);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyAccount {
@@ -35,7 +30,9 @@ pub struct EnergyAccount {
     pub noc_pj: f64,
     /// Cache and DRAM accesses performed by page walks.
     pub walk_pj: f64,
-    /// Static energy of the translation machinery over the run.
+    /// Static energy of the translation machinery over the run. No run
+    /// charges leakage (it is nearly organization-invariant), so this
+    /// stays 0.0; reports keep the key.
     pub static_pj: f64,
 }
 
@@ -59,18 +56,6 @@ impl EnergyAccount {
     /// Charges one page-walk memory access of the given energy.
     pub fn add_walk_access(&mut self, pj: f64) {
         self.walk_pj += pj;
-    }
-
-    /// Integrates static power over a duration: `power_mw` of translation
-    /// hardware for `cycles` at 2 GHz.
-    pub fn add_static(&mut self, cycles: Cycles, power_mw: f64) {
-        self.static_pj += cycles.value() as f64 * power_mw * model::STATIC_PJ_PER_CYCLE_PER_MW;
-    }
-
-    /// Integrates the static power of `cores` NOCSTAR tiles (Fig 9 table)
-    /// over a runtime.
-    pub fn add_tile_static(&mut self, cycles: Cycles, cores: usize, costs: &TileCosts) {
-        self.add_static(cycles, costs.tile_power_mw() * cores as f64);
     }
 
     /// Total address-translation energy in pJ.
@@ -125,25 +110,8 @@ mod tests {
         a.add_l2_lookup(8.0);
         a.add_noc(3.0);
         a.add_walk_access(100.0);
-        a.add_static(Cycles::new(10), 2.0);
+        a.static_pj = 10.0;
         assert!((a.total_pj() - (2.0 + 8.0 + 3.0 + 100.0 + 10.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn static_energy_uses_half_pj_per_cycle_per_mw() {
-        let mut a = EnergyAccount::default();
-        a.add_static(Cycles::new(1000), 1.0);
-        assert!((a.static_pj - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tile_static_scales_with_cores() {
-        let costs = TileCosts::paper();
-        let mut one = EnergyAccount::default();
-        one.add_tile_static(Cycles::new(100), 1, &costs);
-        let mut many = EnergyAccount::default();
-        many.add_tile_static(Cycles::new(100), 16, &costs);
-        assert!((many.static_pj / one.static_pj - 16.0).abs() < 1e-9);
     }
 
     #[test]

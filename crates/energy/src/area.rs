@@ -57,17 +57,6 @@ impl TileCosts {
         (self.switch.area_mm2 + self.arbiters.area_mm2) / self.sram_tlb.area_mm2
     }
 
-    /// Total per-tile power added by NOCSTAR's interconnect, in mW.
-    pub fn interconnect_power_mw(&self) -> f64 {
-        self.switch.power_mw + self.arbiters.power_mw
-    }
-
-    /// Static power of the whole tile's translation machinery, in mW
-    /// (used to integrate static energy over runtime).
-    pub fn tile_power_mw(&self) -> f64 {
-        self.interconnect_power_mw() + self.sram_tlb.power_mw
-    }
-
     /// The three rows in Fig 9 order.
     pub fn rows(&self) -> [ComponentCost; 3] {
         [self.switch, self.arbiters, self.sram_tlb]

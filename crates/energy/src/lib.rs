@@ -3,8 +3,8 @@
 //! The paper evaluates energy with McPAT plus its own 28 nm place-and-route
 //! numbers (Fig 9); we reproduce that as a linear accounting model: every
 //! simulated event (TLB lookup, switch/link traversal, arbitration, cache
-//! or DRAM access during a page walk) contributes a fixed dynamic energy,
-//! and per-tile static power integrates over runtime.
+//! or DRAM access during a page walk) contributes a fixed dynamic energy.
+//! Leakage is left out: it is nearly organization-invariant (Fig 9).
 //!
 //! * [`model`] — per-event dynamic-energy constants and the per-message
 //!   breakdown of Fig 11(b).

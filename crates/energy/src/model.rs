@@ -40,10 +40,6 @@ pub const LLC_CACHE_PJ: f64 = 500.0;
 /// DRAM access energy in pJ (64B read incl. amortized row activation).
 pub const DRAM_PJ: f64 = 20_000.0;
 
-/// The chip runs at 2 GHz (paper §III-B3), so one cycle is 0.5 ns and one
-/// mW of static power costs 0.5 pJ per cycle.
-pub const STATIC_PJ_PER_CYCLE_PER_MW: f64 = 0.5;
-
 /// The NoC + TLB design whose per-message energy is being modelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NocDesign {

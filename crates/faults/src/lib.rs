@@ -200,11 +200,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing (identical to not installing a plan).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// True when the plan can never perturb a run. Fast paths key off
     /// this so an empty plan is bit-identical to no plan at all.
     pub fn is_empty(&self) -> bool {
@@ -779,7 +774,7 @@ mod tests {
 
     #[test]
     fn empty_plan_is_empty_and_injects_nothing() {
-        let plan = FaultPlan::none();
+        let plan = FaultPlan::default();
         assert!(plan.is_empty());
         assert!(!plan.link_outage(0, 100));
         assert_eq!(plan.link_degrade(3, 100), 0);

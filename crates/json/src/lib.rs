@@ -74,15 +74,6 @@ impl Json {
         }
     }
 
-    /// The value as `i64`, widening from either integer variant.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::U64(v) => i64::try_from(*v).ok(),
-            Json::I64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The value as `f64`, widening from the integer variants.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -601,7 +592,7 @@ mod tests {
         let v = Json::parse(doc).unwrap();
         let arr = v.get("k").unwrap().as_array().unwrap();
         assert_eq!(arr[0].as_u64(), Some(1));
-        assert_eq!(arr[1].as_i64(), Some(-2));
+        assert_eq!(arr[1], Json::I64(-2));
         assert_eq!(arr[2].as_f64(), Some(3.5));
         assert_eq!(arr[3].as_bool(), Some(true));
         assert_eq!(arr[4], Json::Null);

@@ -286,7 +286,6 @@ impl WarmOp {
 /// ```
 #[derive(Debug)]
 pub struct MemorySystem {
-    config: MemoryConfig,
     /// `None` while [detached](Self::detach_caches).
     caches: Option<Caches>,
     phys: PhysMemory,
@@ -307,18 +306,12 @@ impl MemorySystem {
     pub fn new(config: MemoryConfig) -> Self {
         assert!(config.cores > 0, "need at least one core");
         Self {
-            config,
             caches: Some(Caches::new(&config)),
             phys: PhysMemory::new(config.phys_capacity),
             tables: BTreeMap::new(),
             walk_latency: Log2Histogram::new(),
             pwc_hits_per_walk: Log2Histogram::new(),
         }
-    }
-
-    /// The configuration this system was built with.
-    pub fn config(&self) -> &MemoryConfig {
-        &self.config
     }
 
     /// Moves the caches out, for a fast-forward leg that warms them on
@@ -495,11 +488,6 @@ impl MemorySystem {
         &self.pwc_hits_per_walk
     }
 
-    /// The physical memory allocator (for inspection).
-    pub fn phys(&self) -> &PhysMemory {
-        &self.phys
-    }
-
     /// Flushes one core's paging-structure cache (context switch).
     pub fn flush_pwc(&mut self, core: CoreId) {
         self.caches_mut().flush_pwc(core);
@@ -532,9 +520,10 @@ mod tests {
 
     #[test]
     fn llc_allocates_a_set_on_its_first_fill_only() {
-        let mut mem = MemorySystem::new(MemoryConfig::haswell(256));
+        let config = MemoryConfig::haswell(256);
+        let mut mem = MemorySystem::new(config);
         assert_eq!(mem.caches().llc.blocks(), 0);
-        let sets = mem.config.llc.capacity / 64 / mem.config.llc.ways as u64;
+        let sets = config.llc.capacity / 64 / config.llc.ways as u64;
         let line = |set: u64, tag: u64| PhysAddr::new((tag * sets + set) * 64);
         for k in 0..40 {
             let core = CoreId::new(k as usize);

@@ -68,11 +68,6 @@ impl PhysMemory {
     pub fn allocated(&self) -> u64 {
         self.next_free
     }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
 }
 
 impl fmt::Display for PhysMemory {

@@ -57,18 +57,6 @@ impl PriorityRotation {
         let rotation = (now.value() / self.period) as usize % self.cores;
         (core.index() + self.cores - rotation) % self.cores
     }
-
-    /// The highest-priority core among `candidates` at time `now`, or
-    /// `None` when empty.
-    pub fn winner<'a, I>(&self, candidates: I, now: Cycle) -> Option<CoreId>
-    where
-        I: IntoIterator<Item = &'a CoreId>,
-    {
-        candidates
-            .into_iter()
-            .copied()
-            .min_by_key(|c| self.rank(*c, now))
-    }
 }
 
 #[cfg(test)]
@@ -109,24 +97,6 @@ mod tests {
         let r999 = prio.rank(CoreId::new(2), Cycle::new(999));
         assert_eq!(r0, r999);
         assert_ne!(r0, prio.rank(CoreId::new(2), Cycle::new(1000)));
-    }
-
-    #[test]
-    fn winner_picks_minimum_rank() {
-        let prio = PriorityRotation::new(4, 1000);
-        let candidates = [CoreId::new(3), CoreId::new(1)];
-        assert_eq!(
-            prio.winner(&candidates, Cycle::new(0)),
-            Some(CoreId::new(1))
-        );
-        // After one rotation, core1 has rank 0 and still wins; after two,
-        // core2 tops but isn't a candidate — core3 (rank 1) beats core1
-        // (rank 3).
-        assert_eq!(
-            prio.winner(&candidates, Cycle::new(2000)),
-            Some(CoreId::new(3))
-        );
-        assert_eq!(prio.winner(&[], Cycle::new(0)), None);
     }
 
     proptest! {

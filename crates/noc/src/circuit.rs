@@ -169,11 +169,6 @@ impl CircuitFabric {
         fabric
     }
 
-    /// The configured maximum hops per cycle.
-    pub fn hpc_max(&self) -> usize {
-        self.hpc_max
-    }
-
     /// The configured acquire mode.
     pub fn mode(&self) -> AcquireMode {
         self.mode

@@ -4,11 +4,13 @@
 //! access component (from [`nocstar_tlb::sram`]) and the network component
 //! as a function of hop count:
 //!
-//! * monolithic / distributed over a multi-hop mesh: `2 x hops`
+//! * monolithic / distributed over a multi-hop mesh:
+//!   [`CYCLES_PER_HOP`](crate::mesh::CYCLES_PER_HOP) `x hops`
 //!   (1-cycle router + 1-cycle link per hop);
 //! * NOCSTAR: 1 cycle of path setup + `ceil(hops / HPCmax)` traversal
 //!   cycles (0 network cycles for a local slice).
 
+use crate::mesh;
 use nocstar_tlb::sram;
 use nocstar_types::time::Cycles;
 use std::fmt;
@@ -76,13 +78,14 @@ impl MessageLatency {
 /// ```
 pub fn message_latency(design: SharedTlbDesign, hops: usize) -> MessageLatency {
     match design {
-        SharedTlbDesign::Monolithic { total_entries } => MessageLatency {
-            access: sram::lookup_cycles(total_entries),
-            network: Cycles::new(2 * hops as u64),
-        },
-        SharedTlbDesign::Distributed { slice_entries } => MessageLatency {
-            access: sram::lookup_cycles(slice_entries),
-            network: Cycles::new(2 * hops as u64),
+        SharedTlbDesign::Monolithic {
+            total_entries: entries,
+        }
+        | SharedTlbDesign::Distributed {
+            slice_entries: entries,
+        } => MessageLatency {
+            access: sram::lookup_cycles(entries),
+            network: Cycles::new(mesh::CYCLES_PER_HOP * hops as u64),
         },
         SharedTlbDesign::Nocstar {
             slice_entries,

@@ -8,7 +8,7 @@
 
 use crate::message::{Message, MsgKind};
 use crate::Interconnect;
-use nocstar_types::time::{Cycle, Cycles};
+use nocstar_types::time::Cycle;
 use nocstar_types::{CoreId, MeshShape};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -85,15 +85,8 @@ pub fn run_uniform_random<I: Interconnect>(
     }
 
     // Drain: keep advancing until the network is quiescent.
-    let mut now = Cycle::new(cycles);
-    let drain_limit = Cycle::new(cycles + 1_000_000);
-    while let Some(next) = noc.next_activity() {
-        now = now.max(next);
-        assert!(now < drain_limit, "network failed to drain: deadlock?");
-        noc.advance_into(now, &mut delivered);
-        delivered.clear();
-        now += Cycles::ONE;
-    }
+    crate::drain_until_idle(noc, Cycle::new(cycles), 1_000_000)
+        .unwrap_or_else(|e| panic!("network failed to drain: {e}"));
 
     let stats = noc.stats();
     TrafficReport {

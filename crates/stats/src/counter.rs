@@ -1,73 +1,6 @@
-//! Event counters.
+//! Hit/miss counters.
 
 use std::fmt;
-use std::ops::AddAssign;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use nocstar_stats::counter::Counter;
-/// let mut walks = Counter::default();
-/// walks.incr();
-/// walks.add(4);
-/// assert_eq!(walks.get(), 5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// This count as a fraction of `total` (0.0 if `total` is zero).
-    pub fn fraction_of(self, total: u64) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total as f64
-        }
-    }
-
-    /// Merges another counter into this one (used when reducing per-core
-    /// stats into chip-wide totals).
-    pub fn merge(&mut self, other: Counter) {
-        self.0 += other.0;
-    }
-}
-
-impl AddAssign<u64> for Counter {
-    fn add_assign(&mut self, n: u64) {
-        self.add(n);
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// A paired hit/miss counter for cache-like structures.
 ///
@@ -85,8 +18,8 @@ impl fmt::Display for Counter {
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HitMiss {
-    hits: Counter,
-    misses: Counter,
+    hits: u64,
+    misses: u64,
 }
 
 impl HitMiss {
@@ -99,32 +32,32 @@ impl HitMiss {
     #[inline]
     pub fn record(&mut self, hit: bool) {
         if hit {
-            self.hits.incr();
+            self.hits += 1;
         } else {
-            self.misses.incr();
+            self.misses += 1;
         }
     }
 
     /// Records a hit.
     #[inline]
     pub fn hit(&mut self) {
-        self.hits.incr();
+        self.hits += 1;
     }
 
     /// Records a miss.
     #[inline]
     pub fn miss(&mut self) {
-        self.misses.incr();
+        self.misses += 1;
     }
 
     /// Total hits so far.
     pub fn hits(self) -> u64 {
-        self.hits.get()
+        self.hits
     }
 
     /// Total misses so far.
     pub fn misses(self) -> u64 {
-        self.misses.get()
+        self.misses
     }
 
     /// Total accesses (hits + misses).
@@ -134,18 +67,27 @@ impl HitMiss {
 
     /// Hits / accesses, or 0.0 with no accesses.
     pub fn hit_rate(self) -> f64 {
-        self.hits.fraction_of(self.accesses())
+        fraction(self.hits, self.accesses())
     }
 
     /// Misses / accesses, or 0.0 with no accesses.
     pub fn miss_rate(self) -> f64 {
-        self.misses.fraction_of(self.accesses())
+        fraction(self.misses, self.accesses())
     }
 
     /// Merges another pair into this one.
     pub fn merge(&mut self, other: HitMiss) {
-        self.hits.merge(other.hits);
-        self.misses.merge(other.misses);
+        self.hits += other.hits;
+        self.misses += other.misses;
+    }
+}
+
+/// `part / total`, or 0.0 when `total` is zero.
+fn fraction(part: u64, total: u64) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        part as f64 / total as f64
     }
 }
 
@@ -164,34 +106,6 @@ impl fmt::Display for HitMiss {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c += 9;
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
-
-    #[test]
-    fn fraction_of_zero_total_is_zero() {
-        assert_eq!(Counter::new().fraction_of(0), 0.0);
-        let mut c = Counter::new();
-        c.add(3);
-        assert_eq!(c.fraction_of(0), 0.0);
-        assert_eq!(c.fraction_of(6), 0.5);
-    }
-
-    #[test]
-    fn merge_sums_counts() {
-        let mut a = Counter::new();
-        a.add(2);
-        let mut b = Counter::new();
-        b.add(5);
-        a.merge(b);
-        assert_eq!(a.get(), 7);
-    }
 
     #[test]
     fn hit_miss_rates_are_complementary() {

@@ -3,10 +3,10 @@
 //! Every experiment in the paper is a reduction over event streams the
 //! simulator produces; this crate holds the reducers:
 //!
-//! * [`counter`] — monotonically increasing event counters and hit/miss pairs.
-//! * [`histogram`] — bucketed distributions, including the paper's
-//!   concurrent-access bins (1, 2–4, 5–8, …, 29+) used by Figs 5 and 6.
-//! * [`concurrency`] — the outstanding-access tracker that feeds those bins.
+//! * [`counter`] — hit/miss pairs for cache-like structures.
+//! * [`concurrency`] — the paper's concurrent-access bins (1, 2–4, 5–8, …,
+//!   29+) used by Figs 5 and 6, and the outstanding-access tracker that
+//!   feeds them.
 //! * [`latency`] — min/mean/max latency recorders for messages and lookups.
 //! * [`metrics`] — the named-metric registry (counters, gauges, log2
 //!   histograms) behind `SimReport` observability snapshots.
@@ -36,7 +36,6 @@
 
 pub mod concurrency;
 pub mod counter;
-pub mod histogram;
 pub mod interval;
 pub mod latency;
 pub mod metrics;
@@ -44,9 +43,8 @@ pub mod summary;
 pub mod table;
 pub mod tracing;
 
-pub use concurrency::OutstandingTracker;
-pub use counter::{Counter, HitMiss};
-pub use histogram::{ConcurrencyBins, Histogram};
+pub use concurrency::{ConcurrencyBins, OutstandingTracker};
+pub use counter::HitMiss;
 pub use interval::Interval;
 pub use latency::LatencyRecorder;
 pub use metrics::{Log2Histogram, MetricsRegistry, MetricsSnapshot};

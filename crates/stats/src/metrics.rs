@@ -213,7 +213,7 @@ pub struct HistogramId(usize);
 /// let mut reg = MetricsRegistry::enabled();
 /// let hits = reg.counter("tlb.slice0.hits");
 /// reg.add(hits, 3);
-/// reg.incr(hits);
+/// reg.add(hits, 1);
 /// let snap = reg.snapshot();
 /// assert_eq!(snap.counter("tlb.slice0.hits"), Some(4));
 /// ```
@@ -308,34 +308,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Increments a counter by one.
-    #[inline]
-    pub fn incr(&mut self, id: CounterId) {
-        self.add(id, 1);
-    }
-
     /// Sets a gauge to its current level.
     #[inline]
     pub fn set_gauge(&mut self, id: GaugeId, value: u64) {
         if self.enabled {
             self.gauges[id.0] = value;
-        }
-    }
-
-    /// Raises a gauge to `value` if it is higher than the current value
-    /// (high-water-mark semantics).
-    #[inline]
-    pub fn raise_gauge(&mut self, id: GaugeId, value: u64) {
-        if self.enabled && value > self.gauges[id.0] {
-            self.gauges[id.0] = value;
-        }
-    }
-
-    /// Records one histogram sample.
-    #[inline]
-    pub fn observe(&mut self, id: HistogramId, value: u64) {
-        if self.enabled {
-            self.histograms[id.0].record(value);
         }
     }
 
@@ -538,7 +515,9 @@ mod tests {
         let h = reg.histogram("c");
         reg.add(c, 10);
         reg.set_gauge(g, 5);
-        reg.observe(h, 7);
+        let mut sample = Log2Histogram::new();
+        sample.record(7);
+        reg.merge_histogram(h, &sample);
         assert!(reg.snapshot().is_empty());
         assert!(!reg.is_enabled());
     }
@@ -549,8 +528,8 @@ mod tests {
         let a = reg.counter("x");
         let b = reg.counter("x");
         assert_eq!(a, b);
-        reg.incr(a);
-        reg.incr(b);
+        reg.add(a, 1);
+        reg.add(b, 1);
         assert_eq!(reg.snapshot().counter("x"), Some(2));
     }
 
@@ -600,9 +579,10 @@ mod tests {
         let a = reg.gauge("a.first");
         let m = reg.histogram("m.mid");
         reg.add(z, 4);
-        reg.raise_gauge(a, 9);
-        reg.raise_gauge(a, 3); // lower: ignored
-        reg.observe(m, 100);
+        reg.set_gauge(a, 9);
+        let mut sample = Log2Histogram::new();
+        sample.record(100);
+        reg.merge_histogram(m, &sample);
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.samples().iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["a.first", "m.mid", "z.last"]);
@@ -619,7 +599,7 @@ mod tests {
         reg.add(c, 7);
         reg.reset_values();
         assert_eq!(reg.snapshot().counter("c"), Some(0));
-        reg.incr(c);
+        reg.add(c, 1);
         assert_eq!(reg.snapshot().counter("c"), Some(1));
     }
 

@@ -1,11 +1,11 @@
-//! Reductions over per-workload results: min / avg / max and geomean.
+//! Reductions over per-workload results: min / avg / max.
 //!
 //! The paper reports speedups as workload averages with min/max whiskers
 //! (Fig 14, Table III); [`Summary`] is that reduction.
 
 use std::fmt;
 
-/// Min / arithmetic-mean / max / geometric-mean summary of an `f64` series.
+/// Min / arithmetic-mean / max summary of an `f64` series.
 ///
 /// # Examples
 ///
@@ -15,7 +15,6 @@ use std::fmt;
 /// assert_eq!(s.min(), 1.0);
 /// assert_eq!(s.max(), 4.0);
 /// assert!((s.mean() - 7.0 / 3.0).abs() < 1e-12);
-/// assert!((s.geomean() - 2.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -23,7 +22,6 @@ pub struct Summary {
     min: f64,
     max: f64,
     mean: f64,
-    geomean: f64,
 }
 
 impl Summary {
@@ -39,8 +37,6 @@ impl Summary {
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
         let mut sum = 0.0;
-        let mut log_sum = 0.0;
-        let mut any_zero = false;
         for v in values {
             assert!(
                 v.is_finite() && v >= 0.0,
@@ -51,12 +47,6 @@ impl Summary {
             max = max.max(v);
             // nocstar-lint: allow(float-accumulation): folds in the caller's order; every caller passes a series in fixed workload order, and the summary feeds only bench tables
             sum += v;
-            if v == 0.0 {
-                any_zero = true;
-            } else {
-                // nocstar-lint: allow(float-accumulation): same fixed caller-order fold as `sum` above
-                log_sum += v.ln();
-            }
         }
         if count == 0 {
             return Self {
@@ -64,7 +54,6 @@ impl Summary {
                 min: 0.0,
                 max: 0.0,
                 mean: 0.0,
-                geomean: 0.0,
             };
         }
         Self {
@@ -72,11 +61,6 @@ impl Summary {
             min,
             max,
             mean: sum / count as f64,
-            geomean: if any_zero {
-                0.0
-            } else {
-                (log_sum / count as f64).exp()
-            },
         }
     }
 
@@ -98,11 +82,6 @@ impl Summary {
     /// Arithmetic mean (0.0 when empty).
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Geometric mean (0.0 when empty or when any value is zero).
-    pub fn geomean(&self) -> f64 {
-        self.geomean
     }
 }
 
@@ -144,7 +123,6 @@ mod tests {
         let s = Summary::of([]);
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.geomean(), 0.0);
     }
 
     #[test]
@@ -153,14 +131,6 @@ mod tests {
         assert_eq!(s.min(), 1.5);
         assert_eq!(s.max(), 1.5);
         assert_eq!(s.mean(), 1.5);
-        assert!((s.geomean() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geomean_with_zero_value_is_zero() {
-        let s = Summary::of([0.0, 2.0]);
-        assert_eq!(s.geomean(), 0.0);
-        assert_eq!(s.mean(), 1.0);
     }
 
     #[test]
@@ -192,12 +162,10 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_geomean_le_mean(xs in prop::collection::vec(0.01f64..100.0, 1..40)) {
-            // AM-GM inequality.
+        fn prop_mean_lies_between_min_and_max(xs in prop::collection::vec(0.0f64..100.0, 1..40)) {
             let s = Summary::of(xs.iter().copied());
-            prop_assert!(s.geomean() <= s.mean() + 1e-9);
-            prop_assert!(s.min() <= s.geomean() + 1e-9);
-            prop_assert!(s.geomean() <= s.max() + 1e-9);
+            prop_assert!(s.min() <= s.mean() + 1e-9);
+            prop_assert!(s.mean() <= s.max() + 1e-9);
         }
     }
 }

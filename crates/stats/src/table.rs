@@ -82,11 +82,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// The column headers.
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
     /// The data rows.
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows

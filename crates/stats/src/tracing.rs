@@ -72,11 +72,6 @@ impl TraceSink {
         self.capacity > 0
     }
 
-    /// Maximum number of records retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of records currently retained.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -184,7 +179,7 @@ mod tests {
             let expected: Vec<u64> = (expect_start..n as u64).collect();
             prop_assert_eq!(kept, expected);
             prop_assert_eq!(sink.dropped(), expect_start);
-            prop_assert!(sink.len() <= sink.capacity());
+            prop_assert!(sink.len() <= capacity);
         }
     }
 }

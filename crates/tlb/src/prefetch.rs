@@ -13,8 +13,8 @@ use nocstar_types::VirtPageNum;
 ///
 /// ```
 /// use nocstar_tlb::prefetch::PrefetchDepth;
-/// assert_eq!(PrefetchDepth::disabled().depth(), 0);
-/// assert_eq!(PrefetchDepth::new(2).unwrap().depth(), 2);
+/// assert!(!PrefetchDepth::disabled().is_enabled());
+/// assert!(PrefetchDepth::new(2).unwrap().is_enabled());
 /// assert!(PrefetchDepth::new(4).is_none()); // paper studies up to +/-3
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -32,11 +32,6 @@ impl PrefetchDepth {
     /// A depth of `depth` pages each side; `None` beyond [`Self::MAX`].
     pub fn new(depth: u8) -> Option<Self> {
         (depth <= Self::MAX).then_some(Self(depth))
-    }
-
-    /// The configured depth (0 = disabled).
-    pub fn depth(self) -> u8 {
-        self.0
     }
 
     /// Whether any prefetching happens.

@@ -33,10 +33,6 @@ impl ReplacementState {
         }
     }
 
-    pub(crate) fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
     /// A fresh timestamp; later calls return strictly larger values.
     pub(crate) fn tick(&mut self) -> u64 {
         self.clock += 1;

@@ -29,6 +29,7 @@ pub struct Reference {
     ways: usize,
     /// Valid entries over all sets, so a flush of an empty array is free.
     valid: usize,
+    policy: ReplacementPolicy,
     state: ReplacementState,
     stats: HitMiss,
     index_divisor: u64,
@@ -55,6 +56,7 @@ impl Reference {
             sets: (0..num_sets).map(|_| Vec::with_capacity(ways)).collect(),
             ways,
             valid: 0,
+            policy,
             state: ReplacementState::new(policy),
             stats: HitMiss::new(),
             index_divisor: 1,
@@ -150,7 +152,7 @@ impl Reference {
             self.valid += 1;
             return None;
         }
-        let policy = self.state.policy();
+        let policy = self.policy;
         let victim = self
             .state
             .victim(self.sets[set].iter().map(|w| match policy {
@@ -188,11 +190,6 @@ impl Reference {
     /// many were dropped.
     pub fn flush_non_global(&mut self) -> usize {
         self.drop_where(|w| !w.entry.is_global())
-    }
-
-    /// Flushes everything, including global translations.
-    pub fn flush_all(&mut self) -> usize {
-        self.drop_where(|_| true)
     }
 
     /// Drops every entry `doomed` selects; returns how many. An empty

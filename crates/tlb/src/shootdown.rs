@@ -61,23 +61,6 @@ impl LeaderPolicy {
             LeaderPolicy::Single => CoreId::new(0),
         }
     }
-
-    /// How many distinct leaders exist on a chip with `cores` cores.
-    pub fn leader_count(self, cores: usize) -> usize {
-        match self {
-            LeaderPolicy::EveryCore => cores,
-            LeaderPolicy::PerGroup(n) => {
-                assert!(n > 0, "leader group size must be nonzero");
-                cores.div_ceil(n)
-            }
-            LeaderPolicy::Single => 1,
-        }
-    }
-
-    /// Whether `core` is a leader under this policy.
-    pub fn is_leader(self, core: CoreId) -> bool {
-        self.leader_for(core) == core
-    }
 }
 
 impl fmt::Display for LeaderPolicy {
@@ -101,9 +84,7 @@ mod tests {
         let p = LeaderPolicy::EveryCore;
         for i in 0..8 {
             assert_eq!(p.leader_for(CoreId::new(i)), CoreId::new(i));
-            assert!(p.is_leader(CoreId::new(i)));
         }
-        assert_eq!(p.leader_count(8), 8);
     }
 
     #[test]
@@ -113,21 +94,13 @@ mod tests {
         assert_eq!(p.leader_for(CoreId::new(3)), CoreId::new(0));
         assert_eq!(p.leader_for(CoreId::new(4)), CoreId::new(4));
         assert_eq!(p.leader_for(CoreId::new(31)), CoreId::new(28));
-        assert_eq!(p.leader_count(32), 8);
-        assert!(p.is_leader(CoreId::new(28)));
-        assert!(!p.is_leader(CoreId::new(29)));
+        assert_eq!(p.leader_for(CoreId::new(29)), CoreId::new(28));
     }
 
     #[test]
     fn single_leader_is_core_zero() {
         let p = LeaderPolicy::Single;
         assert_eq!(p.leader_for(CoreId::new(17)), CoreId::new(0));
-        assert_eq!(p.leader_count(64), 1);
-    }
-
-    #[test]
-    fn uneven_groups_round_up_leader_count() {
-        assert_eq!(LeaderPolicy::PerGroup(8).leader_count(12), 2);
     }
 
     #[test]
@@ -163,7 +136,6 @@ mod tests {
             ] {
                 let leader = policy.leader_for(CoreId::new(core));
                 prop_assert_eq!(policy.leader_for(leader), leader);
-                prop_assert!(policy.is_leader(leader));
                 prop_assert!(leader.index() <= core);
             }
         }

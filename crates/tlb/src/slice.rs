@@ -10,10 +10,9 @@ use crate::entry::TlbEntry;
 use crate::replacement::ReplacementPolicy;
 use crate::set_assoc::SetAssocTlb;
 use crate::sram;
-use nocstar_stats::latency::LatencyRecorder;
 use nocstar_stats::Log2Histogram;
 use nocstar_types::time::{Cycle, Cycles};
-use nocstar_types::{Asid, VirtAddr, VirtPageNum};
+use nocstar_types::{Asid, VirtPageNum};
 
 /// Port configuration of a slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +60,7 @@ pub struct TlbSlice {
     lookup_latency: Cycles,
     read_free: Vec<Cycle>,
     write_free: Vec<Cycle>,
-    queue_delay: LatencyRecorder,
+    /// Cycles each request waited for a free port.
     queue_wait: Log2Histogram,
     /// Degraded miss-only mode (fault injection): lookups miss and
     /// inserts are dropped, but invalidations still apply so the contents
@@ -99,24 +98,18 @@ impl TlbSlice {
             lookup_latency,
             read_free: vec![Cycle::ZERO; ports.read],
             write_free: vec![Cycle::ZERO; ports.write],
-            queue_delay: LatencyRecorder::new(),
             queue_wait: Log2Histogram::new(),
             offline: false,
         }
     }
 
     /// Puts the slice in (or takes it out of) degraded miss-only mode:
-    /// while offline, [`lookup`](Self::lookup)/[`lookup_addr`](Self::lookup_addr)
+    /// while offline, [`lookup`](Self::lookup) and [`touch`](Self::touch)
     /// miss without touching the array and [`insert`](Self::insert) drops
     /// the entry. Invalidations and flushes still apply, preserving
     /// shootdown correctness across the outage.
     pub fn set_offline(&mut self, offline: bool) {
         self.offline = offline;
-    }
-
-    /// Whether the slice is in degraded miss-only mode.
-    pub fn is_offline(&self) -> bool {
-        self.offline
     }
 
     /// Sets the content array's index divisor (see
@@ -138,7 +131,6 @@ impl TlbSlice {
             &mut self.read_free,
             now,
             self.lookup_latency,
-            &mut self.queue_delay,
             &mut self.queue_wait,
         )
     }
@@ -150,7 +142,6 @@ impl TlbSlice {
             &mut self.write_free,
             now,
             self.lookup_latency,
-            &mut self.queue_delay,
             &mut self.queue_wait,
         )
     }
@@ -159,7 +150,6 @@ impl TlbSlice {
         ports: &mut [Cycle],
         now: Cycle,
         latency: Cycles,
-        queue_delay: &mut LatencyRecorder,
         queue_wait: &mut Log2Histogram,
     ) -> Cycle {
         #[expect(
@@ -169,7 +159,6 @@ impl TlbSlice {
         let earliest = ports.iter_mut().min().expect("ports are nonzero");
         let issue = now.max(*earliest);
         *earliest = issue + Cycles::ONE;
-        queue_delay.record(issue - now);
         queue_wait.record((issue - now).value());
         issue + latency
     }
@@ -192,21 +181,6 @@ impl TlbSlice {
             return None;
         }
         self.array.touch(asid, vpn)
-    }
-
-    /// Looks up a virtual address, probing superpage sizes before 4 KiB —
-    /// the slice does not know the backing page size in advance.
-    pub fn lookup_addr(&mut self, asid: Asid, va: VirtAddr) -> Option<TlbEntry> {
-        use nocstar_types::PageSize;
-        if self.offline {
-            return None;
-        }
-        for size in [PageSize::Size1G, PageSize::Size2M] {
-            if self.array.probe(asid, va.page_number(size)).is_some() {
-                return self.array.lookup(asid, va.page_number(size));
-            }
-        }
-        self.array.lookup(asid, va.page_number(PageSize::Size4K))
     }
 
     /// Functional insert; returns the evicted entry if any. Dropped (no
@@ -237,16 +211,11 @@ impl TlbSlice {
     /// leaving contents and port timing intact.
     pub fn reset_stats(&mut self) {
         self.array.reset_stats();
-        self.queue_delay = LatencyRecorder::new();
         self.queue_wait = Log2Histogram::new();
     }
 
-    /// Distribution of cycles requests spent waiting for a free port.
-    pub fn queue_delay(&self) -> &LatencyRecorder {
-        &self.queue_delay
-    }
-
-    /// The same port-wait distribution, log2-bucketed for metric snapshots.
+    /// Distribution of cycles requests spent waiting for a free port,
+    /// log2-bucketed for metric snapshots.
     pub fn queue_wait_histogram(&self) -> &Log2Histogram {
         &self.queue_wait
     }
@@ -305,30 +274,14 @@ mod tests {
     }
 
     #[test]
-    fn queue_delay_is_recorded() {
+    fn queue_wait_is_recorded() {
         let mut s = slice();
         let t = Cycle::new(0);
         s.schedule_read(t);
         s.schedule_read(t);
         s.schedule_read(t); // waits one cycle
-        assert_eq!(s.queue_delay().count(), 3);
-        assert_eq!(s.queue_delay().max(), Cycles::ONE);
-    }
-
-    #[test]
-    fn lookup_addr_finds_superpages() {
-        let mut s = slice();
-        let asid = Asid::new(1);
-        s.insert(TlbEntry::new(
-            asid,
-            VirtPageNum::new(3, PageSize::Size2M),
-            PhysPageNum::new(8, PageSize::Size2M),
-        ));
-        let hit = s
-            .lookup_addr(asid, VirtAddr::new(3 * 0x20_0000 + 0x123))
-            .unwrap();
-        assert_eq!(hit.page_size(), PageSize::Size2M);
-        assert!(s.lookup_addr(asid, VirtAddr::new(0x9999_0000)).is_none());
+        assert_eq!(s.queue_wait_histogram().count(), 3);
+        assert_eq!(s.queue_wait_histogram().max(), Some(1));
     }
 
     #[test]
@@ -372,7 +325,6 @@ mod tests {
         let hits_before = s.array().stats().hits();
 
         s.set_offline(true);
-        assert!(s.is_offline());
         assert!(s.lookup(asid, vpn).is_none(), "offline lookups miss");
         assert_eq!(
             s.array().stats().hits(),

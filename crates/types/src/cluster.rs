@@ -20,7 +20,6 @@ use crate::ids::CoreId;
 /// assert_eq!(map.clusters(), 4);
 /// assert_eq!(map.cluster_of(CoreId::new(37)), 2);
 /// assert_eq!(map.gateway(2), CoreId::new(32));
-/// assert!(map.same_cluster(CoreId::new(33), CoreId::new(47)));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterMap {
@@ -57,11 +56,6 @@ impl ClusterMap {
         }
     }
 
-    /// Total tiles covered by the partition.
-    pub fn cores(&self) -> usize {
-        self.cluster_of.len()
-    }
-
     /// Tiles per cluster.
     pub fn cluster_size(&self) -> usize {
         self.cluster_size
@@ -88,12 +82,6 @@ impl ClusterMap {
     #[inline]
     pub fn base(&self, cluster: usize) -> usize {
         cluster * self.cluster_size
-    }
-
-    /// Whether two tiles share a cluster.
-    #[inline]
-    pub fn same_cluster(&self, a: CoreId, b: CoreId) -> bool {
-        self.cluster_of[a.index()] == self.cluster_of[b.index()]
     }
 }
 
@@ -125,14 +113,17 @@ mod tests {
     fn degenerate_single_tile_clusters() {
         let map = ClusterMap::new(4, 1);
         assert_eq!(map.clusters(), 4);
-        assert!(!map.same_cluster(CoreId::new(0), CoreId::new(1)));
+        assert_ne!(
+            map.cluster_of(CoreId::new(0)),
+            map.cluster_of(CoreId::new(1))
+        );
     }
 
     #[test]
     fn one_cluster_covers_the_chip() {
         let map = ClusterMap::new(16, 16);
         assert_eq!(map.clusters(), 1);
-        assert!(map.same_cluster(CoreId::new(0), CoreId::new(15)));
+        assert_eq!(map.cluster_of(CoreId::new(15)), 0);
     }
 
     #[test]

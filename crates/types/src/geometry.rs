@@ -149,35 +149,6 @@ impl MeshShape {
             dest: self.coord_of(to),
         }
     }
-
-    /// The average XY hop count from a tile to all tiles (including itself),
-    /// i.e. the expected distance of a uniform-random access.
-    pub fn mean_hops_from(self, from: CoreId) -> f64 {
-        let src = self.coord_of(from);
-        let total: usize = (0..self.tiles())
-            .map(|i| src.manhattan(self.coord_of(CoreId::new(i))))
-            .sum();
-        total as f64 / self.tiles() as f64
-    }
-
-    /// The worst-case (corner-to-corner) hop count.
-    #[inline]
-    pub const fn diameter(self) -> usize {
-        (self.cols - 1) + (self.rows - 1)
-    }
-
-    /// The most central tile — where a monolithic shared structure would be
-    /// placed to minimize average distance.
-    pub fn center_tile(self) -> CoreId {
-        self.id_at(Coord::new(self.cols / 2, self.rows / 2))
-    }
-
-    /// The tile at the middle of the south edge — the paper's monolithic
-    /// shared TLB sits at one end of the chip (§II-C), so tiles at the top
-    /// of a 64-core chip need ~8 hops each way.
-    pub fn edge_tile(self) -> CoreId {
-        self.id_at(Coord::new(self.cols / 2, self.rows - 1))
-    }
 }
 
 impl fmt::Display for MeshShape {
@@ -257,21 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn diameter_and_center() {
-        let mesh = MeshShape::new(8, 8);
-        assert_eq!(mesh.diameter(), 14);
-        let center = mesh.coord_of(mesh.center_tile());
-        assert_eq!(center, Coord::new(4, 4));
-        let edge = mesh.coord_of(mesh.edge_tile());
-        assert_eq!(edge.y, 7);
-    }
-
-    #[test]
-    fn mean_hops_is_zero_on_single_tile() {
-        assert_eq!(MeshShape::new(1, 1).mean_hops_from(CoreId::new(0)), 0.0);
-    }
-
-    #[test]
     #[should_panic]
     fn out_of_range_tile_panics() {
         MeshShape::new(2, 2).coord_of(CoreId::new(4));
@@ -307,7 +263,8 @@ mod tests {
             let a = CoreId::new(a % tiles);
             let b = CoreId::new(b % tiles);
             prop_assert_eq!(mesh.hops(a, b), mesh.hops(b, a));
-            prop_assert!(mesh.hops(a, b) <= mesh.diameter());
+            // No route is longer than corner to corner.
+            prop_assert!(mesh.hops(a, b) <= (mesh.cols - 1) + (mesh.rows - 1));
         }
     }
 }

@@ -77,12 +77,6 @@ impl Cycles {
     pub const fn value(self) -> u64 {
         self.0
     }
-
-    /// Saturating subtraction: `self - other`, clamped at zero.
-    #[inline]
-    pub const fn saturating_sub(self, other: Cycles) -> Cycles {
-        Cycles(self.0.saturating_sub(other.0))
-    }
 }
 
 impl Add<Cycles> for Cycle {
@@ -186,15 +180,6 @@ mod tests {
         let total: Cycles = [1u64, 2, 3].into_iter().map(Cycles::new).sum();
         assert_eq!(total, Cycles::new(6));
         assert_eq!(Cycles::ZERO + total, total);
-    }
-
-    #[test]
-    fn saturating_sub_clamps_at_zero() {
-        assert_eq!(Cycles::new(2).saturating_sub(Cycles::new(5)), Cycles::ZERO);
-        assert_eq!(
-            Cycles::new(5).saturating_sub(Cycles::new(2)),
-            Cycles::new(3)
-        );
     }
 
     #[test]

@@ -548,11 +548,6 @@ impl FileTrace {
         &self.label
     }
 
-    /// The thread stream this trace replays.
-    pub fn thread(&self) -> u16 {
-        self.section.thread
-    }
-
     /// Total events in this thread's stream (replay loops past the end).
     pub fn event_count(&self) -> u64 {
         self.section.event_count
@@ -710,7 +705,6 @@ mod tests {
             .save(&path)
             .unwrap();
         let mut r1 = FileTrace::open(&path, 1).unwrap();
-        assert_eq!(r1.thread(), 1);
         for expected in t1.events() {
             assert_eq!(&r1.next_event(), expected);
         }
@@ -737,7 +731,7 @@ mod tests {
         assert_eq!(reader.header().thread_count, 2);
         let mut traces = reader.streams(&[1, 0, 1]).unwrap();
         assert_eq!(
-            traces.iter().map(FileTrace::thread).collect::<Vec<_>>(),
+            traces.iter().map(|t| t.section.thread).collect::<Vec<_>>(),
             [1, 0, 1]
         );
         assert!(traces.iter().all(|t| t.label() == "gups"));

@@ -35,7 +35,6 @@ fn splitmix64(mut x: u64) -> u64 {
 pub struct SyntheticTrace {
     spec: WorkloadSpec,
     asid: Asid,
-    thread: ThreadId,
     thp_enabled: bool,
     shared_base: u64,
     private_base: u64,
@@ -81,7 +80,6 @@ impl SyntheticTrace {
         Self {
             spec,
             asid,
-            thread,
             thp_enabled,
             shared_base,
             private_base,
@@ -100,21 +98,6 @@ impl SyntheticTrace {
     /// The spec this trace interprets.
     pub fn spec(&self) -> &WorkloadSpec {
         &self.spec
-    }
-
-    /// The hardware thread this trace belongs to.
-    pub fn thread(&self) -> ThreadId {
-        self.thread
-    }
-
-    /// First byte of the shared region (after ASLR).
-    pub fn shared_base(&self) -> VirtAddr {
-        VirtAddr::new(self.shared_base)
-    }
-
-    /// First byte of this thread's private region (after ASLR).
-    pub fn private_base(&self) -> VirtAddr {
-        VirtAddr::new(self.private_base)
     }
 
     /// Picks a page index within a region: hot-set ranks are Zipf
@@ -254,7 +237,7 @@ mod tests {
         let s = spec();
         let mut t = s.trace(Asid::new(1), ThreadId::new(0), 1, false);
         let stride = (s.shared_pages / s.hot_pages) | 1; // 79
-        let base = t.shared_base().value();
+        let base = t.shared_base;
         let sample = accesses(&mut t, 5_000);
         let mut hot_pages_seen = std::collections::BTreeSet::new();
         let mut shared_hot = 0usize;
@@ -350,7 +333,7 @@ mod tests {
         s.shared_access_fraction = 1.0;
         s.private_pages = 0;
         let mut t = s.trace(Asid::new(1), ThreadId::new(0), 4, false);
-        let base = t.shared_base().value();
+        let base = t.shared_base;
         let pages: Vec<u64> = accesses(&mut t, 50)
             .iter()
             .map(|a| (a.va.value() - base) >> 12)

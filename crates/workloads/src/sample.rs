@@ -146,12 +146,6 @@ impl SampleSpec {
             1 + (total - first) / self.period
         }
     }
-
-    /// Total accesses per thread that enter the cycle-accurate core
-    /// (warmup + window per leg) for a span of `total`.
-    pub fn detailed_accesses(&self, total: u64) -> u64 {
-        self.windows(total) * (self.warmup + self.window)
-    }
 }
 
 impl FromStr for SampleSpec {
@@ -279,14 +273,6 @@ mod tests {
             let spec = SampleSpec::new(90, 60, 30, seed).unwrap();
             assert_eq!(spec.offset(), 0);
         }
-    }
-
-    #[test]
-    fn detailed_accesses_counts_warmup_and_window() {
-        let spec = SampleSpec::new(1000, 60, 30, 0).unwrap();
-        let total = spec.offset() + 90 + 4 * 1000;
-        assert_eq!(spec.windows(total), 5);
-        assert_eq!(spec.detailed_accesses(total), 5 * 90);
     }
 
     #[test]

@@ -135,11 +135,6 @@ impl WorkloadSpec {
             self.name
         );
     }
-
-    /// Total distinct pages this workload can touch with `threads` threads.
-    pub fn total_pages(&self, threads: usize) -> u64 {
-        self.shared_pages + self.private_pages * threads as u64
-    }
 }
 
 #[cfg(test)]
@@ -166,11 +161,6 @@ mod tests {
     #[test]
     fn valid_spec_passes() {
         base().validate();
-    }
-
-    #[test]
-    fn total_pages_counts_private_per_thread() {
-        assert_eq!(base().total_pages(8), 1000 + 800);
     }
 
     #[test]

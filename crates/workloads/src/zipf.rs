@@ -65,11 +65,6 @@ impl Zipf {
         self.n
     }
 
-    /// The exponent.
-    pub fn exponent(&self) -> f64 {
-        self.s
-    }
-
     /// Antiderivative of `h(x) = x^-s`.
     fn h_integral(&self, x: f64) -> f64 {
         if (self.s - 1.0).abs() < 1e-12 {

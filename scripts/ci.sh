@@ -6,7 +6,10 @@
 #
 #   ci.sh             fast PR gate: fmt + float-accumulation lint +
 #                     clippy + the clippy fixture check + doc + build +
-#                     a few-second smoke of the one bench binary,
+#                     a type check of hostbench, the benchmark package
+#                     outside the workspace, with its self-tests (so a
+#                     removed public item it names fails here, not
+#                     only at --nightly) + a few-second smoke of the one bench binary,
 #                     `nocstar-bench <step> [flags]` (a faulted
 #                     slice_ubench must report denied setups in its
 #                     --metrics-json file; a misspelt flag, a fault plan
@@ -129,6 +132,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== cargo build --release =="
 cargo build --workspace --release
+
+echo "== hostbench type-checks against today's public API =="
+cargo check --release --offline --quiet --manifest-path hostbench/Cargo.toml --all-targets
 
 echo "== harness smoke: a paper figure honours --faults and --metrics-json =="
 # Every experiment runs through the harness's one entry point, so a

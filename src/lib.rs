@@ -44,7 +44,7 @@
 //! | Re-export | Contents |
 //! |---|---|
 //! | [`types`] | Addresses, page sizes, ids, cycles, mesh geometry |
-//! | [`stats`] | Counters, histograms, concurrency tracking, tables |
+//! | [`stats`] | Hit/miss pairs, the paper's concurrency bins and tracker, latency recorders, the metrics registry, tracing, confidence intervals, summaries, tables |
 //! | [`tlb`] | Set-associative TLBs, L1/L2 structures, SRAM model, prefetch, shootdowns |
 //! | [`mem`] | Caches, physical memory, page tables, the page walker |
 //! | [`noc`] | Mesh, SMART, and the NOCSTAR circuit-switched fabric |
