@@ -10,7 +10,7 @@
 //! lifecycle; `translate`, `rehome`, `sampled` and `harvest` hold the
 //! translation path, slice re-homing, sampled replay and report assembly.
 //! The in-flight transactions they share sit in an [`IdTable`] keyed by
-//! message id.
+//! message id, and the events they schedule in one [`Calendar`].
 
 mod harvest;
 mod rehome;
@@ -20,7 +20,7 @@ mod translate;
 
 use crate::assignment::WorkloadAssignment;
 use crate::config::{SystemConfig, TlbOrg};
-use crate::event::{Event, EventQueue};
+use crate::event::Event;
 use crate::network::NetworkModel;
 use crate::org::OrgState;
 use crate::report::SimReport;
@@ -33,7 +33,7 @@ use nocstar_stats::metrics::{CounterId, MetricsRegistry};
 use nocstar_stats::tracing::TraceSink;
 use nocstar_tlb::l1::L1Tlb;
 use nocstar_types::time::{Cycle, Cycles};
-use nocstar_types::{Asid, CoreId, IdTable, MeshShape, PageSize, VirtAddr, VirtPageNum};
+use nocstar_types::{Asid, Calendar, CoreId, IdTable, MeshShape, PageSize, VirtAddr, VirtPageNum};
 use nocstar_workloads::sample::SampleSpec;
 use nocstar_workloads::trace::{MemAccess, TraceEvent, TraceSource};
 use rehome::Rehome;
@@ -139,7 +139,7 @@ pub struct Simulation {
     traces: Vec<Box<dyn TraceSource>>,
     threads: Vec<ThreadState>,
     walker_free: Vec<Cycle>,
-    events: EventQueue,
+    events: Calendar<Event>,
     txs: IdTable<TxState>,
     next_tx: u64,
     now: Cycle,
@@ -245,7 +245,7 @@ impl Simulation {
                 })
                 .collect(),
             walker_free: vec![Cycle::ZERO; config.cores],
-            events: EventQueue::new(),
+            events: Calendar::new(),
             txs: IdTable::new(),
             next_tx: 0,
             now: Cycle::ZERO,

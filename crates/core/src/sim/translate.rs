@@ -513,12 +513,14 @@ impl Simulation {
                 self.org.structure_mut(b).invalidate(asid, vpn);
             }
         }
+        if matches!(self.net, NetworkModel::None) {
+            // Each core's interrupt handler invalidates its own L2
+            // (private), or a zero-latency interconnect reaches the
+            // slices directly (ideal shared, ideal monolithic).
+            self.org.invalidate(asid, vpn);
+            return;
+        }
         match self.config.org {
-            TlbOrg::Private { .. } | TlbOrg::IdealShared { .. } => {
-                // Each core's interrupt handler invalidates its own L2
-                // (private), or the slice is reached with zero latency.
-                self.org.invalidate(asid, vpn);
-            }
             TlbOrg::Hier { .. } => {
                 // Every cluster replicates the residue map, so each
                 // cluster's home slice must be invalidated. Leader
@@ -547,12 +549,9 @@ impl Simulation {
                     self.send_invalidation(src, home_tile, inv, home_idx, true);
                 }
             }
-            TlbOrg::Monolithic { .. } | TlbOrg::Distributed { .. } | TlbOrg::Nocstar { .. } => {
-                if matches!(self.net, NetworkModel::None) {
-                    // Zero-latency interconnect variants invalidate directly.
-                    self.org.invalidate(asid, vpn);
-                    return;
-                }
+            // The flat organizations with a network: monolithic over a
+            // mesh or SMART, distributed and NOCSTAR.
+            _ => {
                 let (home_idx, home_tile) = self.org.home_of(vpn, initiator);
                 let inv = Invalidation { asid, vpn };
                 let relayers: Vec<CoreId> = if ipi_broadcast {

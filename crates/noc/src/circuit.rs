@@ -16,13 +16,12 @@
 //! reverse paths at request time and holds them until the response lands.
 
 use crate::arbiter::PriorityRotation;
-use crate::arrivals::Arrivals;
 use crate::message::{Delivery, Message, MsgKind};
 use crate::topology::{LinkId, Links};
 use crate::{FaultState, Interconnect, NocStats};
 use nocstar_faults::{DiagSnapshot, SimError};
 use nocstar_types::time::{Cycle, Cycles};
-use nocstar_types::MeshShape;
+use nocstar_types::{Calendar, MeshShape};
 use std::collections::BTreeMap;
 use std::mem;
 
@@ -103,8 +102,8 @@ pub struct CircuitFabric {
     /// Scratch: each pending message's [`Arb`] state this cycle.
     arb: Vec<Arb>,
     /// Latency and `no_contention` are recorded at commit, so arrivals
-    /// carry no tag.
-    arrivals: Arrivals<()>,
+    /// carry only the message.
+    arrivals: Calendar<Message>,
     stats: NocStats,
     /// Last priority-rotation epoch seen by `advance` (for the rotation
     /// counter in [`NocStats`]).
@@ -155,7 +154,7 @@ impl CircuitFabric {
             grant_round: vec![0; n],
             grant: vec![(0, 0, 0); n],
             arb: Vec::new(),
-            arrivals: Arrivals::default(),
+            arrivals: Calendar::new(),
             last_epoch: 0,
             contention_free: false,
             faults: FaultState::default(),
@@ -207,7 +206,7 @@ impl CircuitFabric {
             self.busy_until[link.index()] = arrival;
             self.stats.link_busy[link.index()] += held;
         }
-        self.arrivals.push(arrival, msg, ());
+        self.arrivals.push(arrival, msg);
         Ok(())
     }
 
@@ -340,7 +339,7 @@ impl CircuitFabric {
                         let hops = p.path.len() as u64;
                         let arrival = cycle + Cycles::new(2 * hops + 1);
                         self.stats.latency.record(arrival - p.submitted_at);
-                        self.arrivals.push(arrival, p.msg, ());
+                        self.arrivals.push(arrival, p.msg);
                         return false;
                     };
                     p.depart_at = cycle + Cycles::new(wait);
@@ -391,14 +390,14 @@ impl CircuitFabric {
         if first_try {
             self.stats.no_contention += 1;
         }
-        self.arrivals.push(arrival, msg, ());
+        self.arrivals.push(arrival, msg);
     }
 }
 
 impl Interconnect for CircuitFabric {
     fn submit(&mut self, now: Cycle, msg: Message) {
         if msg.is_local() {
-            self.arrivals.push(now, msg, ());
+            self.arrivals.push(now, msg);
             self.stats.no_contention += 1;
             return;
         }
@@ -431,14 +430,14 @@ impl Interconnect for CircuitFabric {
             self.last_epoch = epoch;
         }
         self.arbitrate(cycle);
-        while let Some((d, ())) = self.arrivals.pop_due(cycle) {
+        while let Some((at, msg)) = self.arrivals.pop_due(cycle) {
             self.stats.delivered += 1;
-            out.push(d);
+            out.push(Delivery::new(msg, at));
         }
     }
 
     fn next_activity(&self) -> Option<Cycle> {
-        [self.next_depart, self.arrivals.next_at()]
+        [self.next_depart, self.arrivals.next_time()]
             .into_iter()
             .flatten()
             .min()

@@ -32,15 +32,17 @@
 //! arbitration is resolved for all competing messages together, which is
 //! what makes NOCSTAR's "all links in one cycle or retry" semantics exact.
 //!
-//! The plumbing around arbitration exists once. A private `arrivals`
-//! module holds the arrival queue that circuit, mesh and SMART pop in
-//! `(arrival cycle, push order)` order, and the landing rule the bus and
-//! the hierarchical fabric count their deliveries by; the bus lands its
-//! local lane before the medium's same-cycle arrival, as the hierarchical
-//! fabric's cluster arbiters do. Mesh, SMART and circuit keep their fault
-//! plan, recovery policy and the counters of both in one [`FaultState`];
-//! the hierarchical fabric uses its overlay's block and counts its gateway
-//! failovers there. The bus is a fault-free baseline and has none.
+//! The plumbing around arbitration exists once. Circuit, mesh and SMART
+//! schedule their arrivals in a [`Calendar`](nocstar_types::Calendar),
+//! the queue the simulation loop orders its events with, and pop them in
+//! `(arrival cycle, push order)` order. A private `arrivals` module holds
+//! the landing rule the bus and the hierarchical fabric count their
+//! deliveries by; the bus lands its local lane before the medium's
+//! same-cycle arrival, as the hierarchical fabric's cluster arbiters do.
+//! Mesh, SMART and circuit keep their fault plan, recovery policy and the
+//! counters of both in one [`FaultState`]; the hierarchical fabric uses
+//! its overlay's block and counts its gateway failovers there. The bus is
+//! a fault-free baseline and has none.
 //!
 //! # Examples
 //!

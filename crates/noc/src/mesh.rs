@@ -26,13 +26,12 @@
 //! paper grants the `distributed` configuration ("we place enough
 //! buffers and links in the system to prevent link contention", §IV).
 
-use crate::arrivals::Arrivals;
 use crate::message::{Delivery, Message};
 use crate::topology::Links;
 use crate::{FaultState, Interconnect, NocStats};
 use nocstar_faults::DiagSnapshot;
 use nocstar_types::time::{Cycle, Cycles};
-use nocstar_types::{Coord, MeshShape};
+use nocstar_types::{Calendar, Coord, MeshShape};
 
 /// Cycles per hop: one for the router, one for the link.
 pub const CYCLES_PER_HOP: u64 = 2;
@@ -86,9 +85,9 @@ pub struct MeshNoc {
     round: u64,
     /// This cycle's ready flights, oldest first (reused across cycles).
     order: Vec<usize>,
-    /// Tagged `(submitted_at, stalled)`: latency and `no_contention` are
-    /// recorded at delivery.
-    arrivals: Arrivals<(Cycle, bool)>,
+    /// Scheduled `(message, submitted_at, stalled)`: latency and
+    /// `no_contention` are recorded at delivery.
+    arrivals: Calendar<(Message, Cycle, bool)>,
     stats: NocStats,
     /// Also the hierarchical fabric's block when this is its overlay.
     pub(crate) faults: FaultState,
@@ -107,7 +106,7 @@ impl MeshNoc {
             flights: Vec::new(),
             round: 0,
             order: Vec::new(),
-            arrivals: Arrivals::default(),
+            arrivals: Calendar::new(),
             faults: FaultState::default(),
         }
     }
@@ -221,7 +220,7 @@ impl MeshNoc {
             f.pos += run;
             let at = cycle.saturating_add(Cycles::new(penalty.saturating_add(run_cycles)));
             if f.pos + 1 == f.tiles.len() {
-                self.arrivals.push(at, f.msg, (f.submitted_at, f.stalled));
+                self.arrivals.push(at, (f.msg, f.submitted_at, f.stalled));
             } else {
                 // A bypass run cut short latches at the blocking router.
                 f.stalled |= self.bypass;
@@ -273,7 +272,7 @@ impl MeshNoc {
             let arrival = cycle + Cycles::new(CYCLES_PER_HOP * remaining as u64 + 1);
             // The escape path delivers it; the flight leaves the mesh.
             f.pos = f.tiles.len() - 1;
-            self.arrivals.push(arrival, f.msg, (f.submitted_at, true));
+            self.arrivals.push(arrival, (f.msg, f.submitted_at, true));
         }
     }
 }
@@ -281,7 +280,7 @@ impl MeshNoc {
 impl Interconnect for MeshNoc {
     fn submit(&mut self, now: Cycle, msg: Message) {
         if msg.is_local() {
-            self.arrivals.push(now, msg, (now, false));
+            self.arrivals.push(now, (msg, now, false));
             return;
         }
         if self.contention_free {
@@ -289,7 +288,7 @@ impl Interconnect for MeshNoc {
             if plan.is_empty() {
                 let hops = self.links.mesh().hops(msg.src, msg.dst) as u64;
                 let at = now + Cycles::new(hops * CYCLES_PER_HOP);
-                self.arrivals.push(at, msg, (now, false));
+                self.arrivals.push(at, (msg, now, false));
                 return;
             }
             // Even the idealized mesh honors injected faults: departure
@@ -331,7 +330,7 @@ impl Interconnect for MeshNoc {
                         rs.detect_to_reroute.record(1);
                         let travel = extra.saturating_add(1 + hops as u64 * CYCLES_PER_HOP);
                         let arrival = now.saturating_add(Cycles::new(travel));
-                        self.arrivals.push(arrival, msg, (now, true));
+                        self.arrivals.push(arrival, (msg, now, true));
                         return;
                     }
                     self.faults.recovery.reroute_failed += 1;
@@ -353,7 +352,7 @@ impl Interconnect for MeshNoc {
                     faults.stats.retries_per_fallback.record(k);
                     faults.recovery.escalations += 1;
                     let arrival = now + Cycles::new(wait + static_hops as u64 * CYCLES_PER_HOP + 1);
-                    self.arrivals.push(arrival, msg, (now, true));
+                    self.arrivals.push(arrival, (msg, now, true));
                     return;
                 }
                 // Re-routing armed but the mesh is disconnected and no
@@ -383,7 +382,7 @@ impl Interconnect for MeshNoc {
             }
             let travel = extra.saturating_add(hops * CYCLES_PER_HOP);
             let arrival = Cycle::new(start).saturating_add(Cycles::new(travel));
-            self.arrivals.push(arrival, msg, (now, blocked));
+            self.arrivals.push(arrival, (msg, now, blocked));
             return;
         }
         let tiles: Vec<Coord> = self.links.mesh().xy_path(msg.src, msg.dst).collect();
@@ -402,19 +401,22 @@ impl Interconnect for MeshNoc {
 
     fn advance_into(&mut self, cycle: Cycle, out: &mut Vec<Delivery>) {
         self.step_flights(cycle);
-        while let Some((d, (submitted_at, stalled))) = self.arrivals.pop_due(cycle) {
+        while let Some((at, (msg, submitted_at, stalled))) = self.arrivals.pop_due(cycle) {
             self.stats.delivered += 1;
-            self.stats.latency.record(d.at() - submitted_at);
+            self.stats.latency.record(at - submitted_at);
             if !stalled {
                 self.stats.no_contention += 1;
             }
-            out.push(d);
+            out.push(Delivery::new(msg, at));
         }
     }
 
     fn next_activity(&self) -> Option<Cycle> {
         let flight_min = self.flights.iter().map(|f| f.ready_at).min();
-        flight_min.into_iter().chain(self.arrivals.next_at()).min()
+        flight_min
+            .into_iter()
+            .chain(self.arrivals.next_time())
+            .min()
     }
 
     fn stats(&self) -> &NocStats {

@@ -14,12 +14,17 @@
 //!   clusters (hierarchical interconnects).
 //! * [`id_table`] — live entries addressed by ids from a monotone
 //!   counter (in-flight transactions and hierarchical routes).
+//! * [`calendar`] — a calendar queue of timed items, popped earliest
+//!   cycle first and FIFO within a cycle.
 //!
-//! Everything here except [`IdTable`] is plain data: `Copy`, `Ord`, `Hash`,
-//! `serde`-serializable and free of behaviour beyond small arithmetic
-//! helpers, so the simulator crates can exchange values without depending
-//! on each other. [`IdTable`] lives here because the simulation loop and
-//! the hierarchical fabric both key their in-flight state by message id.
+//! Everything here except [`IdTable`] and [`Calendar`] is plain data:
+//! `Copy`, `Ord`, `Hash`, `serde`-serializable and free of behaviour
+//! beyond small arithmetic helpers, so the simulator crates can exchange
+//! values without depending on each other. [`IdTable`] lives here because
+//! the simulation loop and the hierarchical fabric both key their
+//! in-flight state by message id. [`Calendar`] lives here because the
+//! simulation loop orders its events, and the circuit, mesh and SMART
+//! fabrics their arrivals, in the same `(cycle, push order)` order.
 //!
 //! # Examples
 //!
@@ -41,6 +46,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod addr;
+pub mod calendar;
 pub mod cluster;
 pub mod geometry;
 pub mod id_table;
@@ -48,6 +54,7 @@ pub mod ids;
 pub mod time;
 
 pub use addr::{PageSize, PhysAddr, PhysPageNum, VirtAddr, VirtPageNum};
+pub use calendar::Calendar;
 pub use cluster::ClusterMap;
 pub use geometry::{Coord, MeshShape};
 pub use id_table::IdTable;

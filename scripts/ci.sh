@@ -38,6 +38,9 @@
 #                     first-touch sets against the flat layout, the
 #                     2,048-case differential check of the flat TLB
 #                     array against its per-set reference, the
+#                     2,048-case differential check of the calendar
+#                     queue against a list sorted by (cycle, push
+#                     order), the
 #                     2,048-case check of the NCT replay reader on
 #                     bit-flipped, truncated and checksum-recomputed
 #                     files against the whole-file decoder, the
@@ -224,6 +227,9 @@ if [[ "$NIGHTLY" == "1" ]]; then
 
   echo "== nightly: flat TLB array vs its per-set reference (2,048 cases) =="
   cargo test -q --release -p nocstar-tlb --lib prop_flat_matches_reference_nightly -- --ignored
+
+  echo "== nightly: calendar queue vs a list sorted by (cycle, push order) (2,048 cases) =="
+  cargo test -q --release -p nocstar-types --lib prop_calendar_matches_sorted_reference_nightly -- --ignored
 
   echo "== nightly: NCT replay reader on damaged files vs the whole-file decoder (2,048 cases) =="
   cargo test -q --release --test nct_reader prop_mutated_files_never_panic_nightly -- --ignored
