@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the network models: arbitration and
 //! traversal cost per message under uniform-random load (at 256 tiles also
-//! near saturation, where most setups retry), plus an ablation
+//! near saturation, where most setups retry, and at 1,024 tiles past it,
+//! where each delivery retries hundreds of times), plus an ablation
 //! of the NOCSTAR priority-rotation period (the paper's starvation-
 //! avoidance knob, §III-B2).
 
@@ -57,6 +58,25 @@ fn bench_retry_storm(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_retry_storm_1024(c: &mut Criterion) {
+    // 1,024 tiles past saturation: about 230 retries per delivery, the
+    // regime of a full-system 1,024-core circuit run (about 200). The
+    // ratio is checked once, outside the timed loop, as above.
+    let mesh = MeshShape::square_for(1024);
+    let run = || {
+        let mut noc = CircuitFabric::new(mesh, 16, AcquireMode::OneWay);
+        run_uniform_random(&mut noc, mesh, 0.018, 100, 42);
+        noc
+    };
+    let noc = run();
+    let stats = noc.stats();
+    let ratio = stats.retries as f64 / stats.delivered as f64;
+    assert!(ratio >= 50.0, "retries per delivery {ratio:.2} < 50");
+    let mut group = c.benchmark_group("noc_uniform_random_0.018x100cy");
+    group.bench_function("circuit_fabric_1024", |b| b.iter(|| black_box(run())));
+    group.finish();
+}
+
 fn bench_single_message(c: &mut Criterion) {
     let mesh = MeshShape::square_for(64);
     c.bench_function("circuit_single_message_corner_to_corner", |b| {
@@ -100,6 +120,7 @@ criterion_group!(
     benches,
     bench_models,
     bench_retry_storm,
+    bench_retry_storm_1024,
     bench_single_message,
     bench_rotation_ablation
 );

@@ -31,6 +31,9 @@
 #                     (ignored in tier-1), the 2,048-case differential
 #                     check of the flit-mesh engine (contended mesh and
 #                     SMART) against its test-only reference, the
+#                     2,048-case differential check of the circuit
+#                     fabric's board arbiter against the per-link
+#                     arbiter it replaced (circuit/reference.rs), the
 #                     2,048-case differential check of the hier
 #                     fabric's cluster arbiters against the bus and
 #                     crossbar they replaced, the
@@ -218,6 +221,9 @@ if [[ "$NIGHTLY" == "1" ]]; then
 
   echo "== nightly: flit-mesh engine vs its two-stepper reference (2,048 cases) =="
   cargo test -q --release -p nocstar-noc --lib prop_engine_matches_reference_nightly -- --ignored
+
+  echo "== nightly: circuit board arbiter vs the per-link arbiter it replaced (2,048 cases) =="
+  cargo test -q --release -p nocstar-noc --lib prop_board_arbiter_matches_reference_nightly -- --ignored
 
   echo "== nightly: hier cluster arbiters vs the bus and crossbar they replaced (2,048 cases) =="
   cargo test -q --release -p nocstar-noc --lib prop_arbiter_matches_reference_nightly -- --ignored
