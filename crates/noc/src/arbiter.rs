@@ -52,10 +52,15 @@ impl PriorityRotation {
         now.value() / self.period
     }
 
+    /// The index of the core with rank 0 at time `now`; ranks rise with
+    /// the core index from there, wrapping at the last core.
+    pub fn rotation(&self, now: Cycle) -> usize {
+        (now.value() / self.period) as usize % self.cores
+    }
+
     /// The priority rank of `core` at time `now` — 0 is highest.
     pub fn rank(&self, core: CoreId, now: Cycle) -> usize {
-        let rotation = (now.value() / self.period) as usize % self.cores;
-        (core.index() + self.cores - rotation) % self.cores
+        (core.index() + self.cores - self.rotation(now)) % self.cores
     }
 }
 
