@@ -4,7 +4,8 @@
 //! implements it and the baselines it is compared against (Table I):
 //!
 //! * [`message`] — single-flit TLB request/response/invalidation messages.
-//! * [`topology`] — directed mesh links and XY path-to-link mapping.
+//! * [`topology`] — directed mesh links, and XY routes as at most two
+//!   straight runs of links.
 //! * [`bus`] — a fault-free shared-bus baseline (latency-friendly,
 //!   bandwidth-starved).
 //! * [`mesh`] — a traditional multi-hop mesh (1-cycle router + 1-cycle
@@ -19,9 +20,10 @@
 //!   bus/crossbar arbiters stitched together by a mesh or SMART overlay
 //!   between cluster gateways.
 //! * [`circuit`] — the NOCSTAR fabric itself: latchless switches,
-//!   same-cycle full-path acquisition (AND of per-link grants), retry on
-//!   partial failure, single-cycle traversal up to `HPCmax` hops, and
-//!   one-way vs. round-trip acquire modes (Fig 16 left).
+//!   same-cycle full-path acquisition (AND of per-link grants, computed
+//!   on per-row and per-column bitboards), retry on partial failure,
+//!   single-cycle traversal up to `HPCmax` hops, and one-way vs.
+//!   round-trip acquire modes (Fig 16 left).
 //! * [`traffic`] — the uniform-random synthetic-traffic harness of Fig 11(c).
 //! * [`latency`] — the analytical per-hop latency model behind Fig 11(a).
 //!
