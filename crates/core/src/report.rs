@@ -94,7 +94,7 @@ impl SimReport {
         self.per_thread_finish
             .iter()
             .map(|&f| per_thread / (f.max(1) as f64) * 1000.0)
-            // nocstar-lint: allow(float-accumulation): display-only summary metric reduced in the fixed per_thread_finish order; the golden harness pins its bytes
+            // In thread-index order, so the float sum is the same every run.
             .sum()
     }
 

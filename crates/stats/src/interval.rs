@@ -82,7 +82,6 @@ impl Interval {
         for &x in samples {
             assert!(x.is_finite(), "interval samples must be finite, got {x}");
         }
-        // nocstar-lint: allow(float-accumulation): offline estimator over a fixed, ordered window-sample slice; SAMPLING.md's worked example pins the result
         let sum: f64 = samples.iter().sum();
         let mean = sum / n as f64;
         if n == 1 {
@@ -93,7 +92,6 @@ impl Interval {
                 half: 0.0,
             };
         }
-        // nocstar-lint: allow(float-accumulation): same fixed-order offline reduction as above
         let sq: f64 = samples.iter().map(|&x| (x - mean) * (x - mean)).sum();
         let variance = sq / (n - 1) as f64;
         let stderr = (variance / n as f64).sqrt();

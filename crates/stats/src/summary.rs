@@ -45,7 +45,8 @@ impl Summary {
             count += 1;
             min = min.min(v);
             max = max.max(v);
-            // nocstar-lint: allow(float-accumulation): folds in the caller's order; every caller passes a series in fixed workload order, and the summary feeds only bench tables
+            // Sums in the caller's order: every caller passes a series in
+            // fixed workload order.
             sum += v;
         }
         if count == 0 {

@@ -4,10 +4,10 @@
 #
 # Two modes (ROADMAP "CI timing budget"):
 #
-#   ci.sh             fast PR gate: fmt + float-accumulation lint +
-#                     clippy + the clippy fixture check + doc + build +
-#                     a type check of hostbench, the benchmark package
-#                     outside the workspace, with its self-tests (so a
+#   ci.sh             fast PR gate: fmt + clippy + the clippy fixture
+#                     check + doc + build + a type check of hostbench,
+#                     the benchmark package outside the workspace,
+#                     with its self-tests (so a
 #                     removed public item it names fails here, not
 #                     only at --nightly) + a few-second smoke of the one bench binary,
 #                     `nocstar-bench <step> [flags]` (a faulted
@@ -64,10 +64,9 @@
 # clippy.toml bans hash-ordered collections, host clocks and RandomState,
 # and each sim crate's lib.rs denies unwrap/expect outside test code, so
 # `cargo clippy -- -D warnings` fails on any of them, and on a stale
-# `#[expect]` waiver. nocstar-lint adds the one check clippy lacks,
-# order-sensitive float reduction in sim crates, and fails on any
-# finding. The clippy fixture step proves the bans still bite: every
-# known-bad snippet under crates/lint/tests/clippy_fixtures must draw
+# `#[expect]` waiver. tests/determinism_gates.rs (tier-1) pins which
+# crates take those bans. The clippy fixture step proves the bans still
+# bite: every known-bad snippet under tests/clippy_fixtures must draw
 # exactly its marked lints, and every known-good one none.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -83,9 +82,6 @@ done
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== nocstar-lint (order-sensitive float reduction in sim crates) =="
-cargo run --release -q -p nocstar-lint
-
 echo "== cargo clippy (deny warnings; clippy.toml holds the determinism bans) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -96,10 +92,10 @@ echo "== clippy fixtures: each bad snippet draws its marked lints, each good one
 # the diagnostics are. Each `//~ <lint>` marker in a bad.rs must be
 # reported on its line, and nothing else may be reported anywhere.
 CLIPPY_CONF_DIR="$PWD" cargo clippy --offline --quiet \
-  --manifest-path crates/lint/tests/clippy_fixtures/Cargo.toml \
+  --manifest-path tests/clippy_fixtures/Cargo.toml \
   --target-dir target/clippy-fixtures --all-targets --keep-going \
   --message-format=json -- -D warnings >target/clippy-fixtures.json 2>/dev/null || true
-python3 - crates/lint/tests/clippy_fixtures target/clippy-fixtures.json <<'EOF'
+python3 - tests/clippy_fixtures target/clippy-fixtures.json <<'EOF'
 import glob, json, os, sys
 
 root, log = sys.argv[1], sys.argv[2]
